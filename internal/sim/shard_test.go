@@ -8,36 +8,7 @@ import (
 
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
-	"autorfm/internal/workload"
 )
-
-// diffProfile returns a small but representative workload for the
-// differential tests: heavy enough to exercise prefetch streams, window
-// mitigations, REFs and writebacks, short enough to run hundreds of times.
-func diffProfile(name string) workload.Profile {
-	p, err := workload.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// diffConfigs is the mode/feature matrix the 200-seed differential sweeps:
-// every mitigation mode, auditing, fault injection, and both default and
-// non-default trackers — the shard ownership split differs across all of
-// them.
-func diffConfigs() []Config {
-	return []Config{
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 12_000, Mode: dram.ModeAutoRFM, TH: 4},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 12_000, Mode: dram.ModeRFM, TH: 32},
-		{Workload: diffProfile("bfs"), InstructionsPerCore: 12_000, Mode: dram.ModePRAC, PRACETh: 16},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 12_000, Mode: dram.ModeNone},
-		{Workload: diffProfile("mcf"), InstructionsPerCore: 8_000, Mode: dram.ModeAutoRFM, TH: 4,
-			Tracker: "graphene", Policy: "recursive"},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 8_000, Mode: dram.ModeAutoRFM, TH: 4,
-			Fault: fault.Config{Seed: 7, TrackerBitFlipProb: 0.01, DropMitigationProb: 0.05}},
-	}
-}
 
 // resultBytes canonicalizes a Result for byte comparison: Shards is display
 // state, not simulation state, so it is cleared (it is excluded from JSON
