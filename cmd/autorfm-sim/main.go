@@ -45,8 +45,7 @@ func main() {
 		instr   = flag.Int64("instr", 300_000, "instructions per core")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 		jobs    = flag.Int("j", runtime.NumCPU(), "parallel simulation workers (the test and baseline runs overlap)")
-		shards  = flag.Int("shards", 1, "intra-simulation parallelism: device-pipeline shard goroutines per run (1 = serial; output is byte-identical at any value)")
-		batch   = flag.Int("batch", 1, "run B seeds (seed..seed+B-1) of the configuration, lane-batched B seeds per machine run; per-seed results are byte-identical to serial (incompatible with -metrics/-trace/-replay)")
+		seeds   = flag.Int("seeds", 1, "run N seeds (seed..seed+N-1) of the configuration and report the mean ± σ across them (incompatible with -metrics/-trace/-replay)")
 		noBase  = flag.Bool("nobaseline", false, "skip the baseline run (no slowdown reported)")
 		storeP  = flag.String("store", "", "content-addressed result store file: serve previously completed configurations from it and add new ones (shared with autorfm-coord -store)")
 		list    = flag.Bool("list", false, "list workloads and exit")
@@ -125,13 +124,11 @@ func main() {
 		Tracker:             *trk,
 		InstructionsPerCore: *instr,
 		Seed:                *seed,
-		Shards:              *shards,
-		Batch:               *batch,
 	}
-	if *batch > 1 && (*metrics != "" || *traceOut != "" || *replay != "") {
-		// Telemetry probes and replay streams are per-run state; a batched
-		// machine run is shared across seeds and cannot carry them.
-		fmt.Fprintln(os.Stderr, "-batch > 1 is incompatible with -metrics, -trace and -replay")
+	if *seeds > 1 && (*metrics != "" || *traceOut != "" || *replay != "") {
+		// Telemetry probes and replay streams are per-run state; they cannot
+		// be shared across the seeds' runs.
+		fmt.Fprintln(os.Stderr, "-seeds > 1 is incompatible with -metrics, -trace and -replay")
 		os.Exit(1)
 	}
 	if *faults != "" {
@@ -218,12 +215,9 @@ func main() {
 		}
 		pool.WriteCheckpoints(store.CheckpointWriter())
 	}
-	// One job per seed: -batch widens the seed range, and the pool groups
-	// the family's pending seeds into lane-batched machine runs. The
-	// mitigated seeds come first, then (unless suppressed) the matching
-	// no-mitigation baselines — a separate config family that batches among
-	// itself.
-	nSeeds := *batch
+	// One job per seed: the mitigated seeds come first, then (unless
+	// suppressed) the matching no-mitigation baselines.
+	nSeeds := *seeds
 	if nSeeds < 1 {
 		nSeeds = 1
 	}
@@ -276,10 +270,10 @@ func main() {
 			sim.Slowdown(results[nSeeds], res))
 	}
 	if nSeeds > 1 {
-		// Per-seed spread across the batch: the headline numbers above are
-		// the first seed's; the mean +/- stddev shows seed sensitivity.
+		// Per-seed spread: the headline numbers above are the first seed's;
+		// the mean +/- stddev shows seed sensitivity.
 		mean, sd := meanStddev(results[:nSeeds], func(r sim.Result) float64 { return r.ACTPKI() })
-		fmt.Printf("batch         %d seeds (%d..%d): ACT-PKI %.1f ± %.1f",
+		fmt.Printf("seeds         %d (%d..%d): ACT-PKI %.1f ± %.1f",
 			nSeeds, *seed, *seed+uint64(nSeeds)-1, mean, sd)
 		if wantBase {
 			slow := make([]float64, nSeeds)

@@ -6,93 +6,38 @@ import (
 	"time"
 )
 
-func TestSeriesBase(t *testing.T) {
-	cases := []struct {
-		id   string
-		base string
-		kind string
-	}{
-		{"fig3", "fig3", ""},
-		{"fig3#shards=4", "fig3", "sharded"},
-		{"total#shards=2", "total", "sharded"},
-		{"weird#shards=", "weird", "sharded"},
-		{"fig3#batch=4", "fig3", "batched"},
-		{"total#batch=2", "total", "batched"},
-		{"fig3#shards=2#batch=4", "fig3", "sharded+batched"},
-		{"odd#mystery=1", "odd#mystery=1", ""},
-	}
-	for _, c := range cases {
-		base, kind := seriesBase(c.id)
-		if base != c.base || kind != c.kind {
-			t.Errorf("seriesBase(%q) = (%q, %q), want (%q, %q)",
-				c.id, base, kind, c.base, c.kind)
-		}
-	}
-}
-
-// TestDiffShardedSeriesInformational pins the satellite contract: sharded
-// rows are compared — exact series first, serial fallback otherwise — but a
-// sharded slowdown never fails the diff, and the sharded fallback does not
-// consume the serial baseline row the serial series is gated against.
-func TestDiffShardedSeriesInformational(t *testing.T) {
+// TestDiffGatesRegression pins the gate: a wall-time regression beyond the
+// tolerance fails the diff, one within it passes, sub-min-wall rows are
+// noise, and rows present on one side only are reported without failing.
+func TestDiffGatesRegression(t *testing.T) {
 	ms := int64(time.Millisecond)
 	base := &report{Experiments: []experiment{
 		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "tab5#shards=4", WallNS: 400 * ms},
+		{ID: "tab3", WallNS: 10 * ms},
+		{ID: "gone", WallNS: 100 * ms},
 	}}
 	fresh := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1100 * ms},          // +10%: within tolerance
-		{ID: "fig3#shards=4", WallNS: 5000 * ms}, // vs serial, 5x slower: informational
-		{ID: "tab5#shards=4", WallNS: 900 * ms},  // vs its own series, 2x: informational
-		{ID: "appb#shards=2", WallNS: 10 * ms},   // no baseline at all: new
+		{ID: "fig3", WallNS: 1100 * ms}, // +10%: within tolerance
+		{ID: "tab3", WallNS: 30 * ms},   // 3x, but both below min-wall: noise
+		{ID: "appb", WallNS: 10 * ms},   // no baseline: new
 	}}
 	var out strings.Builder
 	if diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("sharded slowdowns failed the diff:\n%s", out.String())
+		t.Fatalf("in-tolerance report failed the diff:\n%s", out.String())
 	}
 	s := out.String()
-	for _, want := range []string{"(sharded vs serial)", "(sharded)", "new"} {
+	for _, want := range []string{"(noise)", "new", "gone", "only in baseline"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
-	if strings.Contains(s, "REGRESSED") || strings.Contains(s, "only in baseline") {
-		t.Errorf("sharded rows mis-gated or serial baseline consumed:\n%s", s)
-	}
 
-	// The serial gate still works: the same serial regression fails.
 	fresh.Experiments[0].WallNS = 2000 * ms
 	out.Reset()
 	if !diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("serial regression not flagged:\n%s", out.String())
+		t.Fatalf("regression not flagged:\n%s", out.String())
 	}
-}
-
-// TestDiffBatchedSeriesInformational mirrors the sharded-series contract for
-// the "#batch=N" series a lane-batched autorfm-bench invocation stamps.
-func TestDiffBatchedSeriesInformational(t *testing.T) {
-	ms := int64(time.Millisecond)
-	base := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "tab5#batch=4", WallNS: 400 * ms},
-	}}
-	fresh := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "fig3#batch=4", WallNS: 5000 * ms},          // serial fallback, slower: informational
-		{ID: "tab5#batch=4", WallNS: 900 * ms},           // vs its own series: informational
-		{ID: "fig3#shards=2#batch=4", WallNS: 5000 * ms}, // stacked series, serial fallback
-	}}
-	var out strings.Builder
-	if diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("batched slowdowns failed the diff:\n%s", out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"(batched vs serial)", "(batched)", "(sharded+batched vs serial)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "REGRESSED") || strings.Contains(s, "only in baseline") {
-		t.Errorf("batched rows mis-gated or serial baseline consumed:\n%s", s)
+	if !strings.Contains(out.String(), "REGRESSED") {
+		t.Errorf("regressed row not marked:\n%s", out.String())
 	}
 }

@@ -1,16 +1,15 @@
-// Package arena provides a tiny typed bump allocator for per-lane device
-// state. The batched lane path (sim.RunBatch) gives each lane's DRAM device
-// an Arena; the device resets it on every pipeline rebuild and re-carves
-// the tracker tables, victim buffers, and PRNGs from it, so (a) one lane's
-// whole device-side state sits in a handful of contiguous slabs instead of
-// hundreds of scattered heap objects, and (b) repeated warm-machine Resets
-// are allocation-free — the slabs grow to the configuration's working set
-// once and are then reused verbatim.
+// Package arena provides a tiny typed bump allocator for device state.
+// Every sim.Machine gives its DRAM device an Arena; the device resets it on
+// every pipeline rebuild and re-carves the tracker tables, victim buffers,
+// and PRNGs from it, so (a) the whole device-side state sits in a handful
+// of contiguous slabs instead of hundreds of scattered heap objects, and
+// (b) repeated warm-machine Resets are allocation-free — the slabs grow to
+// the configuration's working set once and are then reused verbatim.
 //
 // An Arena is not a lifetime system: Reset invalidates every carving at
 // once, which matches the device's use exactly (Reset discards the whole
 // pipeline before rebuilding it). Nothing here is concurrency-safe; an
-// Arena belongs to one lane engine.
+// Arena belongs to one machine.
 package arena
 
 import "autorfm/internal/rng"

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/bits"
-	"sync"
 
 	"autorfm/internal/clk"
 	"autorfm/internal/event"
@@ -216,9 +215,9 @@ func (c *Cache) Warm(line uint64, dirty bool) {
 }
 
 // warmAt installs line with an explicit LRU stamp. It touches only line's
-// set, which is what makes WarmBatch's set-partitioned parallel warm both
-// race-free and byte-identical to the serial loop: the stamp of warm i is
-// always i+1 regardless of which goroutine applies it.
+// set, which is what lets WarmAll apply entries set-major and still leave
+// the serial loop's state: the stamp of warm i is always i+1 regardless of
+// the order sets are visited in.
 func (c *Cache) warmAt(line uint64, dirty bool, tick uint64) {
 	base := int(line&c.setMask) * c.ways
 	// One pass: stop at the first free way or duplicate (in way order, as
@@ -240,50 +239,9 @@ func (c *Cache) warmAt(line uint64, dirty bool, tick uint64) {
 	c.dirty[victim] = dirty
 }
 
-// WarmBatch warms lines[i] (dirty[i]) for all i, exactly as len(lines)
-// successive Warm calls would, spreading the work over workers goroutines.
-// The cache is partitioned by set: each worker owns a contiguous range of
-// sets and applies, in input order, exactly the entries that map to its
-// range, with the LRU stamp the serial loop would have used (i+1). Sets are
-// disjoint across workers and warming touches nothing but the addressed
-// set, so the result is byte-identical to serial warming at any GOMAXPROCS
-// (pinned by TestWarmBatchMatchesSerial).
-func (c *Cache) WarmBatch(lines []uint64, dirty []bool, workers int) {
-	if len(lines) != len(dirty) {
-		panic("cache: WarmBatch lines/dirty length mismatch")
-	}
-	numSets := int(c.setMask) + 1
-	if workers > numSets {
-		workers = numSets
-	}
-	if workers <= 1 {
-		for i, line := range lines {
-			c.tick++
-			c.warmAt(line, dirty[i], c.tick)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := uint64(w * numSets / workers)
-		hi := uint64((w + 1) * numSets / workers)
-		go func() {
-			defer wg.Done()
-			for i, line := range lines {
-				if s := line & c.setMask; s >= lo && s < hi {
-					c.warmAt(line, dirty[i], uint64(i)+c.tick+1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	c.tick += uint64(len(lines))
-}
-
 // WarmPlan is the reusable scratch a set-major WarmAll pass works in: the
 // per-set bucket boundaries and the entry permutation. One plan serves any
-// number of WarmAll calls (across caches and lane batches); its arrays grow
+// number of WarmAll calls (across caches and runs); its arrays grow
 // to the largest warm it has applied and are then reused allocation-free.
 type WarmPlan struct {
 	starts []int32   // starts[s]..starts[s+1] bounds set s's entries in order
@@ -322,9 +280,8 @@ type warmEnt struct {
 // warmAt, WarmAll buckets the entries by set first and then applies them
 // set-major: each set's tag/LRU/dirty lines are touched once, stay resident
 // while its handful of entries apply, and the sweep over sets is sequential.
-// This is the lane-batching prewarm path (docs/PERF.md "PR 9"): the plan's
-// scratch is shared across a batch's lanes, and the set-major apply is what
-// makes B prewarms per batched run affordable.
+// This is the simulator's prewarm path: a machine reuses one plan across
+// its runs.
 func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
 	if len(lines) != len(dirty) {
 		panic("cache: WarmAll lines/dirty length mismatch")
@@ -435,7 +392,7 @@ func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
 const warmCoarse = 256
 
 // warmFresh is WarmAll's empty-cache path (fresh or ResetForWarm — the
-// batched-lane prewarm): LRU warming of an empty set leaves exactly the last
+// simulator's prewarm): LRU warming of an empty set leaves exactly the last
 // `ways` distinct lines touched, each with the stamp and dirty bit of its
 // last touch, so per set a single backward scan installs the final state
 // directly instead of replaying every eviction through warmAt. Lines land in
@@ -576,7 +533,7 @@ func (c *Cache) Reset(mc *memctrl.Controller) {
 }
 
 // ResetForWarm is Reset for a caller that immediately follows with a
-// full-coverage WarmAll (the batched-lane prewarm): the wipe of the big
+// full-coverage WarmAll (the simulator's prewarm): the wipe of the big
 // tag/LRU/dirty arrays — a pass over the whole cache — is skipped, because
 // warmFresh rewrites every way of every set anyway. Until that WarmAll runs
 // the arrays hold the previous run's state; WarmAll's fallback paths detect

@@ -3,8 +3,6 @@ package cache
 import (
 	"reflect"
 	"testing"
-
-	"autorfm/internal/rng"
 )
 
 // warmState captures everything Warm touches, for byte-level comparison.
@@ -13,59 +11,6 @@ func warmState(c *Cache) ([]uint64, []uint64, []bool, uint64) {
 	lru := append([]uint64(nil), c.lru...)
 	dirty := append([]bool(nil), c.dirty...)
 	return tags, lru, dirty, c.tick
-}
-
-// TestWarmBatchMatchesSerial pins the parallel-prewarm contract: WarmBatch
-// at any worker count leaves the cache byte-identical to the same entries
-// applied through serial Warm calls — including duplicate lines, full-set
-// LRU eviction, and the final tick value.
-func TestWarmBatchMatchesSerial(t *testing.T) {
-	const n = 20_000
-	r := rng.New(5)
-	lines := make([]uint64, n)
-	dirty := make([]bool, n)
-	for i := range lines {
-		lines[i] = uint64(r.Int63n(8192)) // few distinct sets: collisions + duplicates
-		dirty[i] = r.Bernoulli(0.3)
-	}
-	serial, _, _ := newRig(t, smallCfg())
-	for i, line := range lines {
-		serial.Warm(line, dirty[i])
-	}
-	wTags, wLRU, wDirty, wTick := warmState(serial)
-
-	for _, workers := range []int{1, 2, 3, 8, 1000} {
-		par, _, _ := newRig(t, smallCfg())
-		par.WarmBatch(lines, dirty, workers)
-		gTags, gLRU, gDirty, gTick := warmState(par)
-		if !reflect.DeepEqual(gTags, wTags) || !reflect.DeepEqual(gLRU, wLRU) ||
-			!reflect.DeepEqual(gDirty, wDirty) || gTick != wTick {
-			t.Fatalf("WarmBatch(workers=%d) diverges from serial Warm", workers)
-		}
-	}
-}
-
-// TestWarmBatchContinuesTick checks WarmBatch composes with prior Warm
-// calls: stamps continue from the current tick, exactly like more Warms.
-func TestWarmBatchContinuesTick(t *testing.T) {
-	a, _, _ := newRig(t, smallCfg())
-	b, _, _ := newRig(t, smallCfg())
-	a.Warm(1, false)
-	a.Warm(2, true)
-	b.Warm(1, false)
-	b.Warm(2, true)
-	lines := []uint64{3, 4, 5}
-	dirty := []bool{true, false, true}
-	for i, l := range lines {
-		a.Warm(l, dirty[i])
-	}
-	b.WarmBatch(lines, dirty, 2)
-	aTags, aLRU, aDirty, aTick := warmState(a)
-	bTags, bLRU, bDirty, bTick := warmState(b)
-	if !reflect.DeepEqual(aTags, bTags) || !reflect.DeepEqual(aLRU, bLRU) ||
-		!reflect.DeepEqual(aDirty, bDirty) || aTick != bTick {
-		t.Fatal("WarmBatch after Warm diverges from all-serial warming")
-	}
 }
 
 // TestResetMatchesFresh pins the machine-reuse contract for the cache: a

@@ -87,23 +87,23 @@ func TestWarmAllEquivalent(t *testing.T) {
 	for i, line := range lines {
 		serial.Warm(line, dirty[i])
 	}
-	batched, bmc, bq := newRig(t, smallCfg())
+	setMajor, bmc, bq := newRig(t, smallCfg())
 	var plan WarmPlan
-	batched.WarmAll(lines, dirty, &plan)
+	setMajor.WarmAll(lines, dirty, &plan)
 
 	ar := rng.New(7)
 	br := rng.New(7)
 	for i := 0; i < 20_000; i++ {
 		serial.Access(uint64(ar.Int63n(6000)), ar.Bernoulli(0.4), nil)
-		batched.Access(uint64(br.Int63n(6000)), br.Bernoulli(0.4), nil)
+		setMajor.Access(uint64(br.Int63n(6000)), br.Bernoulli(0.4), nil)
 		drain(sq, smc)
 		drain(bq, bmc)
 	}
-	if serial.Stats != batched.Stats {
-		t.Fatalf("cache stats diverge:\nserial  %+v\nbatched %+v", serial.Stats, batched.Stats)
+	if serial.Stats != setMajor.Stats {
+		t.Fatalf("cache stats diverge:\nserial    %+v\nset-major %+v", serial.Stats, setMajor.Stats)
 	}
 	if smc.Stats != bmc.Stats {
-		t.Fatalf("DRAM traffic diverges:\nserial  %+v\nbatched %+v", smc.Stats, bmc.Stats)
+		t.Fatalf("DRAM traffic diverges:\nserial    %+v\nset-major %+v", smc.Stats, bmc.Stats)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestWarmAllContinuesTick(t *testing.T) {
 
 // BenchmarkWarm compares the serial per-entry warm loop against the
 // set-major WarmAll pass at the default LLC geometry (the exact work
-// sim.prewarm does per run / per lane).
+// sim.prewarm does per run).
 func BenchmarkWarm(b *testing.B) {
 	cfg := DefaultConfig()
 	total := cfg.SizeBytes / cfg.LineBytes
@@ -161,7 +161,7 @@ func BenchmarkWarm(b *testing.B) {
 			c.WarmAll(lines, dirty, &plan)
 		}
 	})
-	// The batched-lane start sequence: the reset defers its array wipe to
+	// The simulator's start sequence: the reset defers its array wipe to
 	// the full-coverage warm (see ResetForWarm).
 	b.Run("warmfresh", func(b *testing.B) {
 		c, mc, _ := newRig(b, cfg)

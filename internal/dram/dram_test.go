@@ -314,3 +314,38 @@ func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
 		t.Fatalf("slow row not pruned after 100 REFs (size %d)", tw.TableSize())
 	}
 }
+
+// TestMitigationZeroAllocs guards the device's steady-state update path:
+// activations, AutoRFM window mitigations (tracker selection, the policy's
+// victims appended into the bank's scratch buffer, audit-ledger records)
+// and REFs allocate nothing once the device is built.
+func TestMitigationZeroAllocs(t *testing.T) {
+	cfg := autoCfg(4)
+	cfg.Audit, cfg.AuditThreshold = true, 1<<20
+	d := NewDevice(cfg)
+	b := d.Banks[0]
+	tm := clk.DDR5()
+	now := clk.Tick(0)
+	var i uint32
+	var ref uint64
+	step := func() {
+		for n := 0; n < 64; n++ {
+			res := b.Activate(now, 1000+(i%16)*4)
+			i++
+			if res.WindowClosed {
+				b.StartPendingMitigation(now + tm.TRAS)
+				now += tm.MitigationTime(4)
+			}
+			now += tm.TRC
+		}
+		ref++
+		b.ExecuteREF(ref)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("device update path allocates %.1f objects per 64 ACTs, want 0", allocs)
+	}
+	if b.Stats.Mitigations == 0 {
+		t.Fatal("no mitigations ran")
+	}
+}

@@ -154,38 +154,3 @@ func TestAfter(t *testing.T) {
 		t.Fatalf("After fired at %v, want 15ns", fired)
 	}
 }
-
-// TestPeekTime pins the batched-lane scheduling primitive: PeekTime reports
-// the time of the event the next Step would dispatch — near, far, same-tick
-// and now-lane — without dispatching anything or advancing the clock.
-func TestPeekTime(t *testing.T) {
-	var q Queue
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("empty queue reported a pending event")
-	}
-	q.At(clk.NS(10), func(clk.Tick) {})
-	q.At(clk.NS(10_000), func(clk.Tick) {}) // beyond the wheel horizon: far lane
-	if tt, ok := q.PeekTime(); !ok || tt != clk.NS(10) {
-		t.Fatalf("PeekTime = %v,%v, want %v", tt, ok, clk.NS(10))
-	}
-	if q.Now() != 0 {
-		t.Fatalf("PeekTime advanced the clock to %v", q.Now())
-	}
-	if !q.Step() {
-		t.Fatal("Step after PeekTime failed")
-	}
-	// An event armed at the current time must be visible at Now.
-	q.At(q.Now(), func(clk.Tick) {})
-	if tt, ok := q.PeekTime(); !ok || tt != q.Now() {
-		t.Fatalf("now-lane PeekTime = %v,%v, want %v", tt, ok, q.Now())
-	}
-	q.Step()
-	// Only the far event remains.
-	if tt, ok := q.PeekTime(); !ok || tt != clk.NS(10_000) {
-		t.Fatalf("far-lane PeekTime = %v,%v, want %v", tt, ok, clk.NS(10_000))
-	}
-	q.Step()
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("drained queue reported a pending event")
-	}
-}

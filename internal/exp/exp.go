@@ -49,20 +49,6 @@ type Scale struct {
 	// failures. Individual jobs that die render as ERR cells; the rest
 	// of the table still computes.
 	Fault fault.Config
-	// Shards is applied to every simulation job the experiment submits:
-	// intra-simulation parallelism (sim.Config.Shards). Like Jobs it never
-	// changes results — sharded output is byte-identical to serial — so it
-	// composes freely with the result cache and distribution. Useful when a
-	// sweep has fewer distinct configs than CPUs, where job parallelism
-	// alone leaves cores idle.
-	Shards int
-	// Batch is applied to every simulation job the experiment submits:
-	// lane batching (sim.Config.Batch). A runner.Pool groups Batch pending
-	// seeds of one configuration into a single machine run, amortizing
-	// construction and pre-warm across the lanes. Like Shards it never
-	// changes results — per-lane output is byte-identical to serial — and
-	// is excluded from the cache key.
-	Batch int
 }
 
 // ctx returns the scale's context, defaulting to Background.
@@ -146,8 +132,6 @@ func (sc Scale) simCfg(p workload.Profile, muts ...func(*sim.Config)) sim.Config
 		InstructionsPerCore: sc.Instructions,
 		Seed:                sc.Seed,
 		Fault:               sc.Fault,
-		Shards:              sc.Shards,
-		Batch:               sc.Batch,
 	}
 	for _, mut := range muts {
 		mut(&cfg)

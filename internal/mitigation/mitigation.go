@@ -25,11 +25,12 @@ type Policy interface {
 
 // VictimAppender is the allocation-free variant of Policy.Victims: the
 // victim rows are appended to dst (reusing its capacity) instead of a fresh
-// slice. All built-in policies implement it; the batched lane path
-// (sim.RunBatch) type-asserts for it once per bank at construction and
-// reuses one buffer per bank across mitigations, which removes the dominant
-// allocation of the lane update loop. Implementations must consume exactly
-// the PRNG draws Victims would, so both paths stay byte-identical.
+// slice. All built-in policies implement it; the DRAM device type-asserts
+// for it once per bank at construction and reuses one buffer per bank
+// across mitigations, which removes the dominant allocation of the
+// simulation update loop. Implementations must return the victims Victims
+// would and consume exactly its PRNG draws, so both paths stay
+// byte-identical (pinned by TestAppendVictimsZeroAllocs).
 type VictimAppender interface {
 	AppendVictims(dst []uint32, sel tracker.Selection, rowsPerBank int) []uint32
 }

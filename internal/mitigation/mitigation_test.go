@@ -193,30 +193,59 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestAppendVictimsZeroAllocs pins the contract the batched lane path relies
-// on: every built-in policy's AppendVictims into a preallocated buffer is
-// allocation-free, so the per-mitigation victim computation costs no heap
-// traffic in the steady-state update loop.
+// TestAppendVictimsZeroAllocs pins the contract the DRAM device relies on:
+// for every built-in policy, AppendVictims returns exactly the victims
+// Victims does and leaves the bank PRNG in the same state for the next draw
+// (the device always takes the AppendVictims path), and appending into a
+// preallocated buffer is allocation-free, so the per-mitigation victim
+// computation costs no heap traffic in the steady-state update loop.
 func TestAppendVictimsZeroAllocs(t *testing.T) {
-	policies := []struct {
-		name string
-		p    VictimAppender
-	}{
-		{"baseline", NewBaseline()},
-		{"recursive", NewRecursive()},
-		{"fractal", NewFractal(rng.New(9))},
+	sels := []tracker.Selection{
+		sel(5000, 1), sel(5000, 2), sel(5000, 3), sel(0, 1), sel(1, 2),
+		sel(rows-1, 1), sel(rows-2, 2), sel(77, 0), {Row: 9, OK: false},
 	}
-	buf := make([]uint32, 0, 8)
-	for _, tc := range policies {
+	for _, name := range Names() {
+		ra, rb := rng.New(9), rng.New(9)
+		pa, err := ByName(name, ra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := ByName(name, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		va, ok := pb.(VictimAppender)
+		if !ok {
+			t.Errorf("%s: built-in policy does not implement VictimAppender", name)
+			continue
+		}
+		buf := make([]uint32, 0, 8)
+		for round := 0; round < 200; round++ {
+			s := sels[round%len(sels)]
+			want := pa.Victims(s, rows)
+			buf = va.AppendVictims(buf[:0], s, rows)
+			if len(buf) != len(want) {
+				t.Fatalf("%s round %d %+v: AppendVictims %v, Victims %v", name, round, s, buf, want)
+			}
+			for i := range want {
+				if buf[i] != want[i] {
+					t.Fatalf("%s round %d %+v: AppendVictims %v, Victims %v", name, round, s, buf, want)
+				}
+			}
+		}
+		if a, b := ra.Uint64(), rb.Uint64(); a != b {
+			t.Errorf("%s: PRNG diverged after the same selections: next draw %#x (Victims) vs %#x (AppendVictims)", name, a, b)
+		}
+
 		s := sel(5000, 2)
 		allocs := testing.AllocsPerRun(100, func() {
-			buf = tc.p.AppendVictims(buf[:0], s, rows)
+			buf = va.AppendVictims(buf[:0], s, rows)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: AppendVictims allocates %.1f objects per call, want 0", tc.name, allocs)
+			t.Errorf("%s: AppendVictims allocates %.1f objects per call, want 0", name, allocs)
 		}
 		if len(buf) == 0 {
-			t.Errorf("%s: AppendVictims returned no victims", tc.name)
+			t.Errorf("%s: AppendVictims returned no victims", name)
 		}
 	}
 }

@@ -121,48 +121,28 @@ type Pool struct {
 	// concurrently from multiple workers.
 	Instrument func(cfg *sim.Config, key string)
 
-	// BatchFlush bounds how long a partially filled lane-batch group waits
-	// for more same-config seeds before running below its target width;
-	// zero means a small default. Only consulted for jobs with
-	// sim.Config.Batch > 1. Set it before submitting jobs.
-	BatchFlush time.Duration
-
 	// OnJobPhase, when non-nil, is called on the worker goroutine for
 	// every job the pool actually simulates, once per execution phase
 	// (PhaseQueue: the wait for a worker slot; PhaseRun: the machine run)
 	// with the phase's wall-clock bounds — the hook distributed workers
 	// use to record execution spans without the runner importing the
 	// observability layer. Cache hits report no phases. Like Instrument
-	// it must not change the simulation outcome; unlike Instrument it is
-	// compatible with lane batching (each lane reports its group's shared
-	// window). Set it before submitting jobs; calls may be concurrent.
+	// it must not change the simulation outcome. Set it before submitting
+	// jobs; calls may be concurrent.
 	OnJobPhase func(key, phase string, start, end time.Time)
-
-	// AutoWiden, when MaxShards > 1, turns idle cores at a sweep's tail
-	// into intra-simulation shard workers: once fewer jobs remain than
-	// workers (for at least Debounce), unsharded, unbatched jobs are run
-	// at a widened sim.Config.Shards. Set it before submitting jobs.
-	AutoWiden AutoWiden
 
 	sem chan struct{} // bounds concurrent simulations
 
 	mu    sync.Mutex // guards cache
 	cache map[string]*entry
 
-	// groups holds the pending lane-batch groups (see batch.go).
-	bmu    sync.Mutex
-	groups map[string]*batchGroup
-
-	// now overrides time.Now in the widening debounce for tests.
+	// now overrides time.Now in the pool's clock for tests.
 	now func() time.Time
-	// tailSince is when the pending<workers tail condition started holding
-	// (zero when it does not hold); guarded by pmu.
-	tailSince time.Time
 
 	// machines is a free list of warm sim.Machine allocations, one checked
 	// out per in-flight simulation (so it never exceeds the worker count):
-	// multi-seed same-config sweeps reuse the previous run's event queue,
-	// LLC arrays, and device state via sim's Reset paths instead of
+	// each run reuses the previous run's event queue, LLC arrays, device
+	// state, and pre-warm scratch via sim's Reset paths instead of
 	// reconstructing them. Reuse is invisible in results — a Machine run is
 	// byte-identical to a fresh run, and a Machine that hosted a panicking
 	// or cancelled job rebuilds itself on its next use.
@@ -255,15 +235,6 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 	p.cache[key] = e
 	p.mu.Unlock()
 
-	if p.batchEligible(cfg) {
-		// Lane batching: the job joins its config family's pending group
-		// and runs as one lane of a machine batch. runBatched fills e and
-		// closes e.ready itself (possibly on another lane's goroutine).
-		res, err := p.runBatched(ctx, cfg, key, e)
-		p.jobDone(false, err != nil)
-		return res, err
-	}
-
 	e.res, e.err = p.simulate(ctx, cfg, key)
 	if e.err != nil && ctx.Err() != nil {
 		// Caller cancellation is not a property of the job; evict so a
@@ -319,9 +290,6 @@ func (p *Pool) simulate(ctx context.Context, cfg sim.Config, key string) (res si
 	if p.Instrument != nil {
 		p.Instrument(&cfg, key)
 	}
-	if w := p.widenWidth(cfg); w > 0 {
-		cfg.Shards = w
-	}
 	m := p.getMachine()
 	defer p.putMachine(m)
 	var rStart time.Time
@@ -360,6 +328,15 @@ func (p *Pool) putMachine(m *sim.Machine) {
 	p.mmu.Lock()
 	p.machines = append(p.machines, m)
 	p.mmu.Unlock()
+}
+
+// clock returns the pool's time source (the now seam lets the progress
+// windows be unit-tested against a fake clock).
+func (p *Pool) clock() time.Time {
+	if p.now != nil {
+		return p.now()
+	}
+	return time.Now()
 }
 
 // RunAll executes the jobs in parallel and returns their results and

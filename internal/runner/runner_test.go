@@ -599,8 +599,8 @@ func TestSimWindowEndToEnd(t *testing.T) {
 }
 
 // TestOnJobPhase: simulated jobs report queue and run phases with sane
-// bounds, cache hits report nothing, and batched lanes each report their
-// group's shared window under their own key.
+// bounds, cache hits report nothing, and concurrent jobs each report their
+// own phases under their own key.
 func TestOnJobPhase(t *testing.T) {
 	ctx := context.Background()
 	p := New(2)
@@ -629,20 +629,21 @@ func TestOnJobPhase(t *testing.T) {
 		t.Fatalf("phases for simulated job = %v, want [queue run] exactly once", got)
 	}
 
-	// Batched lanes: every lane key reports the group's phases.
-	batched := []sim.Config{
-		cfg(t, "mcf", func(c *sim.Config) { c.Batch = 2; c.Seed = 1 }),
-		cfg(t, "mcf", func(c *sim.Config) { c.Batch = 2; c.Seed = 2 }),
+	// Seeds of one config family run concurrently: every key reports its
+	// own phases.
+	seeds := []sim.Config{
+		cfg(t, "mcf", func(c *sim.Config) { c.Seed = 1 }),
+		cfg(t, "mcf", func(c *sim.Config) { c.Seed = 2 }),
 	}
-	if _, errs := p.RunAll(ctx, batched); FirstError(errs) != nil {
+	if _, errs := p.RunAll(ctx, seeds); FirstError(errs) != nil {
 		t.Fatal(FirstError(errs))
 	}
-	for _, c := range batched {
+	for _, c := range seeds {
 		mu.Lock()
 		got := phases[c.Key()]
 		mu.Unlock()
 		if len(got) != 2 || got[0] != PhaseQueue || got[1] != PhaseRun {
-			t.Fatalf("phases for lane %s = %v, want [queue run]", c.Key(), got)
+			t.Fatalf("phases for seed %d = %v, want [queue run]", c.Seed, got)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
 	"autorfm/internal/workload"
@@ -46,68 +44,11 @@ func BenchmarkSimRun(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/sec")
 }
 
-// BenchmarkSimRunSharded is BenchmarkSimRun across -shards values: the
-// speedup curve of intra-simulation parallelism (docs/PERF.md "PR 8").
-// Results are byte-identical at every point, so the ratio against shards=1
-// is pure wall-clock; on a single-CPU machine expect the >1 points to show
-// the fabric's overhead instead of a speedup.
-func BenchmarkSimRunSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := benchConfig(b)
-			cfg.Shards = shards
-			b.ReportAllocs()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
-
-// BenchmarkSimRunBatched is the lane-batched path: each iteration runs
-// `batch` distinct seeds of benchConfig through one warm Machine's RunBatch,
-// and the headline events/sec metric aggregates across lanes. The ratio of
-// batch=4 against BenchmarkSimRun's events/sec is the PR 9 acceptance
-// number (docs/PERF.md "PR 9"); per-lane Results are byte-identical to
-// serial, so the ratio is pure wall-clock.
-func BenchmarkSimRunBatched(b *testing.B) {
-	for _, batch := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			cfg := benchConfig(b)
-			var m Machine
-			seeds := make([]uint64, batch)
-			b.ReportAllocs()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				for l := range seeds {
-					seeds[l] = uint64(i*batch + l + 1)
-				}
-				results, errs := m.RunBatch(context.Background(), cfg, seeds)
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, res := range results {
-					events += res.Events
-				}
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(events)/float64(int64(b.N)*int64(batch)), "events/run")
-		})
-	}
-}
-
-// BenchmarkSimRunReuse is BenchmarkSimRun through one warm Machine: the
-// multi-seed batching path (runner.Pool checks Machines out per worker), so
-// the delta against BenchmarkSimRun is what per-run construction — event
-// queue, LLC arrays, device pipelines — costs when not amortized.
+// BenchmarkSimRunReuse is BenchmarkSimRun through one warm Machine, the way
+// runner.Pool runs every job (it checks Machines out per worker), so the
+// delta against BenchmarkSimRun is what per-run construction — event
+// queue, LLC arrays, device pipelines, pre-warm scratch — costs when not
+// amortized.
 func BenchmarkSimRunReuse(b *testing.B) {
 	cfg := benchConfig(b)
 	var m Machine

@@ -37,7 +37,7 @@ func TestPrewarmHonorsConfiguredCache(t *testing.T) {
 	llc := newWarmTarget(t, small)
 	wantLines := small.SizeBytes / small.LineBytes
 
-	warmed := prewarm(llc, small, warmConfig())
+	warmed := prewarm(llc, small, warmConfig(), &prewarmScratch{})
 	if warmed != wantLines {
 		t.Fatalf("prewarm warmed %d lines for a %d-line cache (DefaultConfig would be %d)",
 			warmed, wantLines, cache.DefaultConfig().SizeBytes/cache.DefaultConfig().LineBytes)
@@ -63,8 +63,8 @@ func TestPrewarmPrefetchDegreeInvariant(t *testing.T) {
 	defLLC := newWarmTarget(t, defCfg)
 	pfLLC := newWarmTarget(t, pfCfg)
 
-	warmedDef := prewarm(defLLC, defCfg, warmConfig())
-	warmedPf := prewarm(pfLLC, pfCfg, warmConfig())
+	warmedDef := prewarm(defLLC, defCfg, warmConfig(), &prewarmScratch{})
+	warmedPf := prewarm(pfLLC, pfCfg, warmConfig(), &prewarmScratch{})
 	if warmedDef != warmedPf {
 		t.Fatalf("warmed %d lines with default prefetch degree, %d with degree 4", warmedDef, warmedPf)
 	}

@@ -94,11 +94,7 @@ func (s *Sink) Err() error {
 // Counters is the cumulative counter snapshot the sampler differences
 // between epoch boundaries. The simulator fills it from memctrl.Stats and
 // the device-side bank totals; the JSON tags name the per-epoch delta
-// fields of the metrics record. Under sharded execution some device totals
-// (mitigations, victim refreshes) accumulate on shard workers, so whoever
-// assembles a Counters must barrier the device first — reading through
-// dram.Device.TotalStats, which syncs, keeps epoch records byte-identical
-// to a serial run's.
+// fields of the metrics record.
 type Counters struct {
 	Acts            uint64 `json:"acts"`
 	RowHits         uint64 `json:"row_hits"`

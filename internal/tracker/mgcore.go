@@ -66,8 +66,8 @@ func (t *mgTable) init(budget int) {
 	if t.a != nil && cap(t.rows) < budget+1 {
 		// Carve the slot arrays up front at their steady-state size (the
 		// logical budget plus Graphene's re-insertion headroom slot), so
-		// the append-driven growth below never runs and one lane's whole
-		// table sits in contiguous arena slabs.
+		// the append-driven growth below never runs and the whole table
+		// sits in contiguous arena slabs.
 		t.rows = t.a.U32.Take(budget + 1)[:0]
 		t.counts = t.a.I64.Take(budget + 1)[:0]
 		t.next = t.a.I32.Take(budget + 1)[:0]

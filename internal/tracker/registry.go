@@ -25,11 +25,10 @@ type Env struct {
 	// from it — never from package state — to keep runs deterministic.
 	R *rng.Source
 	// Arena, when non-nil, is where the tracker should carve its tables
-	// (slot arrays, FIFOs, index maps) instead of the heap. The batched
-	// lane path (sim.RunBatch) supplies one per lane so every lane's
-	// tracker state is contiguous and warm-machine Resets re-carve instead
-	// of reallocating. Purely a placement hint: carved state behaves
-	// identically to heap state.
+	// (slot arrays, FIFOs, index maps) instead of the heap. sim.Machine
+	// supplies its own, so the device's tracker state is contiguous and
+	// warm-machine Resets re-carve instead of reallocating. Purely a
+	// placement hint: carved state behaves identically to heap state.
 	Arena *arena.Arena
 }
 
