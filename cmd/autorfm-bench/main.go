@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -http
 	"os"
 	"os/signal"
 	"runtime"
@@ -20,7 +21,6 @@ import (
 	"autorfm/internal/dist"
 	"autorfm/internal/fault"
 	"autorfm/internal/mitigation"
-	"autorfm/internal/obs"
 	"autorfm/internal/plugin"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
@@ -238,10 +238,12 @@ func run() int {
 	var sweep *telemetry.SweepStatus
 	if *httpAddr != "" {
 		sweep = telemetry.NewSweepStatus()
-		telemetry.PublishSweep(sweep)
+		telemetry.PublishSweep(sweep.Snapshot)
 		// Prometheus text-format mirror of the expvar snapshot, on the same
 		// DefaultServeMux ServeIntrospection serves.
-		http.Handle("/metrics", obs.SweepMetricsHandler(sweep))
+		http.Handle("/metrics", telemetry.MetricsHandler(func(w io.Writer) error {
+			return telemetry.WriteSweepProm(w, sweep.Snapshot())
+		}))
 		addr, err := telemetry.ServeIntrospection(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -17,7 +17,6 @@ import (
 	"autorfm"
 	"autorfm/internal/dist"
 	"autorfm/internal/fault"
-	"autorfm/internal/obs"
 	"autorfm/internal/telemetry"
 )
 
@@ -125,20 +124,18 @@ func run() int {
 	coord := dist.NewCoordinator(store)
 	coord.LeaseTTL = *leaseTTL
 	coord.MaxLeasesPerJob = *maxLeases
-	coord.Status = telemetry.NewCoordStatus()
-	telemetry.PublishCoord(coord.Status)
 
 	// Fleet metrics are always on (a few gauges per heartbeat); span tracing
 	// only when an export path asks for it, so workers skip span buffering on
 	// plain sweeps.
 	coord.Trace = *spanLog != "" || *spanTrace != ""
-	coord.Fleet = obs.NewFleet()
-	obs.PublishFleet(coord.Fleet)
+	coord.Fleet = telemetry.NewFleet()
+	coord.Publish()
 	fdir := *flightDir
 	if fdir == "" && *storePath != "" {
 		fdir = *storePath + ".flight"
 	}
-	flights, err := obs.NewFlightStore(fdir)
+	flights, err := telemetry.NewFlightStore(fdir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"autorfm/internal/obs"
 	"autorfm/internal/sim"
 	"autorfm/internal/telemetry"
 )
@@ -42,7 +41,7 @@ type job struct {
 
 	// Observability, populated only when Coordinator.Trace is on.
 	attempts  int // lease grants so far (numbers LeaseResponse.Attempt, 1-based)
-	spans     []obs.Span
+	spans     []telemetry.Span
 	spansLost int // spans dropped past maxJobSpans
 }
 
@@ -84,10 +83,6 @@ type Coordinator struct {
 	// including the original (default 2: one steal). Stealing only happens
 	// when the pending queue is empty, i.e. near sweep end.
 	MaxLeasesPerJob int
-	// Status, when non-nil, receives a telemetry.CoordSnapshot after every
-	// state change (publish it with telemetry.PublishCoord to serve the
-	// "autorfm.coord" expvar).
-	Status *telemetry.CoordStatus
 	// Trace enables span tracing: the coordinator records every job's
 	// lifecycle (submit, lease, heartbeat, requeue, steal, upload) and asks
 	// workers, via LeaseResponse.Trace, to record and upload their
@@ -98,13 +93,14 @@ type Coordinator struct {
 	// Fleet, when non-nil, aggregates the fleet metrics view — per-worker
 	// gauges from heartbeat piggybacks, per-family latency percentiles from
 	// completions — and powers the stall detector (a lease running past its
-	// family's rolling p99 gets one profile-capture request). Publish it
-	// with obs.PublishFleet; Handler serves it at /metrics either way.
-	Fleet *obs.Fleet
+	// family's rolling p99 gets one profile-capture request). Publish
+	// serves it as the "autorfm.fleet" expvar; Handler serves it at
+	// /metrics either way.
+	Fleet *telemetry.Fleet
 	// Flights, when non-nil, persists the flight records failed (or
 	// stall-profiled) jobs upload; the ERR footnote then carries the
 	// record's content address as " [flight <id>]".
-	Flights *obs.FlightStore
+	Flights *telemetry.FlightStore
 
 	store *Store
 
@@ -172,17 +168,16 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Resu
 				j.state = jobDone
 				j.res = res
 				c.storeHits++
-				c.spanLocked(j, obs.Span{Name: obs.SpanStoreHit, StartUS: c.now().UnixMicro()})
+				c.spanLocked(j, telemetry.Span{Name: telemetry.SpanStoreHit, StartUS: c.now().UnixMicro()})
 				close(j.done)
 			} else {
 				c.queue = append(c.queue, key)
-				c.spanLocked(j, obs.Span{Name: obs.SpanSubmit, StartUS: c.now().UnixMicro()})
+				c.spanLocked(j, telemetry.Span{Name: telemetry.SpanSubmit, StartUS: c.now().UnixMicro()})
 			}
 			c.jobs[key] = j
 		}
 		js[i] = j
 	}
-	c.publishLocked()
 	c.mu.Unlock()
 
 	for i, j := range js {
@@ -228,7 +223,6 @@ func (c *Coordinator) Lease(worker string) LeaseResponse {
 	// unless this worker already holds one of its leases.
 	if j := c.stealCandidateLocked(worker); j != nil {
 		c.steals++
-		c.Fleet.Steal()
 		return c.grantLocked(j, worker, now, true)
 	}
 
@@ -237,10 +231,8 @@ func (c *Coordinator) Lease(worker string) LeaseResponse {
 		// now, so "no leases and no workers" means everyone has been
 		// dismissed and the coordinator itself may shut down.
 		delete(c.workers, worker)
-		c.publishLocked()
 		return LeaseResponse{Status: StatusDone}
 	}
-	c.publishLocked()
 	return LeaseResponse{Status: StatusWait, RetryMS: c.RetryWait.Milliseconds()}
 }
 
@@ -256,12 +248,11 @@ func (c *Coordinator) grantLocked(j *job, worker string, now time.Time, stolen b
 	j.state = jobLeased
 	j.leases++
 	if stolen {
-		c.spanLocked(j, obs.Span{
-			Name: obs.SpanSteal, Worker: worker, Attempt: l.attempt,
+		c.spanLocked(j, telemetry.Span{
+			Name: telemetry.SpanSteal, Worker: worker, Attempt: l.attempt,
 			LeaseID: l.id, StartUS: now.UnixMicro(),
 		})
 	}
-	c.publishLocked()
 	return LeaseResponse{
 		Status:  StatusJob,
 		Key:     j.key,
@@ -306,7 +297,7 @@ func (c *Coordinator) stealCandidateLocked(worker string) *job {
 // longer live. The optional metrics payload feeds the fleet view, and the
 // stall detector may set Profile to ask the worker for one goroutine
 // profile when the lease has run past its config family's rolling p99.
-func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *obs.WorkerMetrics) HeartbeatResponse {
+func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *telemetry.WorkerMetrics) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
@@ -325,8 +316,8 @@ func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *obs.WorkerMetr
 	l.beats++
 	j := c.jobs[l.key]
 	if l.beats <= maxHeartbeatSpans {
-		c.spanLocked(j, obs.Span{
-			Name: obs.SpanHeartbeat, Worker: worker, Attempt: l.attempt,
+		c.spanLocked(j, telemetry.Span{
+			Name: telemetry.SpanHeartbeat, Worker: worker, Attempt: l.attempt,
 			LeaseID: l.id, StartUS: now.UnixMicro(),
 		})
 	}
@@ -334,8 +325,8 @@ func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *obs.WorkerMetr
 	if j != nil && !l.profiled && c.Fleet.StallCheck(j.family, age) {
 		l.profiled = true
 		resp.Profile = true
-		c.spanLocked(j, obs.Span{
-			Name: obs.SpanStall, Worker: worker, Attempt: l.attempt,
+		c.spanLocked(j, telemetry.Span{
+			Name: telemetry.SpanStall, Worker: worker, Attempt: l.attempt,
 			LeaseID: l.id, StartUS: now.UnixMicro(),
 			Detail: fmt.Sprintf("lease age %dms past family %q p99", age.Milliseconds(), j.family),
 		})
@@ -403,11 +394,10 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 	}
 	if ok && j.state == jobDone {
 		c.duplicates++
-		c.spanLocked(j, obs.Span{
-			Name: obs.SpanDuplicate, Worker: worker, Attempt: attempt,
+		c.spanLocked(j, telemetry.Span{
+			Name: telemetry.SpanDuplicate, Worker: worker, Attempt: attempt,
 			LeaseID: leaseID, StartUS: now.UnixMicro(),
 		})
-		c.publishLocked()
 		return ResultResponse{Accepted: true, Duplicate: true}, nil
 	}
 
@@ -415,7 +405,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 	// the two must lose the in-memory job, never the durable record.
 	if errStr == "" {
 		if _, err := c.store.Put(key, res); err != nil {
-			c.publishLocked()
 			return ResultResponse{}, err
 		}
 	}
@@ -424,7 +413,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		// this incarnation has not (re)submitted yet. The store retains it;
 		// when the job is submitted, it will be a store hit.
 		c.uploads++
-		c.publishLocked()
 		return ResultResponse{Accepted: true}, nil
 	}
 	if errStr != "" {
@@ -444,8 +432,8 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 	if flightID != "" {
 		detail = "flight " + flightID
 	}
-	c.spanLocked(j, obs.Span{
-		Name: obs.SpanUpload, Worker: worker, Attempt: attempt,
+	c.spanLocked(j, telemetry.Span{
+		Name: telemetry.SpanUpload, Worker: worker, Attempt: attempt,
 		LeaseID: leaseID, StartUS: now.UnixMicro(), Detail: detail,
 	})
 	if latency > 0 {
@@ -460,7 +448,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		}
 	}
 	close(j.done)
-	c.publishLocked()
 	return ResultResponse{Accepted: true}, nil
 }
 
@@ -478,7 +465,7 @@ func (c *Coordinator) releaseLocked(l *lease) {
 // spanLocked appends one lifecycle span to j's bounded trace when tracing
 // is on. The span's Key is stamped from the job, so callers only fill the
 // event fields.
-func (c *Coordinator) spanLocked(j *job, s obs.Span) {
+func (c *Coordinator) spanLocked(j *job, s telemetry.Span) {
 	if !c.Trace || j == nil {
 		return
 	}
@@ -493,8 +480,8 @@ func (c *Coordinator) spanLocked(j *job, s obs.Span) {
 // leaseSpanLocked closes a lease's lifetime span: granted at its grant
 // time, retired now, with the retirement cause as the detail.
 func (c *Coordinator) leaseSpanLocked(l *lease, end time.Time, detail string) {
-	c.spanLocked(c.jobs[l.key], obs.Span{
-		Name: obs.SpanLease, Worker: l.worker, Attempt: l.attempt,
+	c.spanLocked(c.jobs[l.key], telemetry.Span{
+		Name: telemetry.SpanLease, Worker: l.worker, Attempt: l.attempt,
 		LeaseID: l.id, StartUS: l.granted.UnixMicro(), EndUS: end.UnixMicro(),
 		Detail: detail,
 	})
@@ -519,28 +506,28 @@ func familyOf(cfg *sim.Config) string {
 
 // Spans returns a merged copy of every job's lifecycle spans, sorted by
 // start time (empty unless Trace is on).
-func (c *Coordinator) Spans() []obs.Span {
+func (c *Coordinator) Spans() []telemetry.Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []obs.Span
+	var out []telemetry.Span
 	for _, j := range c.jobs {
 		out = append(out, j.spans...)
 	}
-	obs.SortSpans(out)
+	telemetry.SortSpans(out)
 	return out
 }
 
 // WriteSpanLog exports the merged lifecycle trace as the autorfm-spans/v1
 // JSON-lines log.
 func (c *Coordinator) WriteSpanLog(w io.Writer) error {
-	return obs.WriteSpanLog(w, c.Spans())
+	return telemetry.WriteSpanLog(w, c.Spans())
 }
 
 // WriteChromeTrace exports the merged lifecycle trace as Chrome
 // trace-event JSON — one track per worker — loadable in Perfetto or
 // chrome://tracing.
 func (c *Coordinator) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteChromeSpans(w, c.Spans())
+	return telemetry.WriteChromeSpans(w, c.Spans())
 }
 
 // expireLocked requeues every job whose leases have all expired — the
@@ -563,9 +550,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			j.state = jobPending
 			c.queue = append(c.queue, j.key)
 			c.requeues++
-			c.Fleet.Requeue()
-			c.spanLocked(j, obs.Span{
-				Name: obs.SpanRequeue, Worker: l.worker, Attempt: l.attempt,
+			c.spanLocked(j, telemetry.Span{
+				Name: telemetry.SpanRequeue, Worker: l.worker, Attempt: l.attempt,
 				LeaseID: l.id, StartUS: now.UnixMicro(),
 				Detail: "lease expired (worker crashed or partitioned)",
 			})
@@ -578,7 +564,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.drained = true
-	c.publishLocked()
 	c.mu.Unlock()
 }
 
@@ -628,15 +613,29 @@ func (c *Coordinator) snapshotLocked() telemetry.CoordSnapshot {
 	}
 }
 
-func (c *Coordinator) publishLocked() {
-	if c.Status != nil {
-		c.Status.Update(c.snapshotLocked())
-	}
+// FleetSnapshot returns the fleet view (empty without a Fleet) carrying
+// the coordinator's own requeue and steal counters, collected after
+// expired leases like Snapshot's.
+func (c *Coordinator) FleetSnapshot() telemetry.FleetSnapshot {
+	snap := c.Fleet.Snapshot()
+	c.mu.Lock()
+	c.expireLocked(c.now())
+	snap.Requeues, snap.Steals = c.requeues, c.steals
+	c.mu.Unlock()
+	return snap
+}
+
+// Publish exposes Snapshot and FleetSnapshot as the expvars
+// "autorfm.coord" and "autorfm.fleet"; both are read on every request.
+func (c *Coordinator) Publish() {
+	telemetry.PublishCoord(c.Snapshot)
+	telemetry.PublishFleet(c.FleetSnapshot)
 }
 
 // Handler returns the coordinator's HTTP API: the lease protocol plus
-// /status (a JSON snapshot) and /debug/vars (expvar, including the
-// "autorfm.coord" gauges once PublishCoord has run).
+// /status (a JSON snapshot), /debug/vars (expvar, including the
+// "autorfm.coord" and "autorfm.fleet" gauges once Publish has run) and
+// /metrics (the fleet view in Prometheus text).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -669,9 +668,11 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, c.Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	// Prometheus text-format fleet gauges; an empty exposition when no
-	// Fleet aggregator is wired (obs handles nil).
-	mux.Handle("/metrics", obs.FleetMetricsHandler(c.Fleet))
+	// Prometheus text-format fleet gauges; without a Fleet aggregator only
+	// the worker count (0), requeues and steals carry values.
+	mux.Handle("/metrics", telemetry.MetricsHandler(func(w io.Writer) error {
+		return telemetry.WriteFleetProm(w, c.FleetSnapshot())
+	}))
 	return mux
 }
 

@@ -17,7 +17,6 @@ import (
 	"autorfm/internal/cpu"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
-	"autorfm/internal/telemetry"
 )
 
 // sweepConfigs is a small mixed sweep: two workloads, two seeds, including
@@ -87,7 +86,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 
 	c := NewCoordinator(NewMemStore())
-	c.Status = telemetry.NewCoordStatus()
+	c.Publish()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -223,6 +222,9 @@ func TestWorkStealFirstResultWins(t *testing.T) {
 	thief := c.Lease("fast")
 	if thief.Status != StatusJob || !thief.Stolen || thief.Key != straggler.Key {
 		t.Fatalf("steal lease: %+v, want stolen duplicate of %q", thief, straggler.Key)
+	}
+	if got := servedCounters(t, c); got.Steals != 1 || got.Requeues != 0 {
+		t.Errorf("served steals/requeues = %d/%d, want 1/0", got.Steals, got.Requeues)
 	}
 	// MaxLeasesPerJob caps further duplicates, and a worker never steals
 	// a job it already leases.

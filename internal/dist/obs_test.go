@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,14 +19,13 @@ import (
 
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
-	"autorfm/internal/obs"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
 	"autorfm/internal/telemetry"
 )
 
 // spanNames collects the span names recorded for one job key.
-func spanNames(spans []obs.Span, key string) map[string]int {
+func spanNames(spans []telemetry.Span, key string) map[string]int {
 	names := map[string]int{}
 	for _, s := range spans {
 		if s.Key == key {
@@ -49,13 +49,13 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	})
 	jobs = append(jobs, doomed)
 
-	flights, err := obs.NewFlightStore("")
+	flights, err := telemetry.NewFlightStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(NewMemStore())
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
+	c.Fleet = telemetry.NewFleet()
 	c.Flights = flights
 	// Fast heartbeats so the trace records some and metrics piggyback.
 	c.LeaseTTL = 300 * time.Millisecond
@@ -106,7 +106,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	spans := c.Spans()
 	for _, job := range jobs {
 		names := spanNames(spans, job.Key())
-		for _, want := range []string{obs.SpanSubmit, obs.SpanLease, obs.SpanUpload, obs.SpanQueue, obs.SpanRun} {
+		for _, want := range []string{telemetry.SpanSubmit, telemetry.SpanLease, telemetry.SpanUpload, telemetry.SpanQueue, telemetry.SpanRun} {
 			if names[want] == 0 {
 				t.Errorf("job %s has no %q span (got %v)", shortKey(job.Key()), want, names)
 			}
@@ -121,7 +121,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	sc := bufio.NewScanner(&log)
 	lines := 0
 	for sc.Scan() {
-		if err := obs.ValidateSpanLine(sc.Bytes()); err != nil {
+		if err := telemetry.ValidateSpanLine(sc.Bytes()); err != nil {
 			t.Fatalf("span log line %d: %v", lines+1, err)
 		}
 		lines++
@@ -162,6 +162,39 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// servedCounters publishes c and reads its requeue and steal counters the
+// way an operator does: from "autorfm.coord" on /debug/vars and from the
+// fleet series on /metrics. The two surfaces must agree, because the
+// coordinator owns both counters.
+func servedCounters(t *testing.T, c *Coordinator) telemetry.CoordSnapshot {
+	t.Helper()
+	c.Publish()
+	get := func(path string) []byte {
+		rr := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr.Body.Bytes()
+	}
+	var vars struct {
+		Coord telemetry.CoordSnapshot `json:"autorfm.coord"`
+	}
+	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
+		t.Fatal(err)
+	}
+	prom := string(get("/metrics"))
+	for _, m := range []struct {
+		series string
+		want   int64
+	}{
+		{"autorfm_fleet_requeues_total", vars.Coord.Requeues},
+		{"autorfm_fleet_steals_total", vars.Coord.Steals},
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", m.series, m.want); !strings.Contains(prom, line) {
+			t.Errorf("/metrics lacks %q (autorfm.coord says %d):\n%s", strings.TrimSpace(line), m.want, prom)
+		}
+	}
+	return vars.Coord
+}
+
 // TestLeaseExpirySpans pins the crashed-worker trace: the SIGKILL'd
 // worker's lease closes with an "expired" detail, a requeue instant lands,
 // and the second grant carries attempt 2.
@@ -199,6 +232,9 @@ func TestLeaseExpirySpans(t *testing.T) {
 	if release.Status != StatusJob || release.Attempt != 2 {
 		t.Fatalf("post-expiry lease %+v, want attempt 2 of %q", release, ghost.Key)
 	}
+	if got := servedCounters(t, c); got.Requeues != 1 || got.Steals != 0 {
+		t.Errorf("served requeues/steals = %d/%d, want 1/0", got.Requeues, got.Steals)
+	}
 	if resp, err := c.Complete(ResultRequest{Worker: "live", LeaseID: release.LeaseID, Key: release.Key, Result: want}); err != nil || !resp.Accepted {
 		t.Fatalf("completion: %+v err=%v", resp, err)
 	}
@@ -206,15 +242,15 @@ func TestLeaseExpirySpans(t *testing.T) {
 
 	spans := c.Spans()
 	names := spanNames(spans, job.Key())
-	if names[obs.SpanRequeue] != 1 || names[obs.SpanLease] != 2 || names[obs.SpanUpload] != 1 {
+	if names[telemetry.SpanRequeue] != 1 || names[telemetry.SpanLease] != 2 || names[telemetry.SpanUpload] != 1 {
 		t.Fatalf("span names %v, want 1 requeue, 2 leases, 1 upload", names)
 	}
 	var expired, completed bool
 	for _, s := range spans {
-		if s.Name == obs.SpanLease && s.Worker == "ghost" && s.Detail == "expired" {
+		if s.Name == telemetry.SpanLease && s.Worker == "ghost" && s.Detail == "expired" {
 			expired = true
 		}
-		if s.Name == obs.SpanLease && s.Worker == "live" && s.Detail == "result" && s.Attempt == 2 {
+		if s.Name == telemetry.SpanLease && s.Worker == "live" && s.Detail == "result" && s.Attempt == 2 {
 			completed = true
 		}
 	}
@@ -232,12 +268,12 @@ func TestStallDetectorRequestsProfile(t *testing.T) {
 	c := NewCoordinator(NewMemStore())
 	c.now = clock
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
+	c.Fleet = telemetry.NewFleet()
 	c.Fleet.SetClock(clock)
 
 	job := cfg(t, "bwaves", nil)
 	family := familyOf(&job)
-	for i := 0; i < obs.MinStallSamples; i++ {
+	for i := 0; i < telemetry.MinStallSamples; i++ {
 		c.Fleet.JobDone(family, 10*time.Millisecond)
 	}
 
@@ -259,13 +295,13 @@ func TestStallDetectorRequestsProfile(t *testing.T) {
 		t.Fatalf("heartbeat within p99: %+v", resp)
 	}
 	now = now.Add(2 * time.Second)
-	if resp := c.Heartbeat("slow", l.LeaseID, &obs.WorkerMetrics{Events: 1}); !resp.OK || !resp.Profile {
+	if resp := c.Heartbeat("slow", l.LeaseID, &telemetry.WorkerMetrics{Events: 1}); !resp.OK || !resp.Profile {
 		t.Fatalf("heartbeat past p99: %+v, want profile request", resp)
 	}
 	if resp := c.Heartbeat("slow", l.LeaseID, nil); !resp.OK || resp.Profile {
 		t.Fatalf("second stalled heartbeat: %+v, want profile requested only once", resp)
 	}
-	if n := spanNames(c.Spans(), job.Key())[obs.SpanStall]; n != 1 {
+	if n := spanNames(c.Spans(), job.Key())[telemetry.SpanStall]; n != 1 {
 		t.Errorf("stall spans = %d, want 1", n)
 	}
 	snap := c.Fleet.Snapshot()
@@ -347,13 +383,13 @@ func postJSON(t *testing.T, url string, in, out interface{}) {
 // before: the new response fields are ignored by the old decoder, and the
 // missing request fields decode to zero values the coordinator tolerates.
 func TestProtocolCompatOldWorkerNewCoordinator(t *testing.T) {
-	flights, err := obs.NewFlightStore("")
+	flights, err := telemetry.NewFlightStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(NewMemStore())
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
+	c.Fleet = telemetry.NewFleet()
 	c.Flights = flights
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -399,10 +435,10 @@ func TestProtocolCompatOldWorkerNewCoordinator(t *testing.T) {
 	// The coordinator-side lifecycle is still traced; only the worker
 	// phases are (necessarily) absent.
 	names := spanNames(c.Spans(), job.Key())
-	if names[obs.SpanLease] == 0 || names[obs.SpanUpload] == 0 {
+	if names[telemetry.SpanLease] == 0 || names[telemetry.SpanUpload] == 0 {
 		t.Errorf("coordinator spans missing for legacy worker: %v", names)
 	}
-	if names[obs.SpanRun] != 0 {
+	if names[telemetry.SpanRun] != 0 {
 		t.Errorf("legacy worker cannot have produced run spans: %v", names)
 	}
 }

@@ -1,8 +1,8 @@
 package dist
 
 import (
-	"autorfm/internal/obs"
 	"autorfm/internal/sim"
+	"autorfm/internal/telemetry"
 )
 
 // The lease protocol is four JSON-over-HTTP POST endpoints served by the
@@ -86,7 +86,7 @@ type HeartbeatRequest struct {
 	// jobs done, goroutines, heap) on the renewal; the coordinator's fleet
 	// view derives rates and jitter from successive payloads. Optional —
 	// old workers send none and simply have no gauge row.
-	Metrics *obs.WorkerMetrics `json:"metrics,omitempty"`
+	Metrics *telemetry.WorkerMetrics `json:"metrics,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a renewal. OK=false means the lease is no
@@ -119,12 +119,12 @@ type ResultRequest struct {
 	// profile) recorded while the job ran, when the lease asked for
 	// tracing. Optional; the coordinator merges them into the job's
 	// lifecycle trace.
-	Spans []obs.Span `json:"spans,omitempty"`
+	Spans []telemetry.Span `json:"spans,omitempty"`
 	// Flight carries the worker's flight record when the job died (or a
 	// stall profile was captured): the bounded crash snapshot the
 	// coordinator persists content-addressed next to the result store.
 	// Optional.
-	Flight *obs.FlightRecord `json:"flight,omitempty"`
+	Flight *telemetry.FlightRecord `json:"flight,omitempty"`
 }
 
 // ResultResponse acknowledges an upload. Duplicate=true means another

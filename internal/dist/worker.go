@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"autorfm/internal/obs"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
 	"autorfm/internal/telemetry"
@@ -103,14 +102,14 @@ type worker struct {
 	// capture is the per-job flight-recorder arm, reset between jobs. It
 	// always exists (a stall profile can be requested even with Flight
 	// off); its trace/metrics probes are attached only when opt.Flight.
-	capture *obs.Capture
+	capture *telemetry.Capture
 
 	// spans buffers one job's execution-phase spans allocation-free,
 	// reused across jobs. spanMu orders the pool's phase callbacks, the
 	// heartbeat goroutine's profile instants, and the upload read; cur
 	// scopes recording to the currently leased job.
 	spanMu sync.Mutex
-	spans  *obs.SpanBuffer
+	spans  *telemetry.SpanBuffer
 	cur    struct {
 		key     string
 		attempt int
@@ -122,14 +121,14 @@ type worker struct {
 // recordPhase is installed as Pool.OnJobPhase: it converts the runner's
 // queue/run phase reports into worker-side spans when the current lease
 // asked for tracing. Phase names match the span names by construction
-// (runner.PhaseQueue == obs.SpanQueue etc.).
+// (runner.PhaseQueue == telemetry.SpanQueue etc.).
 func (w *worker) recordPhase(key, phase string, start, end time.Time) {
 	w.spanMu.Lock()
 	defer w.spanMu.Unlock()
 	if !w.cur.trace || key != w.cur.key {
 		return
 	}
-	w.spans.Record(obs.Span{
+	w.spans.Record(telemetry.Span{
 		Key: key, Name: phase, Worker: w.opt.Name,
 		Attempt: w.cur.attempt, LeaseID: w.cur.leaseID,
 		StartUS: start.UnixMicro(), EndUS: end.UnixMicro(),
@@ -143,7 +142,7 @@ func (w *worker) recordInstant(name string) {
 	if !w.cur.trace {
 		return
 	}
-	w.spans.Record(obs.Span{
+	w.spans.Record(telemetry.Span{
 		Key: w.cur.key, Name: name, Worker: w.opt.Name,
 		Attempt: w.cur.attempt, LeaseID: w.cur.leaseID,
 		StartUS: time.Now().UnixMicro(),
@@ -157,8 +156,8 @@ func (w *worker) logf(format string, args ...interface{}) {
 }
 
 func (w *worker) run(ctx context.Context) (WorkerStats, error) {
-	w.capture = obs.NewCapture()
-	w.spans = obs.NewSpanBuffer(0)
+	w.capture = telemetry.NewCapture()
+	w.spans = telemetry.NewSpanBuffer(0)
 	w.opt.Pool.OnJobPhase = w.recordPhase
 	if w.opt.Flight {
 		// Arm the flight recorder on every simulated job: a bounded command
@@ -242,7 +241,7 @@ func (w *worker) serve(ctx context.Context, lease LeaseResponse) error {
 				var resp HeartbeatResponse
 				err := w.post(hbCtx, "/heartbeat", HeartbeatRequest{
 					Proto: ProtocolVersion, Worker: w.opt.Name, LeaseID: lease.LeaseID,
-					Metrics: &obs.WorkerMetrics{
+					Metrics: &telemetry.WorkerMetrics{
 						Events:     w.opt.Pool.SimulatedEvents(),
 						JobsDone:   w.stats.Completed,
 						Goroutines: runtime.NumGoroutine(),
@@ -260,7 +259,7 @@ func (w *worker) serve(ctx context.Context, lease LeaseResponse) error {
 					// The coordinator's stall detector flagged this job:
 					// park a goroutine profile; it ships with the upload.
 					w.capture.CaptureProfile()
-					w.recordInstant(obs.SpanProfile)
+					w.recordInstant(telemetry.SpanProfile)
 					w.logf("captured stall profile for %s at coordinator request", shortKey(lease.Key))
 				}
 			}
@@ -308,7 +307,7 @@ func (w *worker) serve(ctx context.Context, lease LeaseResponse) error {
 	}
 	if lease.Trace {
 		w.spanMu.Lock()
-		req.Spans = append([]obs.Span(nil), w.spans.Spans()...)
+		req.Spans = append([]telemetry.Span(nil), w.spans.Spans()...)
 		w.spanMu.Unlock()
 	}
 	var resp ResultResponse

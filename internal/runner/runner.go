@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"autorfm/internal/sim"
+	"autorfm/internal/telemetry"
 )
 
 // PanicError is a recovered per-job panic, converted to an error so one
@@ -86,13 +87,13 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// Phase names reported to Pool.OnJobPhase. They match the worker-side
-// span names of internal/obs (which runner must not import).
+// Phase names reported to Pool.OnJobPhase: the worker-side span names of
+// the telemetry package.
 const (
 	// PhaseQueue is the wait for a worker slot.
-	PhaseQueue = "queue"
+	PhaseQueue = telemetry.SpanQueue
 	// PhaseRun is the machine execution of the job.
-	PhaseRun = "run"
+	PhaseRun = telemetry.SpanRun
 )
 
 // Pool runs simulation jobs on a fixed number of workers with a shared

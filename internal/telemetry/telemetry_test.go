@@ -5,7 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"sync"
 	"testing"
@@ -332,12 +336,13 @@ func TestSweepStatus(t *testing.T) {
 	if snap.ElapsedMS != 3000 || snap.SimElapsedMS != 2000 || snap.ETAMS != 5000 {
 		t.Fatalf("elapsed/sim/eta = %d/%d/%d ms", snap.ElapsedMS, snap.SimElapsedMS, snap.ETAMS)
 	}
+	PublishSweep(st.Snapshot)
 	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(st.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
+	if err := json.Unmarshal([]byte(expvar.Get("autorfm.sweep").String()), &m); err != nil {
+		t.Fatalf("autorfm.sweep is not JSON: %v", err)
 	}
 	if m["jobs_done"].(float64) != 3 {
-		t.Fatalf("String() = %s", st.String())
+		t.Fatalf("autorfm.sweep = %s", expvar.Get("autorfm.sweep"))
 	}
 }
 
@@ -346,49 +351,65 @@ func TestSweepStatus(t *testing.T) {
 // recently published status.
 func TestPublishSweepRepointable(t *testing.T) {
 	a, b := NewSweepStatus(), NewSweepStatus()
-	PublishSweep(a)
-	PublishSweep(b)
+	PublishSweep(a.Snapshot)
+	PublishSweep(b.Snapshot)
 	b.Update(7, 9, 0, 0, 0, time.Second, time.Second, 0)
-	if cur := publishedVar.Load(); cur != b {
-		t.Fatal("expvar not repointed to the latest status")
+	var snap SweepSnapshot
+	if err := json.Unmarshal([]byte(expvar.Get("autorfm.sweep").String()), &snap); err != nil {
+		t.Fatal(err)
 	}
-	if cur := publishedVar.Load().Snapshot(); cur.JobsDone != 7 {
-		t.Fatalf("published snapshot = %+v", cur)
+	if snap.JobsDone != 7 {
+		t.Fatalf("published snapshot = %+v, want the latest status", snap)
 	}
 }
 
-// TestCoordStatus: the coordinator gauges round-trip through Update /
-// Snapshot / JSON, and publishing twice repoints instead of panicking.
+// TestCoordStatus: the coordinator gauges render under "autorfm.coord"
+// with every documented key, read live from the published function, and
+// publishing twice repoints instead of panicking.
 func TestCoordStatus(t *testing.T) {
-	st := NewCoordStatus()
-	if snap := st.Snapshot(); snap.JobsTotal != 0 || snap.Requeues != 0 {
-		t.Fatalf("fresh status = %+v", snap)
-	}
-	st.Update(CoordSnapshot{
+	snap := CoordSnapshot{
 		Workers: 2, Leases: 3, JobsTotal: 40, JobsDone: 12, StoreHits: 5,
 		Requeues: 1, Steals: 2, Uploads: 7, Duplicates: 1, Drained: false,
-	})
-	snap := st.Snapshot()
-	if snap.Workers != 2 || snap.Requeues != 1 || snap.Steals != 2 {
-		t.Fatalf("snapshot = %+v", snap)
 	}
+	PublishCoord(func() CoordSnapshot { return CoordSnapshot{} })
+	PublishCoord(func() CoordSnapshot { return snap })
 	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(st.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
+	if err := json.Unmarshal([]byte(expvar.Get("autorfm.coord").String()), &m); err != nil {
+		t.Fatalf("autorfm.coord is not JSON: %v", err)
 	}
 	for _, key := range []string{"workers", "leases", "requeues", "steals", "uploads", "duplicates"} {
 		if _, ok := m[key]; !ok {
-			t.Errorf("String() missing %q: %s", key, st.String())
+			t.Errorf("autorfm.coord missing %q: %v", key, m)
 		}
 	}
-	a, b := NewCoordStatus(), NewCoordStatus()
-	PublishCoord(a)
-	PublishCoord(b)
-	b.Update(CoordSnapshot{JobsDone: 9})
-	if cur := coordVar.Load(); cur != b {
-		t.Fatal("autorfm.coord not repointed to the latest status")
+	snap.JobsDone = 9 // the expvar reads the function on every request
+	var got CoordSnapshot
+	if err := json.Unmarshal([]byte(expvar.Get("autorfm.coord").String()), &got); err != nil {
+		t.Fatal(err)
 	}
-	if cur := coordVar.Load().Snapshot(); cur.JobsDone != 9 {
-		t.Fatalf("published snapshot = %+v", cur)
+	if got != snap {
+		t.Fatalf("published snapshot = %+v, want %+v", got, snap)
+	}
+}
+
+// TestNoPprofImport keeps net/http/pprof out of this package: the
+// simulator links telemetry, and the pprof import registers /debug/pprof
+// on DefaultServeMux as a side effect in every such binary. Commands that
+// serve pprof import it themselves.
+func TestNoPprofImport(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"net/http/pprof"` {
+					t.Errorf("%s imports net/http/pprof", name)
+				}
+			}
+		}
 	}
 }

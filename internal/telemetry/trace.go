@@ -168,22 +168,28 @@ func (t *CommandTrace) Len() int { return t.n }
 // Dropped returns how many records were overwritten by ring wrap-around.
 func (t *CommandTrace) Dropped() uint64 { return t.dropped }
 
+// at returns the i-th retained command, oldest first.
+func (t *CommandTrace) at(i int) *Command {
+	j := t.head + i
+	if j >= len(t.buf) {
+		j -= len(t.buf)
+	}
+	return &t.buf[j]
+}
+
 // Commands returns the retained commands, oldest first.
 func (t *CommandTrace) Commands() []Command {
 	out := make([]Command, t.n)
-	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		out[i] = t.buf[j]
+	for i := range out {
+		out[i] = *t.at(i)
 	}
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-type chromeEvent struct {
+// traceEvent is one entry of the Chrome trace-event JSON format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+// shared by the DRAM command trace and the fleet span trace.
+type traceEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat,omitempty"`
 	Ph   string      `json:"ph"`
@@ -204,6 +210,70 @@ type nameArgs struct {
 	Name string `json:"name"`
 }
 
+// traceWriter streams trace events one per line between the document's
+// header and footer, so a 64Ki-command trace never materialises as one
+// giant in-memory slice of interface values. The first error is latched
+// and returned by close.
+type traceWriter struct {
+	bw    *bufio.Writer
+	first bool
+	err   error
+}
+
+// newTraceWriter writes the document header; unit is the displayTimeUnit
+// the viewer should default to.
+func newTraceWriter(w io.Writer, unit string) *traceWriter {
+	t := &traceWriter{bw: bufio.NewWriter(w), first: true}
+	_, t.err = t.bw.WriteString("{\"displayTimeUnit\":\"" + unit + "\",\"traceEvents\":[\n")
+	return t
+}
+
+func (t *traceWriter) emit(e *traceEvent) {
+	if t.err != nil {
+		return
+	}
+	if !t.first {
+		if _, t.err = t.bw.WriteString(",\n"); t.err != nil {
+			return
+		}
+	}
+	t.first = false
+	var buf []byte
+	if buf, t.err = json.Marshal(e); t.err == nil {
+		_, t.err = t.bw.Write(buf)
+	}
+}
+
+// track names a tid ("thread") via thread_name metadata.
+func (t *traceWriter) track(tid int, name string) {
+	t.emit(&traceEvent{Name: "thread_name", Ph: "M", TID: tid, Args: nameArgs{Name: name}})
+}
+
+// slice emits a complete ("X") event, or an instant ("i") marker when dur
+// is zero.
+func (t *traceWriter) slice(name, cat string, ts, dur float64, tid int, args interface{}) {
+	e := traceEvent{Name: name, Cat: cat, TS: ts, TID: tid, Args: args}
+	if dur > 0 {
+		e.Ph = "X"
+		e.Dur = dur
+	} else {
+		e.Ph = "i"
+		e.S = "t"
+	}
+	t.emit(&e)
+}
+
+// close writes the footer and flushes.
+func (t *traceWriter) close() error {
+	if t.err == nil {
+		_, t.err = t.bw.WriteString("\n]}\n")
+	}
+	if t.err != nil {
+		return t.err
+	}
+	return t.bw.Flush()
+}
+
 // ticksToUS converts simulation ticks (0.25ns) to Chrome's microseconds.
 func ticksToUS(t clk.Tick) float64 { return float64(t) / (clk.TicksPerNS * 1000) }
 
@@ -213,85 +283,28 @@ func ticksToUS(t clk.Tick) float64 { return float64(t) / (clk.TicksPerNS * 1000)
 // durations, zero-duration records as instant ("i") markers. The output
 // loads directly in Perfetto or chrome://tracing.
 func (t *CommandTrace) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	// Streamed by hand so a 64Ki-command trace never materialises as one
-	// giant in-memory slice of interface values.
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e *chromeEvent) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		// Encoder writes a trailing newline; strip it by encoding to the
-		// buffered writer and trimming is messy — instead marshal directly.
-		buf, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(buf)
-		return err
-	}
-	_ = enc // retained for symmetry; Marshal used per event
-
+	tw := newTraceWriter(w, "ns")
 	// Name the tracks: tid = bank index + 1 (tid 0 is the channel track).
 	seen := map[int16]bool{}
 	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		b := t.buf[j].Bank
-		if seen[b] {
+		c := t.at(i)
+		if seen[c.Bank] {
 			continue
 		}
-		seen[b] = true
+		seen[c.Bank] = true
 		name := "channel"
-		if b != ChannelTrack {
-			name = fmt.Sprintf("bank %d", b)
+		if c.Bank != ChannelTrack {
+			name = fmt.Sprintf("bank %d", c.Bank)
 		}
-		if err := emit(&chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: trackID(b),
-			Args: nameArgs{Name: name},
-		}); err != nil {
-			return err
-		}
+		tw.track(trackID(c.Bank), name)
 	}
-
 	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		c := &t.buf[j]
-		e := chromeEvent{
-			Name: c.Kind.String(),
-			Cat:  c.Cause.String(),
-			TS:   ticksToUS(c.Tick),
-			PID:  0,
-			TID:  trackID(c.Bank),
-			Args: cmdArgs{Row: c.Row, Cause: c.Cause.String()},
-		}
-		if c.Dur > 0 {
-			e.Ph = "X"
-			e.Dur = ticksToUS(c.Dur)
-		} else {
-			e.Ph = "i"
-			e.S = "t"
-		}
-		if err := emit(&e); err != nil {
-			return err
-		}
+		c := t.at(i)
+		cause := c.Cause.String()
+		tw.slice(c.Kind.String(), cause, ticksToUS(c.Tick), ticksToUS(c.Dur), trackID(c.Bank),
+			cmdArgs{Row: c.Row, Cause: cause})
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.close()
 }
 
 // trackID maps a bank to its Chrome tid: the channel track is 0, banks

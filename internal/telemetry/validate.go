@@ -2,11 +2,11 @@ package telemetry
 
 // Whole-file validation for generated telemetry artifacts, tolerant of
 // the damage a killed process actually leaves behind. The metrics stream
-// is append-only JSON lines, so the one legitimate corruption is a torn
-// final line (the writer died mid-record) — the same failure mode the
-// checkpoint loader tolerates. Anything else — an empty file, a header
-// that isn't this schema, a damaged interior line — is a real error and
-// must fail loudly, not be skipped.
+// and the span log are append-only JSON lines, so the one legitimate
+// corruption is a torn final line (the writer died mid-record) — the same
+// failure mode the checkpoint loader tolerates. Anything else — an empty
+// file, a header that isn't the schema, a damaged interior line — is a
+// real error and must fail loudly, not be skipped.
 
 import (
 	"bufio"
@@ -17,25 +17,27 @@ import (
 	"io"
 )
 
-// FileReport summarizes a validated metrics file.
+// FileReport summarizes a validated JSON-lines file.
 type FileReport struct {
 	// Lines counts the valid records.
 	Lines int
-	// Epochs and Summaries count records by kind.
-	Epochs    int
-	Summaries int
+	// Kinds counts the valid records by their "kind" field (metrics
+	// records: "epoch", "summary") or, when that is empty, their "name"
+	// field (spans: "submit", "lease", ...).
+	Kinds map[string]int
 	// TornTail reports that the final line was a torn partial write and
 	// was tolerated rather than counted.
 	TornTail bool
 }
 
-// ValidateMetricsFile validates a whole autorfm-metrics/v1 stream.
-// A torn final line — invalid JSON where the writer was killed mid-record
-// — is tolerated and reported via FileReport.TornTail. An empty file, a
-// first line that is not this schema (wrong-schema header), and any
-// damaged interior line are errors.
-func ValidateMetricsFile(r io.Reader) (FileReport, error) {
-	var rep FileReport
+// ValidateFile validates a whole JSON-lines stream, checking each record
+// with validateLine (ValidateMetricsLine for autorfm-metrics/v1,
+// ValidateSpanLine for autorfm-spans/v1). A torn final line — invalid
+// JSON where the writer was killed mid-record — is tolerated and reported
+// via FileReport.TornTail. An empty file, a first line that is not the
+// schema (wrong-schema header), and any damaged interior line are errors.
+func ValidateFile(r io.Reader, validateLine func([]byte) error) (FileReport, error) {
+	rep := FileReport{Kinds: map[string]int{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
@@ -46,16 +48,16 @@ func ValidateMetricsFile(r io.Reader) (FileReport, error) {
 	var prev *pending // last scanned line, validated once we know it isn't the tail
 	n := 0
 	validate := func(p *pending) error {
-		if err := ValidateMetricsLine(p.line); err != nil {
+		if err := validateLine(p.line); err != nil {
 			return fmt.Errorf("line %d: %w", p.n, err)
 		}
 		rep.Lines++
-		switch {
-		case bytes.Contains(p.line, []byte(`"kind":"epoch"`)):
-			rep.Epochs++
-		case bytes.Contains(p.line, []byte(`"kind":"summary"`)):
-			rep.Summaries++
+		var rec struct{ Kind, Name string }
+		_ = json.Unmarshal(p.line, &rec) // validateLine has parsed it already
+		if rec.Kind == "" {
+			rec.Kind = rec.Name
 		}
+		rep.Kinds[rec.Kind]++
 		return nil
 	}
 	for sc.Scan() {
@@ -70,10 +72,10 @@ func ValidateMetricsFile(r io.Reader) (FileReport, error) {
 		prev = &pending{line: line, n: n}
 	}
 	if err := sc.Err(); err != nil {
-		return rep, fmt.Errorf("telemetry: reading metrics file: %w", err)
+		return rep, fmt.Errorf("telemetry: reading JSON-lines file: %w", err)
 	}
 	if prev == nil {
-		return rep, fmt.Errorf("telemetry: empty metrics file")
+		return rep, fmt.Errorf("telemetry: empty JSON-lines file")
 	}
 	if err := validate(prev); err != nil {
 		// The final line gets the tear tolerance — but only for a line
@@ -86,7 +88,7 @@ func ValidateMetricsFile(r io.Reader) (FileReport, error) {
 		rep.TornTail = true
 	}
 	if rep.Lines == 0 {
-		return rep, fmt.Errorf("telemetry: metrics file holds no valid records")
+		return rep, fmt.Errorf("telemetry: JSON-lines file holds no valid records")
 	}
 	return rep, nil
 }

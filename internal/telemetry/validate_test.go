@@ -1,46 +1,59 @@
 package telemetry_test
 
-// CI's observability smoke job generates a metrics file and a trace file
-// with the real binaries, then runs this test against them:
+// CI's observability smoke and dist-drill jobs generate metrics, trace and
+// span files and flight records with the real binaries, then run this test
+// against them:
 //
 //	AUTORFM_METRICS_FILE=m.jsonl AUTORFM_TRACE_FILE=t.json \
+//	AUTORFM_SPANS_FILE=spans.jsonl AUTORFM_FLIGHT_DIR=store.flight \
 //	    go test -run TestValidateFiles ./internal/telemetry
 //
 // Keeping the validator a Go test keeps CI free of external JSON tooling
 // and keeps the schema check identical to what the unit tests enforce.
 
 import (
+	"bufio"
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"autorfm/internal/telemetry"
 )
 
+// validateLinesFile runs the JSON-lines file validator over path and
+// fails on any damage, including a torn final line.
+func validateLinesFile(t *testing.T, path string, validateLine func([]byte) error) telemetry.FileReport {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := telemetry.ValidateFile(f, validateLine)
+	if err != nil {
+		t.Errorf("%s: %v", path, err)
+	}
+	if rep.TornTail {
+		t.Errorf("%s: torn final line (writer killed mid-record?)", path)
+	}
+	t.Logf("%s: %d valid lines %v", path, rep.Lines, rep.Kinds)
+	return rep
+}
+
 func TestValidateFiles(t *testing.T) {
 	mf := os.Getenv("AUTORFM_METRICS_FILE")
 	tf := os.Getenv("AUTORFM_TRACE_FILE")
-	if mf == "" && tf == "" {
-		t.Skip("set AUTORFM_METRICS_FILE / AUTORFM_TRACE_FILE to validate generated telemetry")
+	sf := os.Getenv("AUTORFM_SPANS_FILE")
+	fd := os.Getenv("AUTORFM_FLIGHT_DIR")
+	if mf == "" && tf == "" && sf == "" && fd == "" {
+		t.Skip("set AUTORFM_METRICS_FILE / AUTORFM_TRACE_FILE / AUTORFM_SPANS_FILE / AUTORFM_FLIGHT_DIR to validate generated telemetry")
 	}
 	if mf != "" {
-		f, err := os.Open(mf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		rep, err := telemetry.ValidateMetricsFile(f)
-		if err != nil {
-			t.Errorf("%s: %v", mf, err)
-		}
-		if rep.TornTail {
-			t.Errorf("%s: torn final line (writer killed mid-record?)", mf)
-		}
-		if rep.Epochs == 0 {
+		if rep := validateLinesFile(t, mf, telemetry.ValidateMetricsLine); rep.Kinds["epoch"] == 0 {
 			t.Errorf("%s holds no epoch records (%d lines)", mf, rep.Lines)
 		}
-		t.Logf("%s: %d lines (%d epochs, %d summaries) valid", mf, rep.Lines, rep.Epochs, rep.Summaries)
 	}
 	if tf != "" {
 		data, err := os.ReadFile(tf)
@@ -52,6 +65,38 @@ func TestValidateFiles(t *testing.T) {
 		}
 		t.Logf("%s: %d bytes of valid Chrome trace JSON", tf, len(data))
 	}
+	if sf != "" {
+		rep := validateLinesFile(t, sf, telemetry.ValidateSpanLine)
+		for _, required := range []string{telemetry.SpanSubmit, telemetry.SpanLease, telemetry.SpanUpload} {
+			if rep.Kinds[required] == 0 {
+				t.Errorf("%s: no %q spans — the log does not cover a job lifecycle", sf, required)
+			}
+		}
+	}
+	if fd != "" {
+		entries, err := os.ReadDir(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		for _, e := range entries {
+			if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(fd, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := telemetry.ValidateFlight(data); err != nil {
+				t.Errorf("%s: %v", e.Name(), err)
+			}
+			records++
+		}
+		if records == 0 {
+			t.Errorf("%s holds no flight records", fd)
+		}
+		t.Logf("%s: %d valid flight records", fd, records)
+	}
 }
 
 // validEpochLine is a fixture record passing ValidateMetricsLine.
@@ -61,15 +106,21 @@ const validEpochLine = `{"schema":"autorfm-metrics/v1","kind":"epoch","epoch":0,
 	`"victim_refreshes":0,"abo_alerts":0,"queue_depth":0,"queue_depth_max":0,` +
 	`"tracker_live":0,"tracker_budget":0,"tracker_spill":0}`
 
-// TestValidateMetricsFileDamage: the file-level validator tolerates
+// validSpanLine is a fixture record passing ValidateSpanLine.
+const validSpanLine = `{"schema":"autorfm-spans/v1","key":"job-a","name":"lease","worker":"w1",` +
+	`"attempt":1,"lease_id":3,"t_start_us":100,"t_end_us":900,"detail":"result"}`
+
+// TestValidateMetricsFileDamage: the JSON-lines file validator tolerates
 // exactly the damage a killed writer leaves (a torn final line) and
 // rejects everything else — empty files, wrong-schema headers, damaged
-// interior lines.
+// interior lines — for the metrics stream and the span log alike.
 func TestValidateMetricsFileDamage(t *testing.T) {
 	torn := validEpochLine[:40] // cut mid-record: not valid JSON
+	tornSpan := validSpanLine[:50]
 	cases := []struct {
 		name     string
 		data     string
+		spans    bool // validate as a span log instead of a metrics stream
 		wantErr  bool
 		wantTorn bool
 		wantN    int
@@ -84,10 +135,20 @@ func TestValidateMetricsFileDamage(t *testing.T) {
 		{name: "torn first and only line", data: torn, wantErr: true},
 		{name: "damaged interior line", data: validEpochLine + "\n" + torn + "\n" + validEpochLine + "\n", wantErr: true},
 		{name: "valid JSON but bad schema tail", data: validEpochLine + "\n" + `{"schema":"autorfm-metrics/v1","kind":"bogus"}`, wantErr: true},
+		{name: "spans clean", spans: true, data: validSpanLine + "\n" + validSpanLine + "\n", wantN: 2},
+		{name: "spans torn last line", spans: true, data: validSpanLine + "\n" + tornSpan, wantTorn: true, wantN: 1},
+		{name: "spans damaged interior line", spans: true, data: validSpanLine + "\n" + tornSpan + "\n" + validSpanLine + "\n", wantErr: true},
+		{name: "spans wrong schema", spans: true, data: strings.Replace(validSpanLine, "spans/v1", "spans/v9", 1) + "\n", wantErr: true},
+		{name: "spans metrics line", spans: true, data: validEpochLine + "\n", wantErr: true},
+		{name: "spans empty file", spans: true, data: "", wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := telemetry.ValidateMetricsFile(strings.NewReader(tc.data))
+			validateLine := telemetry.ValidateMetricsLine
+			if tc.spans {
+				validateLine = telemetry.ValidateSpanLine
+			}
+			rep, err := telemetry.ValidateFile(strings.NewReader(tc.data), validateLine)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("validated, want error (report %+v)", rep)
@@ -134,4 +195,30 @@ func TestValidateTraceFileDamage(t *testing.T) {
 	if err == nil {
 		t.Fatal("damaged trace validated")
 	}
+}
+
+// FuzzValidateLine feeds arbitrary bytes to the three line validators and
+// to the JSON-lines file validator. Any input may be rejected; none may
+// panic. Seeds are the golden logs and flight record plus the fixtures
+// above.
+func FuzzValidateLine(f *testing.F) {
+	f.Add([]byte(validEpochLine))
+	f.Add([]byte(validSpanLine))
+	for _, name := range []string{"golden_metrics.jsonl", "golden_span_log.jsonl", "golden_flight.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			f.Add(append([]byte(nil), sc.Bytes()...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		_ = telemetry.ValidateMetricsLine(line)
+		_ = telemetry.ValidateSpanLine(line)
+		_ = telemetry.ValidateFlight(line)
+		_, _ = telemetry.ValidateFile(bytes.NewReader(line), telemetry.ValidateMetricsLine)
+		_, _ = telemetry.ValidateFile(bytes.NewReader(line), telemetry.ValidateSpanLine)
+	})
 }
