@@ -41,8 +41,11 @@ func SingleSided(agg uint32) Pattern {
 
 // Circular activates w unique rows round-robin — (ABCD)^K, the best-case
 // pattern against window trackers (Appendix A). Rows are spaced 4 apart so
-// their victim zones do not overlap.
+// their victim zones do not overlap. It panics if w < 1.
 func Circular(base uint32, w int) Pattern {
+	if w < 1 {
+		panic("attack: invalid Circular row count")
+	}
 	return Pattern{
 		Name: fmt.Sprintf("circular-%d", w),
 		Row: func(i uint64, _ *rng.Source) uint32 {
@@ -61,8 +64,11 @@ func HalfDouble(agg uint32) Pattern {
 	}
 }
 
-// ManySided sweeps n aggressor pairs TRRespass-style.
+// ManySided sweeps n aggressor pairs TRRespass-style. It panics if n < 1.
 func ManySided(base uint32, n int) Pattern {
+	if n < 1 {
+		panic("attack: invalid ManySided pair count")
+	}
 	return Pattern{
 		Name: fmt.Sprintf("many-sided-%d", n),
 		Row: func(i uint64, _ *rng.Source) uint32 {
@@ -75,7 +81,11 @@ func ManySided(base uint32, n int) Pattern {
 
 // DecoyFlood interleaves the victim's aggressors with random decoy rows to
 // stress buffered trackers (PrIDE's FIFO) into dropping victim samples.
+// It panics if decoys < 1.
 func DecoyFlood(victim uint32, decoys int) Pattern {
+	if decoys < 1 {
+		panic("attack: invalid DecoyFlood decoy count")
+	}
 	return Pattern{
 		Name: "decoy-flood",
 		Row: func(i uint64, r *rng.Source) uint32 {
@@ -128,9 +138,15 @@ type Report struct {
 // Run drives one bank with the pattern at the attacker's maximum rate —
 // one activation per tRC, pausing tRFC for each REF every tREFI — for
 // cfg.Acts activations.
+//
+// The device holds only the attacked bank: bank 0 of the default geometry.
+// A bank's PRNG seed and tracker depend only on its ID, so the other 63
+// banks would never influence the report; building them would only cost
+// their ledgers and trackers.
 func Run(cfg Config, p Pattern) (Report, error) {
 	geo := mapping.Default()
-	tm := clk.DDR5()
+	geo.Banks, geo.Subchannels = 1, 1
+	tm := cfg.Timing()
 	dcfg := dram.Config{
 		Geo:            geo,
 		Timing:         tm,
@@ -178,6 +194,9 @@ func Run(cfg Config, p Pattern) (Report, error) {
 	bank := dev.Banks[0]
 	patRNG := rng.New(cfg.Seed ^ 0xa77ac4)
 
+	// The attacker's declined activation wastes its slot; the MC-style
+	// retry happens after the mitigation time.
+	retryWait := tm.MitigationTime(4) - tm.TRC
 	now := clk.Tick(0)
 	nextREF := tm.TREFI
 	var refIdx uint64
@@ -196,9 +215,7 @@ func Run(cfg Config, p Pattern) (Report, error) {
 		now += tm.TRC
 		if res.Alert {
 			rep.Alerts++
-			// The attacker's activation was declined; the slot is wasted
-			// and the MC-style retry happens after the mitigation time.
-			now += cfg.Timing().MitigationTime(4) - tm.TRC
+			now += retryWait
 			continue
 		}
 		rep.Acts++
@@ -240,16 +257,22 @@ func MustRun(cfg Config, p Pattern) Report {
 // set of aggressor rows hammered with random per-row intensities, phases
 // and interleavings, re-drawn every "round". The threat model (Section
 // II-A) demands security against all access patterns; fuzzing probes the
-// corners the structured patterns miss.
+// corners the structured patterns miss. It panics if rows < 1.
 func Fuzzed(base uint32, rows int, seed uint64) Pattern {
+	if rows < 1 {
+		panic("attack: invalid Fuzzed row count")
+	}
 	state := rng.New(seed)
-	weights := make([]int, rows)
-	total := 0
+	// Each round draws a weight w_j in [1, 8] per row j; pick holds row
+	// j's address w_j times, so a uniform index into it is the weighted
+	// choice in one load.
+	pick := make([]uint32, 0, 8*rows)
 	redraw := func() {
-		total = 0
-		for i := range weights {
-			weights[i] = 1 + state.Intn(8)
-			total += weights[i]
+		pick = pick[:0]
+		for j := 0; j < rows; j++ {
+			for w := 1 + state.Intn(8); w > 0; w-- {
+				pick = append(pick, base+uint32(j)*4)
+			}
 		}
 	}
 	redraw()
@@ -259,14 +282,7 @@ func Fuzzed(base uint32, rows int, seed uint64) Pattern {
 			if i%4096 == 0 {
 				redraw()
 			}
-			pick := state.Intn(total)
-			for j, w := range weights {
-				pick -= w
-				if pick < 0 {
-					return base + uint32(j)*4
-				}
-			}
-			return base
+			return pick[state.Intn(len(pick))]
 		},
 	}
 }

@@ -104,13 +104,13 @@ func PRAC() Timing {
 // (AutoRFM) or bank (RFM accounting) busy when it performs nRefresh victim
 // refreshes. Each victim refresh costs one tRC. With the paper's default of
 // 4 victim refreshes this is ≈200ns.
-func (t Timing) MitigationTime(nRefresh int) Tick {
+func (t *Timing) MitigationTime(nRefresh int) Tick {
 	return Tick(nRefresh) * t.TRC
 }
 
 // ActsPerTREFI returns the maximum number of activations a bank can perform
 // within one tREFI, accounting for the tRFC spent refreshing (the paper
 // computes 73 for DDR5).
-func (t Timing) ActsPerTREFI() int {
+func (t *Timing) ActsPerTREFI() int {
 	return int((t.TREFI - t.TRFC) / t.TRC)
 }

@@ -63,7 +63,8 @@ func TestDDR5Table1(t *testing.T) {
 
 func TestActsPerTREFI(t *testing.T) {
 	// The paper derives a maximum of 72-73 ACTs per tREFI for DDR5.
-	got := DDR5().ActsPerTREFI()
+	d := DDR5()
+	got := d.ActsPerTREFI()
 	if got < 70 || got > 74 {
 		t.Fatalf("ActsPerTREFI = %d, want ≈73", got)
 	}

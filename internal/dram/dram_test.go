@@ -55,7 +55,8 @@ func TestAutoRFMWindowCloses(t *testing.T) {
 			b.StartPendingMitigation(now + clk.DDR5().TRAS)
 			// Advance past the mitigation so the next window's ACTs
 			// (same subarray in this synthetic stream) don't conflict.
-			now += clk.DDR5().MitigationTime(4)
+			tm := clk.DDR5()
+			now += tm.MitigationTime(4)
 		}
 		now += clk.DDR5().TRC
 	}

@@ -117,12 +117,12 @@ type subchState struct {
 
 // actAllowedAt returns the earliest time an ACT may issue on this
 // subchannel under tRRD and tFAW.
-func (s *subchState) actAllowedAt(tm clk.Timing) clk.Tick {
+func (s *subchState) actAllowedAt(tm *clk.Timing) clk.Tick {
 	return clk.Max(s.nextAct, s.actRing[s.ringHead]+tm.TFAW)
 }
 
 // recordAct registers an ACT at time t.
-func (s *subchState) recordAct(t clk.Tick, tm clk.Timing) {
+func (s *subchState) recordAct(t clk.Tick, tm *clk.Timing) {
 	s.nextAct = t + tm.TRRD
 	s.actRing[s.ringHead] = t
 	s.ringHead = (s.ringHead + 1) % len(s.actRing)
@@ -354,7 +354,7 @@ func (c *Controller) wake(b *bankState, t clk.Tick) {
 func (c *Controller) refresh(now clk.Tick) {
 	c.Stats.REFs++
 	c.refIdx++
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Record(now, tm.TRFC, telemetry.KindREF, telemetry.CauseREF, telemetry.ChannelTrack, 0)
 	}
@@ -381,7 +381,7 @@ func (c *Controller) refresh(now clk.Tick) {
 // otherwise issue any pending RFM, otherwise activate for the oldest
 // request.
 func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 
 	if b.qn == 0 {
 		// Idle bank: drain accumulated RAA opportunistically so the RFM
@@ -472,7 +472,7 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 // serveCAS issues the column access for req at casTime, models data-bus
 // occupancy, completes the request, and plans the next scheduling pass.
 func (c *Controller) serveCAS(b *bankState, req *Request, casTime clk.Tick, hit bool) {
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 	sub := b.sub
 	dataStart := clk.Max(casTime+tm.TCL, sub.busFree)
 	sub.busFree = dataStart + tm.TBURST

@@ -66,6 +66,30 @@ func BenchmarkMithrilSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkMithrilSelectSkewed is BenchmarkMithrilSelect with distinct
+// counts: a full 1024-entry table under a uniform stream over 3× as many
+// rows, one selection per four activations — the fig18 audit loop, where
+// each selection's maximum sits on a short list above a long tail. One op
+// is one selection plus its four activations.
+func BenchmarkMithrilSelectSkewed(b *testing.B) {
+	m := NewMithril(1024)
+	r := rng.New(1)
+	window := func() {
+		for j := 0; j < 4; j++ {
+			m.OnActivation(uint32(r.Intn(3072)) * 4)
+		}
+		m.SelectForMitigation()
+	}
+	for i := 0; i < 1<<16; i++ {
+		window()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window()
+	}
+}
+
 func BenchmarkGrapheneOnActivationEvict(b *testing.B) {
 	g := NewGraphene(1024, 1<<40)
 	for i := 0; i < 1024; i++ {

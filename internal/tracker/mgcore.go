@@ -1,6 +1,11 @@
 package tracker
 
-import "autorfm/internal/arena"
+import (
+	"math"
+	"math/bits"
+
+	"autorfm/internal/arena"
+)
 
 // This file holds the flat storage shared by the counter-based trackers:
 // an open-addressed row→slot index (rowMap), a growable FIFO of rows
@@ -30,6 +35,11 @@ import "autorfm/internal/arena"
 // brings them within span (the lazy bound triggers the scan no later than
 // e == mgRingSpan, so none can die unseen). Eviction work is proportional
 // to the number of entries actually evicted, never to the table size.
+//
+// The same lists make the mitigation-time "hottest row" query cheap: an
+// occupancy bitmap over the ring buckets finds the highest occupied bucket
+// in a few word operations, so maxEntry walks only the one list that holds
+// the maximum (see maxEntry).
 type mgTable struct {
 	budget int   // logical entry budget (the modelled SRAM table size)
 	spill  int64 // Misra-Gries spillover floor
@@ -48,10 +58,12 @@ type mgTable struct {
 
 	idx rowMap // row -> slot
 
-	ring      [mgRingSpan]int32 // heads per count & mgRingMask, 1 <= e <= span
-	resetHead int32             // head of entries with e == 0
-	ovHead    int32             // head of entries with e > span
-	ovMin     int64             // lower bound on the minimum overflow count
+	ring      [mgRingSpan]int32       // heads per count & mgRingMask, 1 <= e <= span
+	ringN     [mgRingSpan]int32       // entries per ring bucket
+	occ       [mgRingSpan / 64]uint64 // bit b set iff ring bucket b is non-empty
+	resetHead int32                   // head of entries with e == 0
+	ovHead    int32                   // head of entries with e > span
+	ovMin     int64                   // lower bound on the minimum overflow count
 	ovN       int
 }
 
@@ -85,6 +97,8 @@ func (t *mgTable) init(budget int) {
 	for i := range t.ring {
 		t.ring[i] = -1
 	}
+	t.ringN = [mgRingSpan]int32{}
+	t.occ = [mgRingSpan / 64]uint64{}
 	t.resetHead = -1
 	t.ovHead = -1
 	t.ovMin = 0
@@ -104,7 +118,10 @@ func (t *mgTable) link(slot int32) {
 	case e == 0:
 		head = &t.resetHead
 	case e <= mgRingSpan:
-		head = &t.ring[t.counts[slot]&mgRingMask]
+		b := t.counts[slot] & mgRingMask
+		head = &t.ring[b]
+		t.ringN[b]++
+		t.occ[b>>6] |= 1 << (b & 63)
 	default:
 		head = &t.ovHead
 		if t.ovN == 0 || t.counts[slot] < t.ovMin {
@@ -124,23 +141,30 @@ func (t *mgTable) link(slot int32) {
 // or the floor changes, because the list is derived from them.
 func (t *mgTable) unlink(slot int32) {
 	p, nx := t.prev[slot], t.next[slot]
-	if p >= 0 {
-		t.next[p] = nx
-	} else {
-		switch e := t.counts[slot] - t.spill; {
-		case e == 0:
-			t.resetHead = nx
-		case e <= mgRingSpan:
-			t.ring[t.counts[slot]&mgRingMask] = nx
-		default:
-			t.ovHead = nx
-		}
-	}
 	if nx >= 0 {
 		t.prev[nx] = p
 	}
-	if t.counts[slot]-t.spill > mgRingSpan {
+	switch e := t.counts[slot] - t.spill; {
+	case e == 0:
+		if p < 0 {
+			t.resetHead = nx
+		}
+	case e <= mgRingSpan:
+		b := t.counts[slot] & mgRingMask
+		if p < 0 {
+			t.ring[b] = nx
+		}
+		if t.ringN[b]--; t.ringN[b] == 0 {
+			t.occ[b>>6] &^= 1 << (b & 63)
+		}
+	default:
+		if p < 0 {
+			t.ovHead = nx
+		}
 		t.ovN--
+	}
+	if p >= 0 {
+		t.next[p] = nx
 	}
 }
 
@@ -196,13 +220,15 @@ func (t *mgTable) resetToFloor(slot int32) {
 // the reset list.
 func (t *mgTable) spillInc() {
 	t.spill++
-	b := &t.ring[t.spill&mgRingMask]
-	for slot := *b; slot >= 0; {
+	b := t.spill & mgRingMask
+	for slot := t.ring[b]; slot >= 0; {
 		nx := t.next[slot]
 		t.release(slot)
 		slot = nx
 	}
-	*b = -1
+	t.ring[b] = -1
+	t.ringN[b] = 0
+	t.occ[b>>6] &^= 1 << (b & 63)
 	for slot := t.resetHead; slot >= 0; {
 		nx := t.next[slot]
 		t.release(slot)
@@ -224,13 +250,15 @@ func (t *mgTable) migrateOverflow() {
 	for slot := t.ovHead; slot >= 0; {
 		nx := t.next[slot]
 		if t.counts[slot]-t.spill <= mgRingSpan {
-			b := &t.ring[t.counts[slot]&mgRingMask]
-			t.next[slot] = *b
+			b := t.counts[slot] & mgRingMask
+			t.next[slot] = t.ring[b]
 			t.prev[slot] = -1
-			if *b >= 0 {
-				t.prev[*b] = slot
+			if t.ring[b] >= 0 {
+				t.prev[t.ring[b]] = slot
 			}
-			*b = slot
+			t.ring[b] = slot
+			t.ringN[b]++
+			t.occ[b>>6] |= 1 << (b & 63)
 		} else {
 			t.next[slot] = keep
 			t.prev[slot] = -1
@@ -254,7 +282,92 @@ func (t *mgTable) migrateOverflow() {
 // toward the lowest row index — the same total order the hardware counter
 // scan (and the former map implementation) resolves to. count is -1 when
 // the table is empty.
+//
+// The lists are ordered by effective count, so the maximum lives on the
+// first non-empty one of: the overflow list; the ring buckets from e ==
+// mgRingSpan down to e == 1 (topBucket); the reset list. Only that list is
+// walked. Chasing list links costs about 2.5× a sequential slot-array scan
+// per entry, so when the list holds more than 2/5 of the slots — the
+// all-ties case — maxEntry scans instead, and the worst case stays that
+// scan. Every entry of a ring bucket or the reset list holds the same
+// count, so that scan only looks for the lowest row (scanCount).
 func (t *mgTable) maxEntry() (row uint32, count int64, slot int32) {
+	if t.ovN > 0 {
+		if 5*t.ovN > 2*len(t.counts) {
+			return t.scanMax()
+		}
+		return t.walkMax(t.ovHead)
+	}
+	head, k, c := t.resetHead, t.n, t.spill
+	if b := t.topBucket(); b >= 0 {
+		head, k, c = t.ring[b], int(t.ringN[b]), t.counts[t.ring[b]]
+	}
+	if 5*k > 2*len(t.counts) {
+		row, slot = t.scanCount(c)
+		return row, c, slot
+	}
+	return t.walkMax(head)
+}
+
+// walkMax is maxEntry over the list starting at head.
+func (t *mgTable) walkMax(head int32) (row uint32, count int64, slot int32) {
+	count, slot = -1, -1
+	for s := head; s >= 0; s = t.next[s] {
+		c, r := t.counts[s], t.rows[s]
+		if c > count || (c == count && r < row) {
+			row, count, slot = r, c, s
+		}
+	}
+	return row, count, slot
+}
+
+// scanCount returns the lowest row among the entries holding count c, by a
+// scan of the slot arrays (slot -1 if there are none). Rows are unique, so
+// the MaxUint32 sentinel cannot shadow a real row.
+func (t *mgTable) scanCount(c int64) (row uint32, slot int32) {
+	row, slot = math.MaxUint32, -1
+	rows := t.rows[:len(t.counts)]
+	for s, cc := range t.counts {
+		if cc == c && rows[s] <= row {
+			row, slot = rows[s], int32(s)
+		}
+	}
+	return row, slot
+}
+
+// topBucket returns the occupied ring bucket with the highest effective
+// count, or -1 if the ring is empty. Bucket b holds e = (b − spill) mod
+// mgRingSpan, with e == mgRingSpan landing on b == spill & mgRingMask, so
+// effective count descends through buckets s, s−1, …, 0, then
+// mgRingSpan−1, …, s+1.
+func (t *mgTable) topBucket() int {
+	s := int(t.spill & mgRingMask)
+	if b := t.highestOccupiedBelow(s + 1); b >= 0 {
+		return b
+	}
+	return t.highestOccupiedBelow(mgRingSpan)
+}
+
+// highestOccupiedBelow returns the highest occupied ring bucket below lim,
+// or -1.
+func (t *mgTable) highestOccupiedBelow(lim int) int {
+	w := lim >> 6
+	if r := lim & 63; r != 0 {
+		if m := t.occ[w] & (1<<r - 1); m != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(m)
+		}
+	}
+	for w--; w >= 0; w-- {
+		if m := t.occ[w]; m != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// scanMax is maxEntry by a full scan of the slot arrays, the fallback for a
+// long overflow list, whose counts differ.
+func (t *mgTable) scanMax() (row uint32, count int64, slot int32) {
 	count, slot = -1, -1
 	for s := range t.counts {
 		c := t.counts[s]
