@@ -10,18 +10,19 @@
 // The run is resilient: a job that panics or exceeds -timeout renders as
 // an ERR cell with a footnoted cause while the rest of the sweep
 // completes, and the process exits non-zero only after emitting everything
-// it computed. SIGINT/SIGTERM cancel cleanly; with -resume the completed
-// jobs are streamed to a JSON-lines checkpoint as they finish, and a later
-// invocation with the same flag continues where the interrupted one
-// stopped, producing byte-identical output.
+// it computed. SIGINT/SIGTERM cancel cleanly; with -store the completed
+// jobs are appended to a JSON-lines result store as they finish, and a
+// later invocation with the same flag continues where the interrupted one
+// stopped, producing byte-identical output. The store file is shared with
+// autorfm-sim -store and autorfm-coord -store.
 //
 // With -worker the process becomes a fleet worker instead of running
 // experiments itself: it leases simulation jobs from an autorfm-coord
-// coordinator over HTTP, runs them on the local pool (-j, -resume and
+// coordinator over HTTP, runs them on the local pool (-j, -store and
 // -timeout apply as usual), uploads the results, and exits 0 when the
 // coordinator reports the sweep drained. Retries are bounded with
 // exponential backoff; a worker that loses the coordinator finishes its
-// in-flight job, flushes it to the -resume spill, and exits cleanly.
+// in-flight job, flushes it to the -store spill, and exits cleanly.
 // See docs/DISTRIBUTED.md. -report writes just the deterministic table
 // bytes to a file, so a distributed sweep can be cmp'd against a local
 // one.
@@ -33,10 +34,9 @@
 //	autorfm-bench -exp all -scale full  # everything at publication scale
 //	autorfm-bench -exp fig3 -j 1        # serial (same bytes as -j 32)
 //	autorfm-bench -exp fig8 -instr 500000 -workloads bwaves,lbm,mcf
-//	autorfm-bench -exp all -resume run.ckpt    # interrupt, rerun, continue
+//	autorfm-bench -exp all -store run.jsonl    # interrupt, rerun, continue
 //	autorfm-bench -worker http://coord:9190    # lease jobs from a coordinator
 //	autorfm-bench -exp tab5 -report tab5.txt   # deterministic table bytes only
-//	autorfm-bench -exp fault -fault-drop 0.1   # fault-injection study
-//	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # same, by name
+//	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # fault-injection study
 //	autorfm-bench -list-plugins                # registered plugin catalog
 package main

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -114,19 +113,15 @@ func run() int {
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress line")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		listPl  = flag.Bool("list-plugins", false, "list registered trackers, policies and fault injectors and exit")
-		resume  = flag.String("resume", "", "JSON-lines checkpoint file: preload completed jobs from it and append new ones")
+		storeP  = flag.String("store", "", "content-addressed result store file: serve completed jobs from it and append new ones (shared with autorfm-sim and autorfm-coord -store)")
 		timeout = flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none); an expired job renders as ERR")
 		workURL = flag.String("worker", "", "run as a distributed sweep worker for the autorfm-coord at this URL instead of driving experiments")
 		flight  = flag.Bool("flight", false, "worker mode: arm the failure flight recorder — each job runs with bounded forensic probes and a dying job ships a crash snapshot with its result (supersedes -metrics instrumentation)")
 		report  = flag.String("report", "", "write the experiment tables to this file (deterministic bytes; compare against autorfm-coord -report)")
 
 		chaos     = flag.Float64("chaos", 0, "chaos probability: each job independently panics with this probability (engine stress test)")
-		faults    = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1); composes with the -fault-* flags")
+		faults    = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1) (see -list-plugins)")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-injector seed (default: -seed)")
-		actMiss   = flag.Float64("fault-actmiss", 0, "per-ACT probability the tracker misses the activation")
-		bitFlip   = flag.Float64("fault-bitflip", 0, "per-ACT probability of a single-bit row-address flip in the tracker")
-		dropMit   = flag.Float64("fault-drop", 0, "probability a tracker nomination is dropped before the victim refreshes")
-		delayMit  = flag.Float64("fault-delay", 0, "probability a nomination is deferred one mitigation slot")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
@@ -203,14 +198,7 @@ func run() int {
 	if fseed == 0 {
 		fseed = *seed
 	}
-	sc.Fault = fault.Config{
-		Seed:                fseed,
-		ActMissProb:         *actMiss,
-		TrackerBitFlipProb:  *bitFlip,
-		DropMitigationProb:  *dropMit,
-		DelayMitigationProb: *delayMit,
-		ChaosProb:           *chaos,
-	}
+	sc.Fault = fault.Config{Seed: fseed, ChaosProb: *chaos}
 	if *faults != "" {
 		if err := fault.ApplySpec(*faults, &sc.Fault); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -223,7 +211,7 @@ func run() int {
 	}
 
 	// SIGINT/SIGTERM cancel the in-flight simulations; completed jobs have
-	// already been flushed to the -resume checkpoint.
+	// already been flushed to the -store file.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	sc.Context = ctx
@@ -291,33 +279,24 @@ func run() int {
 			}}
 		}
 	}
-	if *resume != "" {
-		if f, err := os.Open(*resume); err == nil {
-			n, lerr := pool.LoadCheckpoint(f)
-			f.Close()
-			if lerr != nil {
-				fmt.Fprintln(os.Stderr, lerr)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "resumed %d completed jobs from %s\n", n, *resume)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		w, err := os.OpenFile(*resume, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if *storeP != "" {
+		store, err := runner.OpenStore(*storeP)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		defer w.Close()
-		pool.WriteCheckpoints(w)
+		defer store.Close()
+		pool.Store = store
+		if n := store.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "store: %d completed results loaded from %s\n", n, *storeP)
+		}
 	}
 	sc.Pool = pool
 
 	// Worker mode: instead of driving experiments, lease jobs from a
 	// coordinator until its sweep drains. The pool configured above is
-	// reused as-is, so -j, -timeout and -resume all apply — in particular
-	// -resume doubles as the worker's local spill: every simulated result
+	// reused as-is, so -j, -timeout and -store all apply — in particular
+	// -store doubles as the worker's local spill: every simulated result
 	// is on disk before its upload is attempted, so losing the coordinator
 	// loses no work.
 	if *workURL != "" {
@@ -342,7 +321,7 @@ func run() int {
 		case err == nil:
 			return 0
 		case ctx.Err() != nil:
-			fmt.Fprintln(os.Stderr, "interrupted; completed jobs are in the checkpoint (use -resume to continue)")
+			fmt.Fprintln(os.Stderr, "interrupted; rerun with the same -store file to continue")
 			return 130
 		default:
 			fmt.Fprintln(os.Stderr, err)
@@ -446,7 +425,7 @@ func run() int {
 			misses, hits, pool.Workers())
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "interrupted; completed jobs are in the checkpoint (use -resume to continue)")
+		fmt.Fprintln(os.Stderr, "interrupted; rerun with the same -store file to continue")
 		return 130
 	}
 	if failed > 0 {

@@ -17,6 +17,7 @@ import (
 	"autorfm"
 	"autorfm/internal/dist"
 	"autorfm/internal/fault"
+	"autorfm/internal/runner"
 	"autorfm/internal/telemetry"
 )
 
@@ -107,9 +108,9 @@ func run() int {
 		todo = []autorfm.Experiment{e}
 	}
 
-	store := dist.NewMemStore()
+	store := runner.NewMemStore()
 	if *storePath != "" {
-		s, err := dist.Open(*storePath)
+		s, err := runner.OpenStore(*storePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -13,7 +13,6 @@ import (
 
 	"autorfm"
 	"autorfm/internal/cpu"
-	"autorfm/internal/dist"
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
 	"autorfm/internal/mitigation"
@@ -47,7 +46,7 @@ func main() {
 		jobs    = flag.Int("j", runtime.NumCPU(), "parallel simulation workers (the test and baseline runs overlap)")
 		seeds   = flag.Int("seeds", 1, "run N seeds (seed..seed+N-1) of the configuration and report the mean ± σ across them (incompatible with -metrics/-trace/-replay)")
 		noBase  = flag.Bool("nobaseline", false, "skip the baseline run (no slowdown reported)")
-		storeP  = flag.String("store", "", "content-addressed result store file: serve previously completed configurations from it and add new ones (shared with autorfm-coord -store)")
+		storeP  = flag.String("store", "", "content-addressed result store file: serve previously completed configurations from it and add new ones (shared with autorfm-bench and autorfm-coord -store)")
 		list    = flag.Bool("list", false, "list workloads and exit")
 		listPl  = flag.Bool("list-plugins", false, "list registered trackers, policies and fault injectors and exit")
 		faults  = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1)")
@@ -192,28 +191,19 @@ func main() {
 	// overlap on multicore machines.
 	pool := runner.New(*jobs)
 	if *storeP != "" {
-		// The store is the distributed fabric's result file reused as a
-		// single-machine memo table: known configurations come back without
-		// simulating, new ones are appended (deduped) for every later run,
-		// sweep, or coordinator sharing the file.
-		store, err := dist.Open(*storeP)
+		// Known configurations come back without simulating; new ones are
+		// appended (deduped) for every later run, sweep, or coordinator
+		// sharing the file.
+		store, err := runner.OpenStore(*storeP)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		defer store.Close()
-		if f, err := os.Open(*storeP); err == nil {
-			n, lerr := pool.LoadCheckpoint(f)
-			f.Close()
-			if lerr != nil {
-				fmt.Fprintln(os.Stderr, lerr)
-				os.Exit(1)
-			}
-			if n > 0 {
-				fmt.Fprintf(os.Stderr, "store: %d completed results loaded from %s\n", n, *storeP)
-			}
+		pool.Store = store
+		if n := store.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "store: %d completed results loaded from %s\n", n, *storeP)
 		}
-		pool.WriteCheckpoints(store.CheckpointWriter())
 	}
 	// One job per seed: the mitigated seeds come first, then (unless
 	// suppressed) the matching no-mitigation baselines.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"autorfm/internal/runner"
 	"autorfm/internal/sim"
 	"autorfm/internal/telemetry"
 )
@@ -102,7 +103,7 @@ type Coordinator struct {
 	// record's content address as " [flight <id>]".
 	Flights *telemetry.FlightStore
 
-	store *Store
+	store *runner.Store
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -123,8 +124,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator returns a coordinator persisting completed results to
-// store (use NewMemStore for a throwaway sweep).
-func NewCoordinator(store *Store) *Coordinator {
+// store (use runner.NewMemStore for a throwaway sweep).
+func NewCoordinator(store *runner.Store) *Coordinator {
 	return &Coordinator{
 		LeaseTTL:        10 * time.Second,
 		RetryWait:       300 * time.Millisecond,
@@ -138,7 +139,7 @@ func NewCoordinator(store *Store) *Coordinator {
 }
 
 // Store returns the coordinator's result store.
-func (c *Coordinator) Store() *Store { return c.store }
+func (c *Coordinator) Store() *runner.Store { return c.store }
 
 // RunAll implements exp.Runner: it submits the configs as jobs and blocks
 // until every one has a result (from the store, a worker upload, or a

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,7 @@ import (
 	"autorfm/internal/cpu"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
+	"autorfm/internal/workload"
 )
 
 // sweepConfigs is a small mixed sweep: two workloads, two seeds, including
@@ -30,22 +30,27 @@ func sweepConfigs(t testing.TB) []sim.Config {
 	}
 }
 
-// syncBuffer is a goroutine-safe bytes.Buffer for checkpoint sinks in tests.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
+func cfg(t testing.TB, wl string, mut func(*sim.Config)) sim.Config {
+	t.Helper()
+	p, err := workload.ByName(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.Config{Workload: p, InstructionsPerCore: 30_000, Seed: 1}
+	if mut != nil {
+		mut(&c)
+	}
+	return c
 }
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
+// run simulates c directly, failing the test on error.
+func run(t testing.TB, c sim.Config) sim.Result {
+	t.Helper()
+	res, err := sim.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // renderResult is the byte-level fingerprint used to compare distributed
@@ -85,7 +90,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.Publish()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -129,7 +134,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 // worker, and the ghost's late upload is absorbed as a duplicate.
 func TestLeaseExpiryRequeues(t *testing.T) {
 	now := time.Unix(1000, 0)
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.now = func() time.Time { return now }
 	// Disable stealing so the only way the job can move is lease expiry.
 	c.MaxLeasesPerJob = 1
@@ -198,7 +203,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 // whichever result lands first wins and the loser is absorbed.
 func TestWorkStealFirstResultWins(t *testing.T) {
 	now := time.Unix(1000, 0)
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.now = func() time.Time { return now }
 
 	job := cfg(t, "bwaves", nil)
@@ -260,7 +265,7 @@ func TestCoordinatorRestartResumesFromStore(t *testing.T) {
 
 	// First incarnation completes only job 0, then "crashes" (goes away
 	// without Drain).
-	s1, err := Open(path)
+	s1, err := runner.OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestCoordinatorRestartResumesFromStore(t *testing.T) {
 
 	// Second incarnation opens the same store: the completed job is a hit,
 	// the rest run fresh.
-	s2, err := Open(path)
+	s2, err := runner.OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +331,7 @@ func TestWorkerJobErrorTravelsVerbatim(t *testing.T) {
 		t.Fatal("doomed config ran clean; pick a config sim.Run rejects")
 	}
 
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -352,7 +357,7 @@ func TestWorkerJobErrorTravelsVerbatim(t *testing.T) {
 // content-addressable and must fail fast instead of being shipped over the
 // wire to a worker that cannot reconstruct the hook.
 func TestKeylessConfigRejected(t *testing.T) {
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	keyless := cfg(t, "bwaves", nil)
 	keyless.NewStream = func(core int) cpu.Stream { return nil }
 	if keyless.Key() != "" {
@@ -370,10 +375,10 @@ func TestKeylessConfigRejected(t *testing.T) {
 }
 
 // TestWorkerLosesCoordinator: after the coordinator vanishes mid-job, the
-// worker finishes the job, flushes it to its local checkpoint sink, and
-// exits with ErrCoordinatorLost — bounded retries, no hang, no lost work.
+// worker finishes the job, flushes it to its local store, and exits with
+// ErrCoordinatorLost — bounded retries, no hang, no lost work.
 func TestWorkerLosesCoordinator(t *testing.T) {
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	job := cfg(t, "bwaves", nil)
 	go c.RunAll(context.Background(), []sim.Config{job})
 	waitFor(t, func() bool {
@@ -395,12 +400,16 @@ func TestWorkerLosesCoordinator(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	path := filepath.Join(t.TempDir(), "spill.jsonl")
+	spill, err := runner.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool := runner.New(1)
-	spill := &syncBuffer{}
-	pool.WriteCheckpoints(spill)
+	pool.Store = spill
 
 	start := time.Now()
-	_, err := RunWorker(context.Background(), WorkerOptions{
+	_, err = RunWorker(context.Background(), WorkerOptions{
 		URL:         srv.URL,
 		Name:        "w1",
 		Pool:        pool,
@@ -416,20 +425,22 @@ func TestWorkerLosesCoordinator(t *testing.T) {
 	}
 
 	// The in-flight job was finished and flushed before the worker gave up:
-	// its local spill is a valid store/checkpoint stream holding the result.
-	recovered := NewMemStore()
-	if _, err := recovered.load(bytes.NewReader(spill.Bytes())); err != nil {
+	// reopening its local spill file recovers the result.
+	spill.Close()
+	recovered, err := runner.OpenStore(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer recovered.Close()
 	if _, ok := recovered.Get(job.Key()); !ok {
-		t.Fatalf("worker's checkpoint spill is missing the in-flight job; spill=%q", spill.Bytes())
+		t.Fatalf("worker's spill file is missing the in-flight job (keys: %v)", recovered.Keys())
 	}
 }
 
 // TestProtocolVersionRejected: a mismatched wire version is refused with
 // 400, and the worker treats that as fatal rather than retrying.
 func TestProtocolVersionRejected(t *testing.T) {
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 

@@ -4,12 +4,11 @@
 //
 // Three pieces compose it:
 //
-//   - Store, a content-addressed result store: the torn-write-tolerant
-//     JSON-lines checkpoint format of internal/runner generalized into a
-//     durable memo table keyed by sim.Config.Key(). One store file can be
-//     shared across sweeps, front ends, and coordinator restarts — the
-//     same file works as autorfm-bench -resume, autorfm-sim -store, and
-//     autorfm-coord -store.
+//   - runner.Store, the content-addressed result store: a torn-write-
+//     tolerant JSON-lines file used as a durable memo table keyed by
+//     sim.Config.Key(). One store file can be shared across sweeps, front
+//     ends, and coordinator restarts — the same file works as the -store
+//     of autorfm-bench, autorfm-sim and autorfm-coord.
 //
 //   - Coordinator, which owns a sweep's job list and serves a JSON-over-HTTP
 //     lease protocol (stdlib net/http only): workers lease jobs by config
@@ -24,8 +23,8 @@
 //   - RunWorker, the hostile-network-hardened client loop used by
 //     autorfm-bench -worker: bounded retries with exponential backoff and
 //     jitter, per-request timeouts, and graceful degradation — a worker
-//     that loses the coordinator finishes its in-flight job, flushes its
-//     local checkpoint, and exits cleanly with ErrCoordinatorLost.
+//     that loses the coordinator finishes its in-flight job, flushes it
+//     to its local store, and exits cleanly with ErrCoordinatorLost.
 //
 // Because simulation results are deterministic per canonical config key
 // (the contract internal/runner's cache is built on), correctness never

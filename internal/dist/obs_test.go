@@ -53,7 +53,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.Trace = true
 	c.Fleet = telemetry.NewFleet()
 	c.Flights = flights
@@ -200,7 +200,7 @@ func servedCounters(t *testing.T, c *Coordinator) telemetry.CoordSnapshot {
 // and the second grant carries attempt 2.
 func TestLeaseExpirySpans(t *testing.T) {
 	now := time.Unix(1000, 0)
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.now = func() time.Time { return now }
 	c.Trace = true
 	c.MaxLeasesPerJob = 1
@@ -265,7 +265,7 @@ func TestLeaseExpirySpans(t *testing.T) {
 func TestStallDetectorRequestsProfile(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.now = clock
 	c.Trace = true
 	c.Fleet = telemetry.NewFleet()
@@ -387,7 +387,7 @@ func TestProtocolCompatOldWorkerNewCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(NewMemStore())
+	c := NewCoordinator(runner.NewMemStore())
 	c.Trace = true
 	c.Fleet = telemetry.NewFleet()
 	c.Flights = flights

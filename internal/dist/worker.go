@@ -22,7 +22,7 @@ import (
 // ErrCoordinatorLost reports that the coordinator stayed unreachable
 // through the worker's whole retry budget. It is the graceful-degradation
 // signal: the worker has finished and flushed its in-flight work (the
-// pool's checkpoint sink already holds every completed result) and exited
+// pool's store, if set, already holds every completed result) and exited
 // cleanly rather than spinning forever against a dead endpoint.
 var ErrCoordinatorLost = errors.New("dist: coordinator unreachable")
 
@@ -34,10 +34,9 @@ type WorkerOptions struct {
 	// (host-pid by convention). Identity is advisory, not authenticated.
 	Name string
 	// Pool executes the leased jobs locally. Its result cache makes
-	// re-leased duplicates free, and its checkpoint sink (if set with
-	// WriteCheckpoints) is the worker's durable spill: every simulated
-	// result is on local disk before the upload is attempted, so losing
-	// the coordinator loses nothing.
+	// re-leased duplicates free, and its Store (if set) is the worker's
+	// durable spill: every simulated result is on local disk before the
+	// upload is attempted, so losing the coordinator loses nothing.
 	Pool *runner.Pool
 	// Client issues the HTTP requests. Nil selects a client with a 15s
 	// per-request timeout; set your own to change it.
@@ -77,7 +76,7 @@ type WorkerStats struct {
 // Error contract: nil means the sweep drained and the worker was told to
 // exit; ctx.Err() means the caller cancelled; ErrCoordinatorLost means the
 // retry budget ran out — with every completed result already flushed to the
-// pool's checkpoint sink, so nothing is lost.
+// pool's store, so nothing is lost.
 func RunWorker(ctx context.Context, opt WorkerOptions) (WorkerStats, error) {
 	w := &worker{opt: opt}
 	if w.opt.Client == nil {
@@ -313,8 +312,8 @@ func (w *worker) serve(ctx context.Context, lease LeaseResponse) error {
 	var resp ResultResponse
 	if err := w.post(ctx, "/result", req, &resp); err != nil {
 		// The job itself is safe: simulated, memoized, and (when the pool
-		// has a checkpoint sink) flushed to local disk before this upload
-		// was ever attempted.
+		// has a store) flushed to local disk before this upload was ever
+		// attempted.
 		w.logf("upload of %s failed; result is flushed locally: %v", shortKey(lease.Key), err)
 		return err
 	}

@@ -1,10 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -390,21 +390,25 @@ func TestChaosSweepRendersERR(t *testing.T) {
 }
 
 // TestResumeByteIdentical is the checkpoint/resume gate: a sweep cancelled
-// mid-run, resumed from its JSON-lines checkpoint in a fresh pool, must
-// render output byte-identical to an uninterrupted run — with the
-// checkpointed jobs served from the preloaded cache, not re-simulated.
+// mid-run, resumed from its JSON-lines store file in a fresh pool, must
+// render output byte-identical to an uninterrupted run — with the stored
+// jobs served from the store, not re-simulated.
 func TestResumeByteIdentical(t *testing.T) {
 	golden := run(t, Fig3, microScale())
 
-	// Interrupted run: checkpoint every completed job, cancel once a few
-	// have landed.
+	// Interrupted run: store every completed job, cancel once a few have
+	// landed.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var ckpt bytes.Buffer
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	istore, err := runner.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	interrupted := microScale()
 	ipool := runner.New(2)
 	interrupted.Pool = ipool
-	ipool.WriteCheckpoints(&ckpt)
+	ipool.Store = istore
 	ipool.OnProgress = func(p runner.Progress) {
 		if p.Done >= 3 {
 			cancel()
@@ -414,21 +418,22 @@ func TestResumeByteIdentical(t *testing.T) {
 	if _, err := Fig3(interrupted); err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
-	if ckpt.Len() == 0 {
-		t.Fatal("no checkpoint records written before cancellation")
-	}
+	istore.Close()
 
-	// Resumed run: fresh pool preloaded from the checkpoint.
-	resumed := microScale()
-	rpool := runner.New(2)
-	resumed.Pool = rpool
-	n, err := rpool.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()))
+	// Resumed run: fresh pool on the reopened store file.
+	rstore, err := runner.OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rstore.Close()
+	n := rstore.Len()
 	if n == 0 {
-		t.Fatal("checkpoint loaded no records")
+		t.Fatal("no records stored before cancellation")
 	}
+	resumed := microScale()
+	rpool := runner.New(2)
+	resumed.Pool = rpool
+	rpool.Store = rstore
 	r := run(t, Fig3, resumed)
 	if r.String() != golden.String() {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- golden ---\n%s--- resumed ---\n%s",

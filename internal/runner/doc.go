@@ -36,11 +36,15 @@
 // job was cut short by the caller's context are evicted, so a resumed
 // sweep re-executes them.
 //
-// # Checkpoint/resume
+// # Result store and resume
 //
-// WriteCheckpoints streams every newly simulated result to a JSON-lines
-// sink as it completes; LoadCheckpoint preloads a pool's cache from such a
-// stream. Because results round-trip exactly through JSON and the cache is
-// keyed by config, a sweep killed mid-run and resumed from its checkpoint
-// produces byte-identical output to an uninterrupted run.
+// A Store is the pool's durable memo: an append-only JSON-lines file of
+// {"key","result"} records keyed by sim.Config.Key(). With Pool.Store set,
+// jobs the store holds are served as cache hits and every newly simulated
+// result is appended as it completes. Because results round-trip exactly
+// through JSON and the store is keyed by config, a sweep killed mid-run
+// and rerun on the same store file produces byte-identical output to an
+// uninterrupted run. The distributed coordinator (internal/dist) uses the
+// same type, so one file serves autorfm-bench, autorfm-sim and
+// autorfm-coord alike.
 package runner

@@ -3,11 +3,13 @@ package runner
 import (
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
-	"io"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autorfm/internal/sim"
@@ -76,10 +78,10 @@ type Progress struct {
 	Elapsed time.Duration
 	// SimElapsed is the time since the pool started its first actual
 	// simulation — the window throughput rates belong to. It lags Elapsed
-	// when a sweep opens with a cache/checkpoint/store-hit preload (a
-	// resumed sweep answers its prefix in microseconds), and stays zero
+	// when a sweep opens with a run of cache or store hits (a resumed
+	// sweep answers its prefix in microseconds), and stays zero
 	// until something simulates, so rates computed over it are not skewed
-	// optimistic by the preload.
+	// optimistic by the hits.
 	SimElapsed time.Duration
 	// ETA estimates the remaining time from the mean cost of the jobs
 	// actually simulated so far; zero when nothing is pending or no job
@@ -132,6 +134,16 @@ type Pool struct {
 	// jobs; calls may be concurrent.
 	OnJobPhase func(key, phase string, start, end time.Time)
 
+	// Store, when non-nil, is the pool's durable memo: a job whose key it
+	// holds is served from it as a cache hit, and every newly simulated
+	// result is Put into it before Run returns. Failed jobs are not stored
+	// (errors are cheap to reproduce and must re-run on resume). Writes are
+	// best-effort: a failing store degrades persistence, never the sweep —
+	// the first failure warns on stderr, every failure increments
+	// StoreFailures and the process-wide expvar
+	// "autorfm.checkpoint_write_failures". Set it before submitting jobs.
+	Store *Store
+
 	sem chan struct{} // bounds concurrent simulations
 
 	mu    sync.Mutex // guards cache
@@ -150,10 +162,8 @@ type Pool struct {
 	mmu      sync.Mutex
 	machines []*sim.Machine
 
-	cmu    sync.Mutex // guards cw and cfails
-	cw     io.Writer  // checkpoint sink, nil when disabled
-	cfails uint64     // checkpoint writes that returned an error
-	cwarn  sync.Once  // first failure warns on stderr; the rest only count
+	sfails atomic.Uint64 // store writes that returned an error
+	swarn  sync.Once     // first failure warns on stderr; the rest only count
 
 	pmu        sync.Mutex // guards progress counters and OnProgress calls
 	done       int
@@ -205,10 +215,11 @@ func (p *Pool) SimulatedEvents() int64 {
 	return p.events
 }
 
-// Run executes one job, consulting the cache first. Concurrent callers
-// are bounded by the pool's worker count. A panicking job returns a
-// *PanicError; a job cut short by ctx returns ctx's error and is not
-// memoized, so a later submission (e.g. a resumed sweep) re-executes it.
+// Run executes one job, consulting the store (if any) and the cache first.
+// Concurrent callers are bounded by the pool's worker count. A panicking
+// job returns a *PanicError; a job cut short by ctx returns ctx's error
+// and is not memoized, so a later submission (e.g. a resumed sweep)
+// re-executes it.
 func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 	p.jobSubmitted()
 
@@ -220,6 +231,12 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 		return res, err
 	}
 
+	if p.Store != nil {
+		if res, ok := p.Store.Get(key); ok {
+			p.jobDone(true, false)
+			return res, nil
+		}
+	}
 	p.mu.Lock()
 	if e, ok := p.cache[key]; ok {
 		p.mu.Unlock()
@@ -250,7 +267,7 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 }
 
 // simulate runs one job on a worker slot, recovering panics into
-// *PanicError, applying the per-job timeout, and checkpointing successful
+// *PanicError, applying the per-job timeout, and storing successful
 // results.
 func (p *Pool) simulate(ctx context.Context, cfg sim.Config, key string) (res sim.Result, err error) {
 	var qStart time.Time
@@ -305,9 +322,35 @@ func (p *Pool) simulate(ctx context.Context, cfg sim.Config, key string) (res si
 		p.pmu.Lock()
 		p.events += res.Events
 		p.pmu.Unlock()
-		p.checkpoint(key, res)
+		p.store(key, res)
 	}
 	return res, err
+}
+
+// storeFailures is the process-wide count of results that failed to reach
+// a pool's Store (disk full, closed file, ...), across every pool. It is
+// exported as the expvar "autorfm.checkpoint_write_failures" so a sweep's
+// introspection endpoint (-http) shows silently degraded persistence before
+// a resume discovers the hole.
+var storeFailures = expvar.NewInt("autorfm.checkpoint_write_failures")
+
+// StoreFailures returns how many results this pool failed to write to its
+// Store. A non-zero count means a later run on the same store file will
+// re-simulate the lost jobs — correct, just slower.
+func (p *Pool) StoreFailures() uint64 { return p.sfails.Load() }
+
+func (p *Pool) store(key string, res sim.Result) {
+	if p.Store == nil || key == "" {
+		return // no store, or an uncacheable config that cannot be keyed
+	}
+	if _, err := p.Store.Put(key, res); err != nil {
+		p.sfails.Add(1)
+		storeFailures.Add(1)
+		p.swarn.Do(func() {
+			fmt.Fprintf(os.Stderr,
+				"runner: store write failed (sweep continues; further failures are counted, not logged): %v\n", err)
+		})
+	}
 }
 
 // getMachine checks a warm machine out of the free list (or makes a cold
@@ -370,7 +413,7 @@ func (p *Pool) jobSubmitted() {
 }
 
 // markSimStarted anchors the simulation window at the first job that
-// actually reaches a machine. A resumed or store-preloaded sweep answers
+// actually reaches a machine. A sweep resumed from a store answers
 // its cached prefix without ever calling this, so rate and ETA math over
 // Progress.SimElapsed ignores that prefix entirely.
 func (p *Pool) markSimStarted() {
@@ -415,7 +458,7 @@ func (p *Pool) jobDone(cached, failed bool) {
 // (Progress.SimElapsed) rather than pool lifetime. Cache hits are
 // excluded from the per-job cost (they complete in microseconds and would
 // collapse the estimate), so an all-hits prefix yields no estimate rather
-// than a bogus one — and a resumed sweep's preload, which completes
+// than a bogus one — and a resumed sweep's store hits, which complete
 // before the window opens, cannot tilt the estimate optimistic. Returns
 // 0 — "no estimate" — when nothing is pending, nothing has been
 // simulated, or the clock hasn't advanced; never negative.

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -300,9 +299,9 @@ func TestEstimateETA(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: results checkpointed by one pool preload
-// another pool's cache and are served as byte-for-byte identical results
-// without re-simulation.
+// TestCheckpointRoundTrip: results one pool stores preload another pool
+// opened on the same file and are served as byte-for-byte identical
+// results without re-simulation.
 func TestCheckpointRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	jobs := []sim.Config{
@@ -310,25 +309,25 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		cfg(t, "mcf", nil),
 	}
 
-	var ckpt bytes.Buffer
+	s1, path := openWith(t, "")
 	p1 := New(2)
-	p1.WriteCheckpoints(&ckpt)
+	p1.Store = s1
 	want, errs := p1.RunAll(ctx, jobs)
 	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
 	}
-	if ckpt.Len() == 0 {
-		t.Fatal("no checkpoint records written")
-	}
+	s1.Close()
 
-	p2 := New(2)
-	n, err := p2.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()))
+	s2, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(jobs) {
-		t.Fatalf("loaded %d records, want %d", n, len(jobs))
+	defer s2.Close()
+	if s2.Len() != len(jobs) {
+		t.Fatalf("loaded %d records, want %d", s2.Len(), len(jobs))
 	}
+	p2 := New(2)
+	p2.Store = s2
 	got, errs := p2.RunAll(ctx, jobs)
 	if err := FirstError(errs); err != nil {
 		t.Fatal(err)
@@ -344,83 +343,62 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointSkipsDamage: truncated trailing lines (a kill mid-write)
-// and records with stale keys are skipped; intact records still load.
+// and records with stale keys are skipped; intact records are still
+// served from the store.
 func TestCheckpointSkipsDamage(t *testing.T) {
 	ctx := context.Background()
 	job := cfg(t, "bwaves", nil)
-	var ckpt bytes.Buffer
-	p1 := New(1)
-	p1.WriteCheckpoints(&ckpt)
-	if _, err := p1.Run(ctx, job); err != nil {
+	s, _ := openWith(t, "{\"key\":\"stale-key\",\"result\":{}}\n"+ // key mismatch
+		line(t, job.Key(), run(t, job))+ // intact record
+		"{\"key\":\"trunc") // torn final write
+	if s.Len() != 1 {
+		t.Fatalf("loaded %d records, want 1", s.Len())
+	}
+	p := New(1)
+	p.Store = s
+	if _, err := p.Run(ctx, job); err != nil {
 		t.Fatal(err)
 	}
-
-	damaged := bytes.Buffer{}
-	damaged.WriteString("{\"key\":\"stale-key\",\"result\":{}}\n") // key mismatch
-	damaged.Write(ckpt.Bytes())                                    // intact record
-	damaged.WriteString("{\"key\":\"trunc")                        // torn final write
-
-	p2 := New(1)
-	n, err := p2.LoadCheckpoint(&damaged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("loaded %d records, want 1", n)
-	}
-	if _, err := p2.Run(ctx, job); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := p2.CacheStats(); hits != 1 {
-		t.Fatal("intact record was not served from cache")
+	if hits, _ := p.CacheStats(); hits != 1 {
+		t.Fatal("intact record was not served from the store")
 	}
 }
 
-// failingWriter fails every write after the first n bytes-worth of calls.
-type failingWriter struct {
-	okWrites int
-	writes   int
-}
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes > w.okWrites {
-		return 0, errors.New("disk full")
-	}
-	return len(p), nil
-}
-
-// TestCheckpointWriteFailureCounted: a failing checkpoint sink no longer
-// loses errors silently — every failed line increments the pool's counter
-// (and the process-wide expvar) while the sweep itself keeps succeeding.
+// TestCheckpointWriteFailureCounted: a failing store does not lose errors
+// silently — every failed write increments the pool's counter (and the
+// process-wide expvar) while the sweep itself keeps succeeding.
 func TestCheckpointWriteFailureCounted(t *testing.T) {
 	ctx := context.Background()
+	s, _ := openWith(t, "")
 	p := New(2)
-	w := &failingWriter{okWrites: 1}
-	p.WriteCheckpoints(w)
+	p.Store = s
+	if _, err := p.Run(ctx, cfg(t, "bwaves", nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Pull the file out from under the store: every later append fails.
+	s.f.Close()
+	before := storeFailures.Value()
 	jobs := []sim.Config{
-		cfg(t, "bwaves", nil),
 		cfg(t, "mcf", nil),
 		cfg(t, "pagerank", nil),
 	}
-	before := ckptFailures.Value()
 	if _, errs := p.RunAll(ctx, jobs); FirstError(errs) != nil {
-		t.Fatalf("sweep failed on a bad checkpoint sink: %v", FirstError(errs))
+		t.Fatalf("sweep failed on a bad store: %v", FirstError(errs))
 	}
-	if got := p.CheckpointFailures(); got != 2 {
-		t.Fatalf("CheckpointFailures = %d, want 2 (one write succeeded)", got)
+	if got := p.StoreFailures(); got != 2 {
+		t.Fatalf("StoreFailures = %d, want 2 (one write succeeded)", got)
 	}
-	if delta := ckptFailures.Value() - before; delta != 2 {
+	if delta := storeFailures.Value() - before; delta != 2 {
 		t.Fatalf("expvar autorfm.checkpoint_write_failures grew by %d, want 2", delta)
 	}
 	// A healthy pool reports zero.
 	p2 := New(1)
-	p2.WriteCheckpoints(&bytes.Buffer{})
+	p2.Store = NewMemStore()
 	if _, err := p2.Run(ctx, cfg(t, "bwaves", nil)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.CheckpointFailures(); got != 0 {
-		t.Fatalf("healthy pool CheckpointFailures = %d, want 0", got)
+	if got := p2.StoreFailures(); got != 0 {
+		t.Fatalf("healthy pool StoreFailures = %d, want 0", got)
 	}
 }
 
@@ -558,21 +536,15 @@ func TestSimWindowExcludesPreload(t *testing.T) {
 }
 
 // TestSimWindowEndToEnd: the same invariant through the public API — a
-// pool preloaded via LoadCheckpoint reports SimElapsed only once a job
-// actually simulates, and cache hits never open the window.
+// pool whose store already holds a job reports SimElapsed only once a job
+// actually simulates, and store hits never open the window.
 func TestSimWindowEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	job := cfg(t, "bwaves", nil)
 
-	scratch := New(1)
-	var ckpt bytes.Buffer
-	scratch.WriteCheckpoints(&ckpt)
-	if _, err := scratch.Run(ctx, job); err != nil {
-		t.Fatal(err)
-	}
-
 	p := New(1)
-	if _, err := p.LoadCheckpoint(&ckpt); err != nil {
+	p.Store = NewMemStore()
+	if _, err := p.Store.Put(job.Key(), run(t, job)); err != nil {
 		t.Fatal(err)
 	}
 	var last Progress
@@ -581,10 +553,10 @@ func TestSimWindowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if last.CacheHits != 1 {
-		t.Fatalf("preloaded job not a cache hit: %+v", last)
+		t.Fatalf("stored job not a cache hit: %+v", last)
 	}
 	if last.SimElapsed != 0 {
-		t.Fatalf("cache hit opened the sim window: SimElapsed=%v", last.SimElapsed)
+		t.Fatalf("store hit opened the sim window: SimElapsed=%v", last.SimElapsed)
 	}
 	fresh := cfg(t, "bwaves", func(c *sim.Config) { c.Seed = 99 })
 	if _, err := p.Run(ctx, fresh); err != nil {

@@ -74,8 +74,8 @@ type Config struct {
 	// i executes NewStream(i). Used to replay recorded traces
 	// (workload.TraceReader) or custom streams; the Workload profile is then
 	// only used for LLC pre-warming. Excluded from JSON so Results remain
-	// checkpoint-serializable (such configs are never checkpointed anyway:
-	// they have no cache key).
+	// serializable to the result store (such configs are never stored
+	// anyway: they have no cache key).
 	NewStream func(core int) cpu.Stream `json:"-"`
 	// Telemetry, when set, attaches the observability probes of
 	// internal/telemetry (epoch metrics sampler and/or DRAM command trace)
@@ -149,7 +149,7 @@ func (c Config) Normalized() Config {
 // produced, so checkpoints written by older binaries still verify —
 // TestKeyMatchesFmtReference pins the equivalence and BenchmarkConfigKey
 // the speedup. The runner computes the key once per job and threads it
-// through lookup, checkpoint write, and failure reporting.
+// through lookup, store write, and failure reporting.
 func (c Config) Key() string {
 	if c.NewStream != nil || c.NewTracker != nil || c.NewPolicy != nil {
 		return ""

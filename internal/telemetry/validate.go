@@ -4,7 +4,7 @@ package telemetry
 // the damage a killed process actually leaves behind. The metrics stream
 // and the span log are append-only JSON lines, so the one legitimate
 // corruption is a torn final line (the writer died mid-record) — the same
-// failure mode the checkpoint loader tolerates. Anything else — an empty
+// failure mode the result-store loader tolerates. Anything else — an empty
 // file, a header that isn't the schema, a damaged interior line — is a
 // real error and must fail loudly, not be skipped.
 
