@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"autorfm/internal/clk"
@@ -49,9 +50,66 @@ type Stats struct {
 	Prefetches   uint64 // prefetch fills issued to DRAM
 }
 
-// invalidTag marks an empty way slot. Real line addresses are physical
-// footprint offsets, far below the sentinel.
-const invalidTag = ^uint64(0)
+// invalidTag marks an empty way slot; Cache.tag keeps every real tag below it.
+const invalidTag = ^uint32(0)
+
+// emptyOrder is the recency order of a set with no way in use: way k at
+// position k. nibbles repeats a 4-bit value into every position.
+const (
+	emptyOrder = 0xFEDCBA9876543210
+	nibbles    = 0x1111111111111111
+)
+
+// set is one set's replacement state. order lists all 16 way numbers by
+// recency, 4 bits each, the most recent in the low nibble. The ways in use
+// are always 0..n-1 (no line is ever invalidated alone) and hold positions
+// 0..n-1; every unused way k stays at position k. So a set with room fills
+// way n from position n, and a full set evicts the way at position ways-1.
+type set struct {
+	order uint64
+	dirty uint16 // bit w: way w holds a modified line
+	n     uint8  // ways in use
+}
+
+// touch moves way w to the most recent position. The position search is a
+// SWAR zero-nibble test on order ^ w: every way number appears exactly once,
+// so the lowest flagged nibble is w's.
+func (st *set) touch(w int) {
+	x := st.order ^ uint64(w)*nibbles
+	st.front(uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) / 4)
+}
+
+// front moves the way at recency position p to position 0, shifting the
+// ways more recent than it down by one.
+func (st *set) front(p uint) {
+	sh := 4 * p
+	w := st.order >> sh & 15
+	older := st.order &^ (uint64(1)<<(sh+4) - 1)
+	st.order = older | (st.order&(uint64(1)<<sh-1))<<4 | w
+}
+
+// victim picks the way a new line goes to and makes it the most recent:
+// way n while the set has room, else the least recent way. full reports
+// that a resident line is being replaced.
+func (st *set) victim(ways int) (w int, full bool) {
+	p := uint(st.n)
+	if int(p) < ways {
+		st.n++
+	} else {
+		p = uint(ways - 1)
+		full = true
+	}
+	st.front(p)
+	return int(st.order & 15), full
+}
+
+// setDirty records whether way w holds a modified line.
+func (st *set) setDirty(w int, dirty bool) {
+	st.dirty &^= 1 << w
+	if dirty {
+		st.dirty |= 1 << w
+	}
+}
 
 // mshr is one outstanding fill: the merged waiters, the DRAM request it
 // rides on, and the fill continuation. MSHRs are pooled; the request's
@@ -66,27 +124,33 @@ type mshr struct {
 	next    *mshr // free-list link
 }
 
-// Cache is a shared, single-ported (contention-free) LLC model.
+// Cache is a shared, single-ported (contention-free) LLC model with exact
+// LRU replacement.
 //
-// Way state is stored structure-of-arrays: one flat contiguous tag array
-// (16 ways x 8B = two cache lines per set) scanned on every access, with
-// the LRU stamps and dirty bits in parallel arrays touched only on hit or
-// fill. Keeping the scanned bytes minimal and indexable without pointer
-// chasing is worth ~2x on the hit path over the former []way-per-set
-// layout.
+// Way state is split by access pattern. The flat tag array holds each way's
+// line >> setShift in 32 bits — a 16-way set's tags are one 64-byte host
+// cache line — and it is all a lookup scans. Replacement state is one
+// 16-byte record per set (see set): the ways' recency order packed 4 bits
+// per way, a dirty mask, and the count of ways in use, touched only on a hit
+// or a fill. A hit is a nibble move-to-front and a fill reads its victim off
+// the order. At the default 8MB geometry the way state is 640KB, against
+// 2.1MB for 64-bit tags, 64-bit LRU stamps and dirty bytes per way, so it
+// stays resident in a 2MB host L2.
 type Cache struct {
-	cfg     Config
-	tags    []uint64 // line address per way slot, invalidTag when empty
-	lru     []uint64
-	dirty   []bool
-	ways    int
-	setMask uint64
-	mc      *memctrl.Controller
-	q       *event.Queue
-	tick    uint64
-	// stale marks the way arrays as still holding a previous run's state:
+	cfg      Config
+	tags     []uint32 // tag per way slot, invalidTag when empty
+	sets     []set
+	ways     int
+	setMask  uint64
+	setShift uint // log2 of the set count: line == tag<<setShift | set
+	mc       *memctrl.Controller
+	q        *event.Queue
+	// fresh marks an empty cache, nothing installed since the last reset:
+	// WarmAll's precondition for warmFresh.
+	fresh bool
+	// stale marks the way state as still holding a previous run's lines:
 	// ResetForWarm defers the full wipe to the WarmAll that follows it (see
-	// warmFresh), and WarmAll's non-covering paths pay it on entry.
+	// warmFresh), and Warm pays it on entry.
 	stale bool
 	out   mshrTable
 	freeM *mshr
@@ -102,26 +166,48 @@ type Cache struct {
 	Stats Stats
 }
 
-// New builds the cache in front of mc.
+// New builds the cache in front of mc. It panics on a geometry the model
+// cannot hold: Ways must be 1 to 16 (the packed recency order has 16 slots)
+// and the set count a power of two.
 func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
+	if cfg.Ways < 1 || cfg.Ways > 16 {
+		panic(fmt.Sprintf("cache: Ways = %d unsupported: the per-set recency order holds 1 to 16 ways", cfg.Ways))
+	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	if numSets&(numSets-1) != 0 {
+	if numSets < 1 || numSets&(numSets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
-	tags := make([]uint64, numSets*cfg.Ways)
-	for i := range tags {
-		tags[i] = invalidTag
+	c := &Cache{
+		cfg:      cfg,
+		tags:     make([]uint32, numSets*cfg.Ways),
+		sets:     make([]set, numSets),
+		ways:     cfg.Ways,
+		setMask:  uint64(numSets - 1),
+		setShift: uint(bits.TrailingZeros(uint(numSets))),
+		mc:       mc,
+		q:        q,
+		fresh:    true,
 	}
-	return &Cache{
-		cfg:     cfg,
-		tags:    tags,
-		lru:     make([]uint64, numSets*cfg.Ways),
-		dirty:   make([]bool, numSets*cfg.Ways),
-		ways:    cfg.Ways,
-		setMask: uint64(numSets - 1),
-		mc:      mc,
-		q:       q,
+	c.wipeArrays()
+	return c
+}
+
+// tag returns line's tag. A line whose tag would reach invalidTag does not
+// fit the tag array; that is a caller addressing bug, reported here rather
+// than as a silently aliased hit.
+func (c *Cache) tag(line uint64) uint32 {
+	t := line >> c.setShift
+	if t >= uint64(invalidTag) {
+		tagOverflow(line)
 	}
+	return uint32(t)
+}
+
+// tagOverflow is kept out of line so that tag inlines into the hot paths.
+//
+//go:noinline
+func tagOverflow(line uint64) {
+	panic(fmt.Sprintf("cache: line %#x does not fit the 32-bit tag array", line))
 }
 
 const (
@@ -197,9 +283,10 @@ func (c *Cache) prefetch(line uint64) {
 
 // lookup reports whether line is present, without touching LRU state.
 func (c *Cache) lookup(line uint64) bool {
+	t := c.tag(line)
 	base := int(line&c.setMask) * c.ways
 	for _, tg := range c.tags[base : base+c.ways] {
-		if tg == line {
+		if tg == t {
 			return true
 		}
 	}
@@ -208,50 +295,40 @@ func (c *Cache) lookup(line uint64) bool {
 
 // Warm installs a line without any DRAM traffic, for pre-populating the
 // cache to its steady-state occupancy before measurement (short simulation
-// slices would otherwise see no capacity evictions and no writebacks).
+// slices would otherwise see no capacity evictions and no writebacks). The
+// line becomes its set's most recent; a resident copy keeps its way and
+// takes the new dirty bit, and a full set silently drops its least recent.
 func (c *Cache) Warm(line uint64, dirty bool) {
-	c.tick++
-	c.warmAt(line, dirty, c.tick)
-}
-
-// warmAt installs line with an explicit LRU stamp. It touches only line's
-// set, which is what lets WarmAll apply entries set-major and still leave
-// the serial loop's state: the stamp of warm i is always i+1 regardless of
-// the order sets are visited in.
-func (c *Cache) warmAt(line uint64, dirty bool, tick uint64) {
-	base := int(line&c.setMask) * c.ways
-	// One pass: stop at the first free way or duplicate (in way order, as
-	// installation always has), tracking the LRU victim for the full-set
-	// case along the way. Warming touches every line slot of the cache, so
-	// this scan is the dominant cost of prewarm.
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if tg := c.tags[i]; tg == invalidTag || tg == line {
-			victim = i
-			break
-		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
+	if c.stale {
+		// ResetForWarm deferred the array wipe betting on warmFresh covering
+		// every way; a warm that patches only one set must pay it now.
+		c.wipeArrays()
+	}
+	t := c.tag(line)
+	s := line & c.setMask
+	base := int(s) * c.ways
+	st := &c.sets[s]
+	c.fresh = false
+	for w, tg := range c.tags[base : base+int(st.n)] {
+		if tg == t {
+			st.touch(w)
+			st.setDirty(w, dirty)
+			return
 		}
 	}
-	c.tags[victim] = line
-	c.lru[victim] = tick
-	c.dirty[victim] = dirty
+	w, _ := st.victim(c.ways)
+	c.tags[base+w] = t
+	st.setDirty(w, dirty)
 }
 
-// WarmPlan is the reusable scratch a set-major WarmAll pass works in: the
-// per-set bucket boundaries and the entry permutation. One plan serves any
-// number of WarmAll calls (across caches and runs); its arrays grow
-// to the largest warm it has applied and are then reused allocation-free.
+// WarmPlan is the reusable scratch warmFresh partitions its entries in. One
+// plan serves any number of WarmAll calls (across caches and runs); its
+// arrays grow to the largest warm it has applied and are then reused
+// allocation-free.
 type WarmPlan struct {
-	starts []int32   // starts[s]..starts[s+1] bounds set s's entries in order
-	ents   []warmEnt // entries, grouped by set, input order within a set
-	next   []int32   // scatter cursor, one per set
-
-	// warmFresh (the packed two-level radix path) scratch: coarse bucket
-	// bounds and cursors, the packed entry permutation, and the per-bucket
-	// second-level bounds/cursors/entries. The second-level arrays are
-	// bucket-sized, so the whole level-2 partition runs in L1.
+	// Coarse bucket bounds and cursors, the packed entry permutation, and
+	// the per-bucket second-level bounds/cursors/entries. The second-level
+	// arrays are bucket-sized, so the whole level-2 partition runs in L1.
 	coarse    []int32
 	cur       []int32
 	packed    []uint64
@@ -260,130 +337,33 @@ type WarmPlan struct {
 	setBuf    []uint64
 }
 
-// warmEnt is one planned warm: the line, its input position i (the stamp is
-// tick+i+1, and per-set input order is i order), and the dirty bit.
-type warmEnt struct {
-	line  uint64
-	idx   int32
-	dirty bool
-}
-
-// WarmAll installs lines[i] (dirty[i]) for all i, leaving state equivalent
-// to len(lines) successive Warm calls: the same lines survive in each set
-// with the same LRU stamps and dirty bits, and the final tick matches
-// (pinned by TestWarmAllMatchesSerial). Surviving lines may sit in
-// different ways within their set than the serial replay would leave them,
-// which no cache observable depends on — hits scan every way, and
-// replacement compares stamps, which are unique (TestWarmAllEquivalent
-// pins the behavioral equivalence). Unlike the serial loop, which
-// hops to a random set per entry and pays a cache miss on nearly every
-// warmAt, WarmAll buckets the entries by set first and then applies them
-// set-major: each set's tag/LRU/dirty lines are touched once, stay resident
-// while its handful of entries apply, and the sweep over sets is sequential.
-// This is the simulator's prewarm path: a machine reuses one plan across
-// its runs.
+// WarmAll installs lines[i] (dirty[i]) for all i, leaving the same state as
+// len(lines) successive Warm calls: the same lines in each set, in the same
+// recency order, with the same dirty bits (pinned by
+// TestWarmAllMatchesSerial). Lines may sit in other ways of their set than
+// the serial loop would give them, which nothing observable depends on
+// (TestWarmAllEquivalent). The fast path is warmFresh, taken on an empty
+// cache — the simulator's prewarm, where a machine reuses one plan across
+// its runs; a cache already holding lines gets the serial Warm loop.
 func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
 	if len(lines) != len(dirty) {
 		panic("cache: WarmAll lines/dirty length mismatch")
 	}
-	numSets := int(c.setMask) + 1
-	if c.tick == 0 && numSets >= warmCoarse && len(lines) <= 1<<24 {
-		// The packed path needs every line to fit its 39 bit field; one OR
-		// over the input checks all of them at streaming speed.
+	if c.fresh {
+		// warmFresh packs line<<1|dirty, and its installs skip Warm's tag
+		// check; one OR over the input checks every line at streaming speed.
 		var orAll uint64
 		for _, line := range lines {
 			orAll |= line
 		}
-		if orAll < 1<<39 {
+		if orAll < 1<<63 && orAll>>c.setShift < uint64(invalidTag) {
 			c.warmFresh(lines, dirty, plan)
 			return
 		}
 	}
-	if c.stale {
-		// ResetForWarm deferred the array wipe betting on warmFresh covering
-		// every way; this fallback path patches only what it installs, so it
-		// must pay the wipe now.
-		c.wipeArrays()
-	}
-	if cap(plan.starts) < numSets+1 {
-		plan.starts = make([]int32, numSets+1)
-		plan.next = make([]int32, numSets)
-	}
-	starts := plan.starts[:numSets+1]
-	next := plan.next[:numSets]
-	for i := range starts {
-		starts[i] = 0
-	}
-	if cap(plan.ents) < len(lines) {
-		plan.ents = make([]warmEnt, len(lines))
-	}
-	ents := plan.ents[:len(lines)]
-
-	// Counting sort by set: count, prefix-sum, scatter. The scatter is the
-	// only random-access pass, and it writes one 16-byte entry per warm
-	// instead of read-modify-writing warmAt's several lines of tag/LRU
-	// state; the apply below then reads the plan strictly sequentially.
-	for _, line := range lines {
-		starts[line&c.setMask+1]++
-	}
-	for s := 0; s < numSets; s++ {
-		starts[s+1] += starts[s]
-		next[s] = starts[s]
-	}
 	for i, line := range lines {
-		s := line & c.setMask
-		ents[next[s]] = warmEnt{line: line, idx: int32(i), dirty: dirty[i]}
-		next[s]++
+		c.Warm(line, dirty[i])
 	}
-
-	// Set-major apply with the serial stamps: warm i always lands with
-	// stamp tick+i+1, and a set's entries apply in input order, which is
-	// all warmAt's outcome depends on (it touches only the addressed set).
-	base := c.tick
-	if base == 0 {
-		// Empty cache (fresh or Reset — the prewarm case): LRU warming of
-		// an empty set leaves exactly the last `ways` distinct lines
-		// touched, each with the stamp and dirty bit of its last touch, so
-		// a single backward scan per set installs the final state directly
-		// instead of replaying every eviction through warmAt. Lines land in
-		// different ways than the serial replay would pick, which is
-		// unobservable: hits scan every way, and replacement decisions
-		// compare stamps, which are unique (see TestWarmAllEquivalent).
-		for s := 0; s < numSets; s++ {
-			lo, hi := starts[s], starts[s+1]
-			if lo == hi {
-				continue
-			}
-			bws := s * c.ways
-			n := 0
-			for k := hi - 1; k >= lo; k-- {
-				e := &ents[k]
-				dup := false
-				for w := 0; w < n; w++ {
-					if c.tags[bws+w] == e.line {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				c.tags[bws+n] = e.line
-				c.lru[bws+n] = uint64(e.idx) + 1
-				c.dirty[bws+n] = e.dirty
-				n++
-				if n == c.ways {
-					break // everything earlier in the set was evicted
-				}
-			}
-		}
-	} else {
-		for k := range ents {
-			e := &ents[k]
-			c.warmAt(e.line, e.dirty, base+uint64(e.idx)+1)
-		}
-	}
-	c.tick = base + uint64(len(lines))
 }
 
 // warmCoarse is warmFresh's first-level radix width. 256 write streams keep
@@ -392,32 +372,33 @@ func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
 const warmCoarse = 256
 
 // warmFresh is WarmAll's empty-cache path (fresh or ResetForWarm — the
-// simulator's prewarm): LRU warming of an empty set leaves exactly the last
-// `ways` distinct lines touched, each with the stamp and dirty bit of its
-// last touch, so per set a single backward scan installs the final state
-// directly instead of replaying every eviction through warmAt. Lines land in
-// different ways than the serial replay would pick, which is unobservable:
-// hits scan every way, and replacement decisions compare stamps, which are
-// unique (see TestWarmAllEquivalent).
+// simulator's prewarm). LRU warming of an empty set leaves exactly the last
+// `ways` distinct lines touched, each with the dirty bit of its last touch,
+// most recent last touched first; so per set a single backward scan installs
+// the final state directly — the k-th line found goes to way k, which is
+// recency position k of emptyOrder — instead of replaying every eviction.
 //
-// Entries are packed into one word each — line<<25 | idx<<1 | dirty — and
-// partitioned set-major in two radix levels, so every pass is either a
-// sequential stream or an L1-resident scatter. The apply clears the ways it
-// does not install, leaving every set exactly as a full Reset plus warm
-// would, which is what lets ResetForWarm skip its array wipe.
+// Entries are packed into one word each — line<<1 | dirty — and partitioned
+// set-major in two stable radix levels, so every pass is either a
+// sequential stream or an L1-resident scatter, and a set's entries keep
+// their input order. The apply writes every set's record and clears the
+// ways it does not install, leaving every set exactly as a full Reset plus
+// warm would, which is what lets ResetForWarm skip its array wipe.
 func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 	numSets := int(c.setMask) + 1
-	spc := numSets / warmCoarse // sets per coarse bucket; both powers of two
+	nb := min(warmCoarse, numSets) // coarse buckets; both powers of two
+	spc := numSets / nb            // sets per coarse bucket
 	shift := uint(bits.TrailingZeros(uint(spc)))
-	setShift := uint(bits.TrailingZeros(uint(numSets)))
-	if cap(plan.coarse) < warmCoarse+1 {
-		plan.coarse = make([]int32, warmCoarse+1)
-		plan.cur = make([]int32, warmCoarse)
+	if cap(plan.coarse) < nb+1 {
+		plan.coarse = make([]int32, nb+1)
+		plan.cur = make([]int32, nb)
+	}
+	if cap(plan.setStarts) < spc+1 {
 		plan.setStarts = make([]int32, spc+1)
 		plan.setCur = make([]int32, spc)
 	}
-	coarse := plan.coarse[:warmCoarse+1]
-	cur := plan.cur[:warmCoarse]
+	coarse := plan.coarse[:nb+1]
+	cur := plan.cur[:nb]
 	setStarts := plan.setStarts[:spc+1]
 	setCur := plan.setCur[:spc]
 	for i := range coarse {
@@ -430,12 +411,12 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 
 	// Level 1: count, prefix-sum, scatter packed entries into coarse
 	// buckets. Buckets cover contiguous set ranges, so the apply below walks
-	// the tag/LRU/dirty arrays strictly forward.
+	// the tag and set arrays strictly forward.
 	for _, line := range lines {
 		coarse[(line&c.setMask)>>shift+1]++
 	}
 	maxBucket := int32(0)
-	for b := 0; b < warmCoarse; b++ {
+	for b := 0; b < nb; b++ {
 		if coarse[b+1] > maxBucket {
 			maxBucket = coarse[b+1]
 		}
@@ -444,7 +425,7 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 	}
 	for i, line := range lines {
 		b := (line & c.setMask) >> shift
-		p := line<<25 | uint64(i)<<1
+		p := line << 1
 		if dirty[i] {
 			p |= 1
 		}
@@ -458,14 +439,14 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 	// Level 2, per coarse bucket: partition the bucket's entries by set
 	// (everything here fits in L1), then install each set's last `ways`
 	// distinct lines by backward scan and clear the ways left over.
-	for b := 0; b < warmCoarse; b++ {
+	for b := 0; b < nb; b++ {
 		ents := packed[coarse[b]:coarse[b+1]]
 		baseSet := b * spc
 		for i := range setStarts {
 			setStarts[i] = 0
 		}
 		for _, p := range ents {
-			setStarts[int(p>>25&c.setMask)-baseSet+1]++
+			setStarts[int(p>>1&c.setMask)-baseSet+1]++
 		}
 		for s := 0; s < spc; s++ {
 			setStarts[s+1] += setStarts[s]
@@ -473,26 +454,27 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 		}
 		setBuf := plan.setBuf[:len(ents)]
 		for _, p := range ents {
-			s := int(p>>25&c.setMask) - baseSet
+			s := int(p>>1&c.setMask) - baseSet
 			setBuf[setCur[s]] = p
 			setCur[s]++
 		}
 		for s := 0; s < spc; s++ {
 			bws := (baseSet + s) * c.ways
 			n := 0
-			// sig is a one-word Bloom filter over the installed lines' low
-			// tag bits: a clear bit proves the line is new, skipping the
+			var mask uint16
+			// sig is a one-word Bloom filter over the installed tags' low
+			// bits: a clear bit proves the line is new, skipping the
 			// duplicate scan for the common case; a set bit (≈n/64 false
 			// positive rate) falls back to the exact scan.
 			var sig uint64
 			for k := setStarts[s+1] - 1; k >= setStarts[s]; k-- {
 				p := setBuf[k]
-				line := p >> 25
-				bit := uint64(1) << (line >> setShift & 63)
+				t := uint32(p >> 1 >> c.setShift)
+				bit := uint64(1) << (t & 63)
 				if sig&bit != 0 {
 					dup := false
-					for w := 0; w < n; w++ {
-						if c.tags[bws+w] == line {
+					for _, tg := range c.tags[bws : bws+n] {
+						if tg == t {
 							dup = true
 							break
 						}
@@ -502,9 +484,8 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 					}
 				}
 				sig |= bit
-				c.tags[bws+n] = line
-				c.lru[bws+n] = (p>>1)&(1<<24-1) + 1
-				c.dirty[bws+n] = p&1 != 0
+				c.tags[bws+n] = t
+				mask |= uint16(p&1) << n
 				n++
 				if n == c.ways {
 					break // everything earlier in the set was evicted
@@ -512,33 +493,32 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 			}
 			for w := n; w < c.ways; w++ {
 				c.tags[bws+w] = invalidTag
-				c.lru[bws+w] = 0
-				c.dirty[bws+w] = false
 			}
+			c.sets[baseSet+s] = set{order: emptyOrder, dirty: mask, n: uint8(n)}
 		}
 	}
-	c.tick = uint64(len(lines))
+	c.fresh = len(lines) == 0
 	c.stale = false
 }
 
 // Reset empties the cache and rebinds it to mc (typically a freshly built
-// controller on the same event queue), keeping the big SoA arrays and the
-// MSHR pool so a reused machine starts its next run without reallocating.
-// MSHRs still outstanding when the previous run ended (in-flight prefetch
-// fills cut short by run completion) are reclaimed into the free list —
-// their DRAM requests died with the previous controller.
+// controller on the same event queue), keeping the tag and set arrays and
+// the MSHR pool so a reused machine starts its next run without
+// reallocating. MSHRs still outstanding when the previous run ended
+// (in-flight prefetch fills cut short by run completion) are reclaimed into
+// the free list — their DRAM requests died with the previous controller.
 func (c *Cache) Reset(mc *memctrl.Controller) {
 	c.wipeArrays()
 	c.resetMeta(mc)
 }
 
 // ResetForWarm is Reset for a caller that immediately follows with a
-// full-coverage WarmAll (the simulator's prewarm): the wipe of the big
-// tag/LRU/dirty arrays — a pass over the whole cache — is skipped, because
-// warmFresh rewrites every way of every set anyway. Until that WarmAll runs
-// the arrays hold the previous run's state; WarmAll's fallback paths detect
-// this (c.stale) and pay the deferred wipe, so the combination is correct
-// for every input, just fastest on the warmFresh path.
+// full-coverage WarmAll (the simulator's prewarm): the wipe of the tag and
+// set arrays — a pass over the whole cache — is skipped, because warmFresh
+// rewrites every way of every set anyway. Until that WarmAll runs the
+// arrays hold the previous run's state; Warm, and so WarmAll's serial path,
+// detects this (c.stale) and pays the deferred wipe, so the combination is
+// correct for every input, just fastest on the warmFresh path.
 func (c *Cache) ResetForWarm(mc *memctrl.Controller) {
 	c.stale = true
 	c.resetMeta(mc)
@@ -548,16 +528,18 @@ func (c *Cache) ResetForWarm(mc *memctrl.Controller) {
 func (c *Cache) wipeArrays() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.lru[i] = 0
-		c.dirty[i] = false
+	}
+	for i := range c.sets {
+		c.sets[i] = set{order: emptyOrder}
 	}
 	c.stale = false
 }
 
-// resetMeta clears everything Reset owns except the way arrays: the warm
-// clock, the MSHRs, the prefetcher's recent-miss filter, and the stats.
+// resetMeta clears everything Reset owns except the way arrays: the MSHRs,
+// the prefetcher's recent-miss filter, and the stats; the cache is empty
+// from here on.
 func (c *Cache) resetMeta(mc *memctrl.Controller) {
-	c.tick = 0
+	c.fresh = true
 	c.mc = mc
 	c.out.drain(func(m *mshr) {
 		m.waiters = m.waiters[:0]
@@ -573,10 +555,8 @@ func (c *Cache) resetMeta(mc *memctrl.Controller) {
 // full scan intended for tests and warm-up verification, not hot paths.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, tg := range c.tags {
-		if tg != invalidTag {
-			n++
-		}
+	for _, st := range c.sets {
+		n += int(st.n)
 	}
 	return n
 }
@@ -585,14 +565,16 @@ func (c *Cache) Occupancy() int {
 // done is invoked when the data is available (hit latency or DRAM fill);
 // stores may pass nil (they retire from a store buffer).
 func (c *Cache) Access(line uint64, write bool, done func(clk.Tick)) {
-	base := int(line&c.setMask) * c.ways
-	c.tick++
-	for i, tg := range c.tags[base : base+c.ways] {
-		if tg == line {
+	t := c.tag(line)
+	s := line & c.setMask
+	base := int(s) * c.ways
+	for w, tg := range c.tags[base : base+c.ways] {
+		if tg == t {
 			c.Stats.Hits++
-			c.lru[base+i] = c.tick
+			st := &c.sets[s]
+			st.touch(w)
 			if write {
-				c.dirty[base+i] = true
+				st.dirty |= 1 << w
 			}
 			if done != nil {
 				c.q.After(c.cfg.HitLatency, done)
@@ -631,25 +613,17 @@ func (c *Cache) fill(m *mshr, now clk.Tick) {
 	line := m.line
 	c.out.del(line)
 
-	base := int(line&c.setMask) * c.ways
-	victim := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tags[i] == invalidTag {
-			victim = i
-			break
-		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
-		}
-	}
-	if c.tags[victim] != invalidTag && c.dirty[victim] {
+	s := line & c.setMask
+	base := int(s) * c.ways
+	st := &c.sets[s]
+	v, full := st.victim(c.ways)
+	if full && st.dirty>>v&1 != 0 {
 		c.Stats.Writebacks++
-		c.mc.SubmitWrite(c.tags[victim])
+		c.mc.SubmitWrite(uint64(c.tags[base+v])<<c.setShift | s)
 	}
-	c.tick++
-	c.tags[victim] = line
-	c.lru[victim] = c.tick
-	c.dirty[victim] = m.dirty
+	c.tags[base+v] = c.tag(line)
+	st.setDirty(v, m.dirty)
+	c.fresh = false
 
 	for _, w := range m.waiters {
 		if c.cfg.MissExtra > 0 {

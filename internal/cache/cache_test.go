@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"autorfm/internal/clk"
@@ -8,6 +9,7 @@ import (
 	"autorfm/internal/event"
 	"autorfm/internal/mapping"
 	"autorfm/internal/memctrl"
+	"autorfm/internal/rng"
 )
 
 func newRig(t testing.TB, cfg Config) (*Cache, *memctrl.Controller, *event.Queue) {
@@ -289,4 +291,109 @@ func TestMissExtraDelaysFillOnly(t *testing.T) {
 	if hitDone-start != cfg.HitLatency {
 		t.Fatalf("hit paid %v, want bare hit latency", hitDone-start)
 	}
+}
+
+// TestNewRejectsUnsupportedWays: the packed per-set recency order has 16
+// slots, so New must refuse anything outside 1..16 ways up front.
+func TestNewRejectsUnsupportedWays(t *testing.T) {
+	for _, ways := range []int{0, -1, 17, 32} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "ways") {
+					t.Errorf("New(Ways=%d) panic = %q, want a message naming the ways", ways, msg)
+				}
+			}()
+			New(Config{SizeBytes: 64 * 64 * 32, Ways: ways, LineBytes: 64}, nil, &event.Queue{})
+		}()
+	}
+	for _, ways := range []int{1, 16} {
+		New(Config{SizeBytes: 64 * 64 * ways, Ways: ways, LineBytes: 64}, nil, &event.Queue{})
+	}
+}
+
+// TestLineBeyondTagPanics: tags are 32-bit, so a line whose tag would not
+// fit must panic instead of aliasing another line.
+func TestLineBeyondTagPanics(t *testing.T) {
+	c, _, _ := newRig(t, smallCfg())
+	first := uint64(invalidTag) << c.setShift // the first line whose tag does not fit
+	c.Warm(first-1, false)
+	if c.Occupancy() != 1 {
+		t.Fatal("highest in-range line not installed")
+	}
+	for name, op := range map[string]func(){
+		"Access": func() { c.Access(first, false, nil) },
+		"Warm":   func() { c.Warm(first, false) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "tag") {
+					t.Errorf("%s of a line past the tag range: panic = %q", name, msg)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
+// BenchmarkCacheAccess times the LLC's own work per access at the default
+// geometry, on a cache warmed full: "hit" probes resident lines in random
+// order; "miss-fill" probes new lines and installs each one as its DRAM
+// fill would, evicting the set's LRU line — the memory controller's part
+// of a miss is left out (memctrl's BenchmarkSchedule covers it). Lines are
+// clean, so no writeback is issued.
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PrefetchDegree = 0
+	total := cfg.SizeBytes / cfg.LineBytes
+	r := rng.New(1)
+	warm := make([]uint64, total)
+	for i := range warm {
+		warm[i] = uint64(r.Int63n(1 << 30))
+	}
+	newWarm := func() *Cache {
+		c := New(cfg, nil, &event.Queue{})
+		c.WarmAll(warm, make([]bool, total), &WarmPlan{})
+		return c
+	}
+	b.Run("hit", func(b *testing.B) {
+		c := newWarm()
+		var resident []uint64
+		for _, l := range warm {
+			if c.lookup(l) {
+				resident = append(resident, l)
+			}
+		}
+		for i := len(resident) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			resident[i], resident[j] = resident[j], resident[i]
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(resident[i%len(resident)], i&7 == 0, nil)
+		}
+		if c.Stats.Misses != 0 {
+			b.Fatalf("%d misses on resident lines", c.Stats.Misses)
+		}
+	})
+	b.Run("miss-fill", func(b *testing.B) {
+		c := newWarm()
+		fresh := make([]uint64, 8*total) // 8x the capacity: gone again by reuse
+		for i := range fresh {
+			fresh[i] = 1<<30 + uint64(r.Int63n(1<<30))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			line := fresh[i%len(fresh)]
+			if c.lookup(line) {
+				continue
+			}
+			m := c.getMSHR(line, false)
+			c.out.put(m)
+			c.fill(m, 0)
+		}
+	})
 }

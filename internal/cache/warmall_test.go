@@ -2,48 +2,18 @@ package cache
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"autorfm/internal/rng"
 )
 
-// warmLine is one resident line in canonical (way-independent) form.
-type warmLine struct {
-	line  uint64
-	lru   uint64
-	dirty bool
-}
-
-// canonWarmState returns each set's resident lines sorted by LRU stamp plus
-// the tick: everything a warmed cache's future behavior depends on. Way
-// placement within a set is deliberately not part of it — hits scan every
-// way and replacement compares (unique) stamps, so two caches equal under
-// this view are behaviorally identical (TestWarmAllEquivalent demonstrates
-// it on live traffic).
-func canonWarmState(c *Cache) ([][]warmLine, uint64) {
-	tags, lru, dirty, tick := warmState(c)
-	numSets := int(c.setMask) + 1
-	sets := make([][]warmLine, numSets)
-	for s := 0; s < numSets; s++ {
-		for w := 0; w < c.ways; w++ {
-			i := s*c.ways + w
-			if tags[i] == invalidTag {
-				continue
-			}
-			sets[s] = append(sets[s], warmLine{line: tags[i], lru: lru[i], dirty: dirty[i]})
-		}
-		sort.Slice(sets[s], func(a, b int) bool { return sets[s][a].lru < sets[s][b].lru })
-	}
-	return sets, tick
-}
-
 // TestWarmAllMatchesSerial pins the set-major prewarm contract: WarmAll
 // leaves the cache equivalent to the same entries applied through serial
-// Warm calls — the same surviving lines per set with the same stamps and
-// dirty bits, duplicates and full-set LRU eviction included, and the same
-// final tick — and a reused plan stays correct across differently sized
-// warms. (Ways within a set may be permuted; see canonWarmState.)
+// Warm calls — the same surviving lines per set in the same recency order
+// with the same dirty bits, duplicates and full-set LRU eviction included,
+// and the same empty/non-empty state — and a reused plan stays correct
+// across differently sized warms. (Ways within a set may be permuted; see
+// recencyState.)
 func TestWarmAllMatchesSerial(t *testing.T) {
 	var plan WarmPlan
 	for _, n := range []int{20_000, 777, 20_000} {
@@ -58,12 +28,12 @@ func TestWarmAllMatchesSerial(t *testing.T) {
 		for i, line := range lines {
 			serial.Warm(line, dirty[i])
 		}
-		wSets, wTick := canonWarmState(serial)
+		wSets, wFresh := recencyState(serial), serial.fresh
 
 		got, _, _ := newRig(t, smallCfg())
 		got.WarmAll(lines, dirty, &plan)
-		gSets, gTick := canonWarmState(got)
-		if !reflect.DeepEqual(gSets, wSets) || gTick != wTick {
+		gSets, gFresh := recencyState(got), got.fresh
+		if !reflect.DeepEqual(gSets, wSets) || gFresh != wFresh {
 			t.Fatalf("WarmAll(n=%d) diverges from serial Warm", n)
 		}
 	}
@@ -108,7 +78,7 @@ func TestWarmAllEquivalent(t *testing.T) {
 }
 
 // TestWarmAllContinuesTick checks WarmAll composes with prior Warm calls:
-// stamps continue from the current tick, exactly like more Warms.
+// on a cache already holding lines it leaves the exact arrays more Warms do.
 func TestWarmAllContinuesTick(t *testing.T) {
 	a, _, _ := newRig(t, smallCfg())
 	b, _, _ := newRig(t, smallCfg())
@@ -121,10 +91,9 @@ func TestWarmAllContinuesTick(t *testing.T) {
 	}
 	var plan WarmPlan
 	b.WarmAll(lines, dirty, &plan)
-	aTags, aLRU, aDirty, aTick := warmState(a)
-	bTags, bLRU, bDirty, bTick := warmState(b)
-	if !reflect.DeepEqual(aTags, bTags) || !reflect.DeepEqual(aLRU, bLRU) ||
-		!reflect.DeepEqual(aDirty, bDirty) || aTick != bTick {
+	aTags, aSets, aFresh := warmState(a)
+	bTags, bSets, bFresh := warmState(b)
+	if !reflect.DeepEqual(aTags, bTags) || !reflect.DeepEqual(aSets, bSets) || aFresh != bFresh {
 		t.Fatal("WarmAll after Warm diverges from all-serial warming")
 	}
 }

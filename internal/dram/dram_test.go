@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 
 	"autorfm/internal/clk"
@@ -348,5 +349,110 @@ func TestMitigationZeroAllocs(t *testing.T) {
 	}
 	if b.Stats.Mitigations == 0 {
 		t.Fatal("no mitigations ran")
+	}
+}
+
+// TestResetAcrossModesMatchesFresh pins device reuse across modes. A PRAC
+// run raises counters in every bank — past the raised-row list in bank 0,
+// within it elsewhere — and the device Resets to RFM, mitigates there, and
+// Resets back to PRAC. Every counter must be zero at each step, and the
+// reused device must match NewDevice bank for bank: the same counters, and
+// the same outcome and stats under the same activation stream.
+func TestResetAcrossModesMatchesFresh(t *testing.T) {
+	prac := autoCfg(4)
+	prac.Mode, prac.PRACETh = ModePRAC, 8
+	rfm := autoCfg(4)
+	rfm.Mode = ModeRFM
+	rows := prac.Geo.RowsPerBank
+
+	drive := func(d *Device, seed uint64) []ActResult {
+		r := rng.New(seed)
+		var out []ActResult
+		for i := 0; i < 20_000; i++ {
+			b := d.Banks[r.Intn(len(d.Banks))]
+			res := b.Activate(clk.Tick(i), uint32(r.Intn(rows)))
+			if res.ABO {
+				b.ExecutePRACBackoff()
+			}
+			if d.Cfg.Mode == ModeRFM && i%16 == 0 {
+				b.ExecuteRFM()
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	allZero := func(d *Device, step string) {
+		t.Helper()
+		for _, b := range d.Banks {
+			for row, n := range b.pracCounts {
+				if n != 0 {
+					t.Fatalf("%s: bank %d row %d counter = %d, want 0", step, b.ID, row, n)
+				}
+			}
+		}
+	}
+
+	d := NewDevice(prac)
+	for row := 0; row < rows; row += 16 {
+		d.Banks[0].Activate(clk.Tick(row), uint32(row)) // overflows bank 0's list
+	}
+	drive(d, 1)
+	if !d.Banks[0].pracWipe || d.Banks[1].pracWipe || len(d.Banks[1].pracRaised) == 0 {
+		t.Fatal("setup did not cover both the listed and the whole-array clear")
+	}
+	if !d.Reset(rfm) {
+		t.Fatal("Reset refused a mode change")
+	}
+	allZero(d, "PRAC→RFM")
+	drive(d, 2)
+	if d.TotalStats().Mitigations == 0 {
+		t.Fatal("RFM run did not mitigate")
+	}
+	allZero(d, "RFM run")
+	if !d.Reset(prac) {
+		t.Fatal("Reset refused a mode change")
+	}
+	allZero(d, "RFM→PRAC")
+
+	fresh := NewDevice(prac)
+	for i, b := range d.Banks {
+		if len(b.pracCounts) != len(fresh.Banks[i].pracCounts) || len(b.pracRaised) != 0 {
+			t.Fatalf("bank %d: PRAC arrays differ from a fresh device", i)
+		}
+	}
+	if got, want := drive(d, 3), drive(fresh, 3); !reflect.DeepEqual(got, want) {
+		t.Fatal("reused device's activation outcomes diverge from a fresh device")
+	}
+	for i, b := range d.Banks {
+		if b.Stats != fresh.Banks[i].Stats || !reflect.DeepEqual(b.pracCounts, fresh.Banks[i].pracCounts) {
+			t.Fatalf("bank %d: reused device diverges from a fresh device", i)
+		}
+	}
+}
+
+// BenchmarkBankActivate times one demand activation of a bank in RFM mode,
+// where the tracker observes every ACT, and in PRAC mode, where the ACT
+// bumps its row's counter and raises ABO at ETH; the back-off ABO asks for
+// runs in the loop, as the controller would run it. Rows cycle through a
+// fixed random table of 4096.
+func BenchmarkBankActivate(b *testing.B) {
+	for _, mode := range []Mode{ModeRFM, ModePRAC} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := autoCfg(4)
+			cfg.Mode, cfg.PRACETh = mode, 64
+			bank := NewDevice(cfg).Banks[0]
+			r := rng.New(1)
+			rows := make([]uint32, 4096)
+			for i := range rows {
+				rows[i] = uint32(r.Intn(cfg.Geo.RowsPerBank))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := bank.Activate(clk.Tick(i), rows[i%len(rows)]); res.ABO {
+					bank.ExecutePRACBackoff()
+				}
+			}
+		})
 	}
 }

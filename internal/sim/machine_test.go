@@ -28,9 +28,17 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 1},
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 2},
 		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 3},
-		// Mode change: device reuse is incompatible, machine must rebuild.
+		// Mode changes reuse the device. PRAC runs leave raised counters
+		// behind, which an RFM run must neither see nor touch and the next
+		// PRAC run must find cleared: at ETH 2 a counter left at 1 would
+		// raise an ABO the fresh run does not.
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 4},
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 5},
+		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeRFM, TH: 4, Seed: 12},
+		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 2, Seed: 13},
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeNone, Seed: 14},
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 15},
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeNone, Seed: 16},
 		// Prefetch change: the LLC is rebuilt, then reused again.
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 6, PrefetchDegree: 8},
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 7, Tracker: "mithril"},

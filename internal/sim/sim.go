@@ -324,10 +324,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // Machine is a reusable simulation allocation: the event queue, the LLC's
-// structure-of-arrays state, the DRAM device's largest arrays (PRAC
-// counters, audit ledgers), the arena its per-bank pipelines are carved
-// from, and the pre-warm scratch survive from run to run and are reset
-// instead of reconstructed. Sweeps that run many seeds of one configuration
+// tag and set arrays, the DRAM device's largest arrays (PRAC counters,
+// audit ledgers — kept across mode changes), the arena its per-bank
+// pipelines are carved from, and the pre-warm scratch survive from run to
+// run and are reset instead of reconstructed. Sweeps that run many seeds of one configuration
 // (fig1d-style) avoid rebuilding ~3MB of state per run; a Machine run is
 // byte-identical to a fresh Run (pinned by TestMachineReuseMatchesFresh).
 //
