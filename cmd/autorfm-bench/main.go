@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,77 +25,6 @@ import (
 	"autorfm/internal/telemetry"
 	"autorfm/internal/tracker"
 )
-
-// benchExperiment is one experiment's cost in a -benchjson report. Counter
-// fields are deltas over the experiment: jobs actually simulated vs served
-// from the pool cache, discrete events dispatched by the simulated jobs, and
-// heap allocations (runtime.MemStats.Mallocs, so process-wide — meaningful
-// at -j 1, indicative otherwise).
-type benchExperiment struct {
-	ID           string  `json:"id"`
-	WallNS       int64   `json:"wall_ns"`
-	SimJobs      int     `json:"sim_jobs"`
-	CacheHits    int     `json:"cache_hits"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	NSPerEvent   float64 `json:"ns_per_event"`
-	Allocs       uint64  `json:"allocs"`
-}
-
-// benchReport is the -benchjson document: schema "autorfm-bench/v2", a
-// strict superset of v1 (cmd/benchdiff accepts both). v2 adds the
-// process-wide peak heap footprint (runtime.MemStats.HeapSys at exit) and
-// the whole-invocation simulated-events throughput. The optional Reference
-// block is not emitted by the tool; it is filled in when a report is
-// committed as a BENCH_*.json trajectory point, with the same measurements
-// taken on the predecessor commit (see docs/PERF.md).
-type benchReport struct {
-	Schema      string            `json:"schema"`
-	Go          string            `json:"go"`
-	Scale       string            `json:"scale"`
-	Jobs        int               `json:"jobs"`
-	Experiments []benchExperiment `json:"experiments"`
-	Total       benchExperiment   `json:"total"`
-	// PeakHeapBytes is the heap footprint the run reached: HeapSys (bytes
-	// obtained from the OS for the heap), read at report time. v2 only.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
-	// TotalEventsPerSec is Total.EventsPerSec surfaced as a top-level field
-	// so trajectory tooling can trend it without digging into Total. v2 only.
-	TotalEventsPerSec float64         `json:"total_events_per_sec"`
-	Reference         json.RawMessage `json:"reference,omitempty"`
-}
-
-// benchCounters snapshots the deltas benchExperiment is built from.
-type benchCounters struct {
-	hits, misses int
-	events       int64
-	mallocs      uint64
-}
-
-func readBenchCounters(pool *runner.Pool) benchCounters {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	h, m := pool.CacheStats()
-	return benchCounters{hits: h, misses: m, events: pool.SimulatedEvents(), mallocs: ms.Mallocs}
-}
-
-func benchDelta(id string, wall time.Duration, pre, post benchCounters) benchExperiment {
-	e := benchExperiment{
-		ID:        id,
-		WallNS:    wall.Nanoseconds(),
-		SimJobs:   post.misses - pre.misses,
-		CacheHits: post.hits - pre.hits,
-		Events:    post.events - pre.events,
-		Allocs:    post.mallocs - pre.mallocs,
-	}
-	if wall > 0 {
-		e.EventsPerSec = float64(e.Events) / wall.Seconds()
-	}
-	if e.Events > 0 {
-		e.NSPerEvent = float64(e.WallNS) / float64(e.Events)
-	}
-	return e
-}
 
 func main() {
 	os.Exit(run())
@@ -125,7 +53,6 @@ func run() int {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		benchJSON  = flag.String("benchjson", "", "write per-experiment timing/allocation counters to this file as JSON (schema autorfm-bench/v2)")
 
 		metrics  = flag.String("metrics", "", "stream per-epoch telemetry of every simulated job to this JSON-lines file (schema "+telemetry.MetricsSchema+"; records carry the job's config key as run)")
 		epochNS  = flag.Int64("epoch-ns", 0, "telemetry epoch length in simulated ns (0 = one tREFI window, 3900ns)")
@@ -355,15 +282,11 @@ func run() int {
 	// Emit everything that computes; fail only at the end. A cancelled run
 	// stops submitting but keeps what it already printed.
 	failed := 0
-	var benchRows []benchExperiment
-	benchStart := time.Now()
-	benchPre := readBenchCounters(pool)
 	for _, e := range todo {
 		if ctx.Err() != nil {
 			break
 		}
 		start := time.Now()
-		pre := readBenchCounters(pool)
 		res, err := e.Run(sc)
 		if !*quiet {
 			fmt.Fprint(os.Stderr, "\r\033[K")
@@ -373,7 +296,6 @@ func run() int {
 			failed++
 			continue
 		}
-		benchRows = append(benchRows, benchDelta(e.ID, time.Since(start), pre, readBenchCounters(pool)))
 		fmt.Println(res)
 		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if rep != nil {
@@ -396,28 +318,6 @@ func run() int {
 			failed++
 		} else {
 			fmt.Fprintf(os.Stderr, "metrics: %d records to %s\n", msink.Records(), *metrics)
-		}
-	}
-	if *benchJSON != "" {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		rep := benchReport{
-			Schema:        "autorfm-bench/v2",
-			Go:            runtime.Version(),
-			Scale:         *scale,
-			Jobs:          pool.Workers(),
-			Experiments:   benchRows,
-			Total:         benchDelta("total", time.Since(benchStart), benchPre, readBenchCounters(pool)),
-			PeakHeapBytes: ms.HeapSys,
-		}
-		rep.TotalEventsPerSec = rep.Total.EventsPerSec
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchJSON, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchJSON, err)
-			failed++
 		}
 	}
 	if hits, misses := pool.CacheStats(); hits > 0 {

@@ -2,6 +2,10 @@
 // on the simulated 8-core DDR5 system and prints the performance and
 // device statistics, optionally alongside the no-mitigation baseline.
 //
+// A replayed trace (-replay) that is truncated or holds a record the
+// simulator cannot run (a gap above 2^31-1 instructions, or a line outside
+// the simulated address space) fails the command with the record's index.
+//
 // Examples:
 //
 //	autorfm-sim -workload bwaves -mech autorfm -th 4 -mapping rubix

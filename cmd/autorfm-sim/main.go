@@ -9,6 +9,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 
 	"autorfm"
@@ -137,6 +138,12 @@ func main() {
 		}
 		scfg.Fault.Seed = *faultSd
 	}
+	// Every run's trace reader, so a corrupt trace fails the command after
+	// the runs instead of passing off a cut-short run as complete.
+	var (
+		replayMu sync.Mutex
+		replays  []*workload.TraceReader
+	)
 	if *replay != "" {
 		// Replay runs the user's trace on one core; the workload profile
 		// only pre-warms the cache.
@@ -152,6 +159,9 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
+			replayMu.Lock()
+			replays = append(replays, tr)
+			replayMu.Unlock()
 			return tr
 		}
 	}
@@ -232,6 +242,12 @@ func main() {
 	if err := runner.FirstError(errs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	for _, tr := range replays {
+		if err := tr.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "replay %s: %v\n", *replay, err)
+			os.Exit(1)
+		}
 	}
 	res := results[0]
 

@@ -207,8 +207,8 @@ func (p *Pool) CacheStats() (hits, misses int) {
 
 // SimulatedEvents returns the total number of discrete events dispatched by
 // jobs this pool actually simulated (cache hits re-deliver a result without
-// re-dispatching its events). Together with wall-clock time it yields the
-// events/sec figure the BENCH_*.json trajectory records.
+// re-dispatching its events). Together with wall-clock time it yields an
+// events/sec figure, as perfbench's sim_ops_per_s does on its sweep.
 func (p *Pool) SimulatedEvents() int64 {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()

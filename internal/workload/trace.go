@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"autorfm/internal/cpu"
+	"autorfm/internal/mapping"
 )
 
 // Trace file format: the simulator can persist any access stream and replay
@@ -27,6 +29,12 @@ const (
 	traceMagic   = "ARFM"
 	traceVersion = 1
 )
+
+// traceLines is the simulated address space in cache lines (the simulator
+// always runs the default geometry). A replayed line at or beyond it has
+// no DRAM row, so the reader rejects it as it does a gap above
+// math.MaxInt32.
+var traceLines = mapping.Default().Lines()
 
 // TraceWriter serialises cpu.Records to a stream.
 type TraceWriter struct {
@@ -87,7 +95,7 @@ func (t *TraceWriter) Flush() error { return t.w.Flush() }
 type TraceReader struct {
 	r        *bufio.Reader
 	prevLine uint64
-	started  bool
+	n        int // records decoded so far: the index of the next one
 	err      error
 }
 
@@ -112,7 +120,8 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 }
 
 // Next implements cpu.Stream; it returns ok=false at end of trace or on a
-// corrupt record (check Err).
+// corrupt record (check Err). Every record it returns has a gap in
+// [0, math.MaxInt32] and a line inside the simulated address space.
 func (t *TraceReader) Next() (cpu.Record, bool) {
 	if t.err != nil {
 		return cpu.Record{}, false
@@ -120,34 +129,42 @@ func (t *TraceReader) Next() (cpu.Record, bool) {
 	gap, err := binary.ReadUvarint(t.r)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
-			t.err = err
+			t.fail("truncated: %w", err)
 		}
+		return cpu.Record{}, false
+	}
+	if gap > math.MaxInt32 {
+		t.fail("gap %d exceeds %d", gap, math.MaxInt32)
 		return cpu.Record{}, false
 	}
 	flags, err := t.r.ReadByte()
 	if err != nil {
-		t.err = fmt.Errorf("workload: truncated trace record: %w", err)
+		t.fail("truncated: %w", err)
 		return cpu.Record{}, false
 	}
 	delta, err := binary.ReadVarint(t.r)
 	if err != nil {
-		t.err = fmt.Errorf("workload: truncated trace record: %w", err)
+		t.fail("truncated: %w", err)
 		return cpu.Record{}, false
 	}
-	var line uint64
-	if t.started {
-		line = uint64(int64(t.prevLine) + delta)
-	} else {
-		line = uint64(delta)
-		t.started = true
+	line := t.prevLine + uint64(delta) // prevLine is 0 before the first record
+	if line >= traceLines {
+		t.fail("line %#x outside the simulated address space of %#x lines", line, traceLines)
+		return cpu.Record{}, false
 	}
 	t.prevLine = line
+	t.n++
 	return cpu.Record{
 		Gap:         int(gap),
 		Line:        line,
 		Write:       flags&1 != 0,
 		DependsPrev: flags&2 != 0,
 	}, true
+}
+
+// fail records a decode error for the record being read.
+func (t *TraceReader) fail(format string, a ...any) {
+	t.err = fmt.Errorf("workload: trace record %d: %w", t.n, fmt.Errorf(format, a...))
 }
 
 // Err reports a decode error, if any, after Next returned false.
