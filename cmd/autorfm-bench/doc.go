@@ -14,18 +14,17 @@
 // jobs are appended to a JSON-lines result store as they finish, and a
 // later invocation with the same flag continues where the interrupted one
 // stopped, producing byte-identical output. The store file is shared with
-// autorfm-sim -store and autorfm-coord -store.
+// autorfm-sim -store.
 //
-// With -worker the process becomes a fleet worker instead of running
-// experiments itself: it leases simulation jobs from an autorfm-coord
-// coordinator over HTTP, runs them on the local pool (-j, -store and
-// -timeout apply as usual), uploads the results, and exits 0 when the
-// coordinator reports the sweep drained. Retries are bounded with
-// exponential backoff; a worker that loses the coordinator finishes its
-// in-flight job, flushes it to the -store spill, and exits cleanly.
-// See docs/DISTRIBUTED.md. -report writes just the deterministic table
-// bytes to a file, so a distributed sweep can be cmp'd against a local
-// one.
+// Two flags distribute a sweep (docs/DISTRIBUTED.md). -serve ADDR runs
+// the same sweep with the lease-protocol coordinator of internal/dist in
+// place of the local pool: it serves leases, /status, /debug/vars and
+// /metrics on ADDR and persists each uploaded result to the -store file,
+// so a restarted coordinator re-leases only unfinished jobs. -worker URL
+// makes the process a fleet worker instead: it leases jobs from that
+// coordinator, runs them on the local pool (-j, -store and -timeout apply)
+// and exits 0 once the sweep drains. -report writes just the deterministic
+// table bytes, so a distributed sweep can be cmp'd against a local one.
 //
 // Examples:
 //
@@ -35,6 +34,7 @@
 //	autorfm-bench -exp fig3 -j 1        # serial (same bytes as -j 32)
 //	autorfm-bench -exp fig8 -instr 500000 -workloads bwaves,lbm,mcf
 //	autorfm-bench -exp all -store run.jsonl    # interrupt, rerun, continue
+//	autorfm-bench -exp all -serve :9190 -store results.jsonl  # coordinate a fleet
 //	autorfm-bench -worker http://coord:9190    # lease jobs from a coordinator
 //	autorfm-bench -exp tab5 -report tab5.txt   # deterministic table bytes only
 //	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # fault-injection study

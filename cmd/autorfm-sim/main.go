@@ -47,7 +47,7 @@ func main() {
 		jobs    = flag.Int("j", runtime.NumCPU(), "parallel simulation workers (the test and baseline runs overlap)")
 		seeds   = flag.Int("seeds", 1, "run N seeds (seed..seed+N-1) of the configuration and report the mean ± σ across them (incompatible with -metrics/-trace/-replay)")
 		noBase  = flag.Bool("nobaseline", false, "skip the baseline run (no slowdown reported)")
-		storeP  = flag.String("store", "", "content-addressed result store file: serve previously completed configurations from it and add new ones (shared with autorfm-bench and autorfm-coord -store)")
+		storeP  = flag.String("store", "", "content-addressed result store file: serve previously completed configurations from it and add new ones (shared with autorfm-bench -store)")
 		list    = flag.Bool("list", false, "list workloads and exit")
 		listPl  = flag.Bool("list-plugins", false, "list registered trackers, policies and fault injectors and exit")
 		faults  = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1)")

@@ -8,7 +8,7 @@
 //     tolerant JSON-lines file used as a durable memo table keyed by
 //     sim.Config.Key(). One store file can be shared across sweeps, front
 //     ends, and coordinator restarts — the same file works as the -store
-//     of autorfm-bench, autorfm-sim and autorfm-coord.
+//     of autorfm-bench (local, -serve and -worker) and autorfm-sim.
 //
 //   - Coordinator, which owns a sweep's job list and serves a JSON-over-HTTP
 //     lease protocol (stdlib net/http only): workers lease jobs by config

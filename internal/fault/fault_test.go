@@ -173,3 +173,31 @@ func TestChaosPanicsDeterministicMix(t *testing.T) {
 	}()
 	MaybeChaosPanic(Config{ChaosProb: 1, Seed: 1}, "doomed")
 }
+
+// FuzzApplySpec: any -faults selector either is rejected or leaves a config
+// that Validate accepts; none panics.
+func FuzzApplySpec(f *testing.F) {
+	for _, s := range []string{
+		"chaos(p=0.5)",
+		"act-miss(p=0.01),drop-mitigation(p=0.1)",
+		"bit-flip(p=1),delay-mitigation(p=0)",
+		"panic-after-acts(n=3)",
+		"panic-after-acts(n=-1)",
+		"chaos(p=NaN)",
+		"chaos(p=1e309)",
+		"act-miss(q=0.1)",
+		"nope",
+		"chaos(p=0.5",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, selector string) {
+		var c Config
+		if err := ApplySpec(selector, &c); err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("ApplySpec(%q) accepted a config Validate rejects: %v", selector, err)
+		}
+	})
+}
