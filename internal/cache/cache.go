@@ -192,6 +192,14 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 	return c
 }
 
+// LineSpace returns how many line addresses a cache of this geometry can
+// hold: lines 0 to LineSpace()-1 fit the 32-bit tag array, and a higher
+// line panics wherever it is installed or looked up.
+func (cfg Config) LineSpace() uint64 {
+	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
+	return uint64(invalidTag) << bits.TrailingZeros(uint(numSets))
+}
+
 // tag returns line's tag. A line whose tag would reach invalidTag does not
 // fit the tag array; that is a caller addressing bug, reported here rather
 // than as a silently aliased hit.
@@ -499,6 +507,38 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 	}
 	c.fresh = len(lines) == 0
 	c.stale = false
+}
+
+// WarmState is a saved copy of a cache's way state: the tag and set arrays
+// and the flags that say how they were filled. One value is reused across
+// SaveWarm calls; its buffers grow to the largest cache it has saved.
+type WarmState struct {
+	tags         []uint32
+	sets         []set
+	fresh, stale bool
+}
+
+// SaveWarm copies c's way state into s, for LoadWarm to restore later
+// without recomputing it. Only the way arrays are saved: the MSHRs, the
+// stream detector and the stats are run state that Reset clears anyway.
+func (c *Cache) SaveWarm(s *WarmState) {
+	s.tags = append(s.tags[:0], c.tags...)
+	s.sets = append(s.sets[:0], c.sets...)
+	s.fresh, s.stale = c.fresh, c.stale
+}
+
+// LoadWarm restores the way state s holds, exactly as the SaveWarm that
+// filled it found it. It copies over every way of every set, so it may
+// follow ResetForWarm as WarmAll does. It panics if s was saved from a
+// cache with a different set count or associativity.
+func (c *Cache) LoadWarm(s *WarmState) {
+	if len(s.tags) != len(c.tags) || len(s.sets) != len(c.sets) {
+		panic(fmt.Sprintf("cache: LoadWarm of a %d-set, %d-slot state into a %d-set, %d-slot cache",
+			len(s.sets), len(s.tags), len(c.sets), len(c.tags)))
+	}
+	copy(c.tags, s.tags)
+	copy(c.sets, s.sets)
+	c.fresh, c.stale = s.fresh, s.stale
 }
 
 // Reset empties the cache and rebinds it to mc (typically a freshly built

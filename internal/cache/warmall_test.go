@@ -98,9 +98,74 @@ func TestWarmAllContinuesTick(t *testing.T) {
 	}
 }
 
+// TestLoadWarmMatchesWarmAll pins the save/restore contract the simulator's
+// pre-warm memo rests on: a WarmAll's way state, saved and restored into a
+// second cache that still holds an earlier warm (ResetForWarm, as a reused
+// machine does), leaves the same arrays and flags, and the two caches then
+// answer the same access stream with the same stats and DRAM traffic.
+func TestLoadWarmMatchesWarmAll(t *testing.T) {
+	r := rng.New(5)
+	n := 30_000
+	lines := make([]uint64, n)
+	dirty := make([]bool, n)
+	for i := range lines {
+		lines[i] = uint64(r.Int63n(4096))
+		dirty[i] = r.Bernoulli(0.3)
+	}
+	var plan WarmPlan
+	src, smc, sq := newRig(t, smallCfg())
+	src.ResetForWarm(smc)
+	src.WarmAll(lines, dirty, &plan)
+	var saved WarmState
+	src.SaveWarm(&saved)
+
+	dst, dmc, dq := newRig(t, smallCfg())
+	dst.WarmAll(lines[:n/2], dirty[n/2:], &plan) // an earlier run's warm
+	dst.ResetForWarm(dmc)
+	dst.LoadWarm(&saved)
+	sTags, sSets, sFresh := warmState(src)
+	dTags, dSets, dFresh := warmState(dst)
+	if !reflect.DeepEqual(sTags, dTags) || !reflect.DeepEqual(sSets, dSets) ||
+		sFresh != dFresh || src.stale != dst.stale {
+		t.Fatal("LoadWarm state differs from the WarmAll it was saved from")
+	}
+
+	ar := rng.New(8)
+	br := rng.New(8)
+	for i := 0; i < 20_000; i++ {
+		src.Access(uint64(ar.Int63n(6000)), ar.Bernoulli(0.4), nil)
+		dst.Access(uint64(br.Int63n(6000)), br.Bernoulli(0.4), nil)
+		drain(sq, smc)
+		drain(dq, dmc)
+	}
+	if src.Stats != dst.Stats {
+		t.Fatalf("cache stats diverge:\nwarmed   %+v\nrestored %+v", src.Stats, dst.Stats)
+	}
+	if smc.Stats != dmc.Stats {
+		t.Fatalf("DRAM traffic diverges:\nwarmed   %+v\nrestored %+v", smc.Stats, dmc.Stats)
+	}
+}
+
+// TestLoadWarmRejectsOtherGeometry: a state saved from one geometry must
+// not be copied into a cache of another.
+func TestLoadWarmRejectsOtherGeometry(t *testing.T) {
+	src, _, _ := newRig(t, smallCfg())
+	var saved WarmState
+	src.SaveWarm(&saved)
+	other := smallCfg()
+	other.Ways = 8 // same size and slot count, half the sets
+	dst, _, _ := newRig(t, other)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadWarm accepted a state of another geometry")
+		}
+	}()
+	dst.LoadWarm(&saved)
+}
+
 // BenchmarkWarm compares the serial per-entry warm loop against the
 // set-major WarmAll pass at the default LLC geometry (the exact work
-// sim.prewarm does per run).
+// sim.prewarm does per run), and both against restoring a saved warm.
 func BenchmarkWarm(b *testing.B) {
 	cfg := DefaultConfig()
 	total := cfg.SizeBytes / cfg.LineBytes
@@ -139,6 +204,21 @@ func BenchmarkWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.ResetForWarm(mc)
 			c.WarmAll(lines, dirty, &plan)
+		}
+	})
+	// The simulator's start sequence on a pre-warm memo hit: the same
+	// reset, then a copy of the saved way state.
+	b.Run("restore", func(b *testing.B) {
+		c, mc, _ := newRig(b, cfg)
+		var plan WarmPlan
+		c.WarmAll(lines, dirty, &plan)
+		var saved WarmState
+		c.SaveWarm(&saved)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.ResetForWarm(mc)
+			c.LoadWarm(&saved)
 		}
 	})
 }

@@ -402,19 +402,21 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		return ResultResponse{Accepted: true, Duplicate: true}, nil
 	}
 
+	if !ok {
+		// No job of this sweep has the key: a worker from a previous
+		// coordinator incarnation finished a job this incarnation has not
+		// (re)submitted yet, or the upload is bogus. Acknowledge it but keep
+		// it out of the store, so the store only ever holds the jobs this
+		// sweep asked for; a real job simply runs again when submitted.
+		c.uploads++
+		return ResultResponse{Accepted: true}, nil
+	}
 	// Persist successes before exposing them: a coordinator crash between
 	// the two must lose the in-memory job, never the durable record.
 	if errStr == "" {
 		if _, err := c.store.Put(key, res); err != nil {
 			return ResultResponse{}, err
 		}
-	}
-	if !ok {
-		// A worker from a previous coordinator incarnation finished a job
-		// this incarnation has not (re)submitted yet. The store retains it;
-		// when the job is submitted, it will be a store hit.
-		c.uploads++
-		return ResultResponse{Accepted: true}, nil
 	}
 	if errStr != "" {
 		if flightID != "" {

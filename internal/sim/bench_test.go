@@ -48,7 +48,9 @@ func BenchmarkSimRun(b *testing.B) {
 // runner.Pool runs every job (it checks Machines out per worker), so the
 // delta against BenchmarkSimRun is what per-run construction — event
 // queue, LLC arrays, device pipelines, pre-warm scratch — costs when not
-// amortized.
+// amortized. Its distinct seeds make every run a pre-warm memo miss, so it
+// is the miss path's check: the memo adds one 640KB save per run there,
+// which should not lift its ns/op beyond noise.
 func BenchmarkSimRunReuse(b *testing.B) {
 	cfg := benchConfig(b)
 	var m Machine

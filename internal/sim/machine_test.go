@@ -20,31 +20,75 @@ func resultJSON(t *testing.T, r Result) []byte {
 	return b
 }
 
+// memoHas reports whether m holds a saved pre-warm for a run of cfg.
+func memoHas(m *Machine, cfg Config) bool {
+	cfg.fillDefaults()
+	k := newWarmKey(&cfg, cfg.llcConfig())
+	for _, e := range m.memo {
+		if e.key == k {
+			return true
+		}
+	}
+	return false
+}
+
 // TestMachineReuseMatchesFresh pins the reuse contract: a Machine reused
 // across seeds — and across incompatible configs, which force a partial
-// rebuild — produces byte-identical Results to fresh construction.
+// rebuild — produces byte-identical Results to fresh construction, whether
+// its LLC pre-warm is computed or restored from the memo. Each step also
+// states whether its pre-warm is a memo hit.
 func TestMachineReuseMatchesFresh(t *testing.T) {
-	seq := []Config{
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 1},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 2},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 3},
+	type step struct {
+		cfg Config
+		hit bool
+	}
+	run := func(name string, mode dram.Mode, seed uint64) Config {
+		return Config{Workload: diffProfile(name), InstructionsPerCore: 10_000, Mode: mode, TH: 4, Seed: seed}
+	}
+	seq := []step{
+		{run("bwaves", dram.ModeAutoRFM, 1), false},
+		{run("bwaves", dram.ModeAutoRFM, 2), false},
+		{run("lbm", dram.ModeAutoRFM, 3), false},
 		// Mode changes reuse the device. PRAC runs leave raised counters
 		// behind, which an RFM run must neither see nor touch and the next
 		// PRAC run must find cleared: at ETH 2 a counter left at 1 would
 		// raise an ABO the fresh run does not.
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 4},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 5},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeRFM, TH: 4, Seed: 12},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 2, Seed: 13},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeNone, Seed: 14},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 15},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeNone, Seed: 16},
+		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 4}, false},
+		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 5}, false},
+		{run("lbm", dram.ModeRFM, 12), false},
+		{Config{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 2, Seed: 13}, false},
+		{run("bwaves", dram.ModeNone, 14), false},
+		{run("bwaves", dram.ModeAutoRFM, 15), false},
+		{run("bwaves", dram.ModeNone, 16), false},
 		// Prefetch change: the LLC is rebuilt, then reused again.
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 6, PrefetchDegree: 8},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 7, Tracker: "mithril"},
+		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 6, PrefetchDegree: 8}, false},
+		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 7, Tracker: "mithril"}, false},
+		// A key revisited after other keys, under another mechanism.
+		{run("bwaves", dram.ModeRFM, 2), true},
+		// fotonik3d shares bwaves' footprint and write fraction, so its
+		// pre-warm is bwaves'.
+		{run("fotonik3d", dram.ModeAutoRFM, 1), true},
+		// lbm shares the footprint but not the write fraction: a miss.
+		{run("lbm", dram.ModeAutoRFM, 1), false},
+		// A hit onto an LLC rebuilt for another prefetch degree.
+		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 5, PrefetchDegree: 16}, true},
 	}
+	// warmMemoCap+1 new keys evict the first of them; the last stays.
+	for i := uint64(0); i <= warmMemoCap; i++ {
+		cfg := run("mcf", dram.ModeAutoRFM, 100+i)
+		cfg.InstructionsPerCore = 2_000
+		seq = append(seq, step{cfg, false})
+	}
+	first, last := seq[len(seq)-warmMemoCap-1], seq[len(seq)-1]
+	seq = append(seq, step{first.cfg, false}, step{last.cfg, true})
+
 	var m Machine
-	for i, cfg := range seq {
+	for i, st := range seq {
+		cfg := st.cfg
+		if hit := memoHas(&m, cfg); hit != st.hit {
+			t.Fatalf("step %d (%s seed %d): pre-warm memo hit = %v, want %v",
+				i, cfg.Workload.Name, cfg.Seed, hit, st.hit)
+		}
 		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("step %d fresh: %v", i, err)
@@ -57,12 +101,16 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("step %d (%s seed %d): machine-reuse Result diverges from fresh",
 				i, cfg.Workload.Name, cfg.Seed)
 		}
+		if len(m.memo) > warmMemoCap {
+			t.Fatalf("step %d: memo holds %d pre-warms, cap %d", i, len(m.memo), warmMemoCap)
+		}
 	}
 }
 
 // TestMachineDropsStateAfterPanic pins the poisoning contract: a run that
 // panics mid-simulation leaves the machine dirty, and the next run builds
-// fresh state rather than resuming from garbage.
+// fresh state rather than resuming from garbage — except for the pre-warm
+// memo, whose entries are complete copies the panic cannot touch.
 func TestMachineDropsStateAfterPanic(t *testing.T) {
 	var m Machine
 	good := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
@@ -80,6 +128,11 @@ func TestMachineDropsStateAfterPanic(t *testing.T) {
 		}()
 		_, _ = m.Run(bad)
 	}()
+	// The memo was written before the panic and is kept: the next run
+	// restores its pre-warm onto the rebuilt LLC.
+	if !memoHas(&m, good) {
+		t.Fatal("the panicked run dropped the pre-warm memo")
+	}
 	fresh, err := Run(good)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,10 @@ func newWarmTarget(t *testing.T, llcCfg cache.Config) *cache.Cache {
 	return cache.New(llcCfg, nil, &event.Queue{})
 }
 
-func warmConfig() Config {
-	return Config{Workload: workload.Profiles()[0], Cores: 2, Seed: 7}
+// warmKeyFor is the pre-warm key of a small two-core run on llcCfg.
+func warmKeyFor(llcCfg cache.Config) warmKey {
+	cfg := Config{Workload: workload.Profiles()[0], Cores: 2, Seed: 7}
+	return newWarmKey(&cfg, llcCfg)
 }
 
 // TestPrewarmHonorsConfiguredCache pins the fix for the shadowed llcCfg in
@@ -37,7 +39,7 @@ func TestPrewarmHonorsConfiguredCache(t *testing.T) {
 	llc := newWarmTarget(t, small)
 	wantLines := small.SizeBytes / small.LineBytes
 
-	warmed := prewarm(llc, small, warmConfig(), &prewarmScratch{})
+	warmed := prewarm(llc, warmKeyFor(small), &prewarmScratch{})
 	if warmed != wantLines {
 		t.Fatalf("prewarm warmed %d lines for a %d-line cache (DefaultConfig would be %d)",
 			warmed, wantLines, cache.DefaultConfig().SizeBytes/cache.DefaultConfig().LineBytes)
@@ -63,8 +65,8 @@ func TestPrewarmPrefetchDegreeInvariant(t *testing.T) {
 	defLLC := newWarmTarget(t, defCfg)
 	pfLLC := newWarmTarget(t, pfCfg)
 
-	warmedDef := prewarm(defLLC, defCfg, warmConfig(), &prewarmScratch{})
-	warmedPf := prewarm(pfLLC, pfCfg, warmConfig(), &prewarmScratch{})
+	warmedDef := prewarm(defLLC, warmKeyFor(defCfg), &prewarmScratch{})
+	warmedPf := prewarm(pfLLC, warmKeyFor(pfCfg), &prewarmScratch{})
 	if warmedDef != warmedPf {
 		t.Fatalf("warmed %d lines with default prefetch degree, %d with degree 4", warmedDef, warmedPf)
 	}

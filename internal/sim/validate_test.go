@@ -42,6 +42,9 @@ func TestRejectedConfigs(t *testing.T) {
 		{"dep fraction above one", func(c *Config) { c.Workload.DepFrac = 1.5 }, "DepFrac"},
 		{"zero footprint", func(c *Config) { c.Workload.FootprintMB = 0 }, "footprint"},
 		{"negative footprint", func(c *Config) { c.Workload.FootprintMB = -64 }, "footprint"},
+		// 4096 cores of 1 TiB each are 2^46 64B lines, past the 8 MB LLC's
+		// 2^45-line tag space.
+		{"footprint overflows LLC tags", func(c *Config) { c.Cores, c.Workload.FootprintMB = 4096, 1<<20 }, "address space"},
 		{"negative streams", func(c *Config) { c.Workload.Streams = -1 }, "stream"},
 		{"negative burst", func(c *Config) { c.Workload.Burst = -1 }, "burst"},
 		{"fault prob above one", func(c *Config) { c.Fault = fault.Config{ActMissProb: 1.5} }, "ActMissProb"},
