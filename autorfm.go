@@ -133,9 +133,7 @@ func FullScale() Scale { return exp.Full() }
 
 // Runner is what Scale.Pool accepts: anything that can execute a batch of
 // simulation configs and return index-aligned results. A *Pool is the
-// local implementation; internal/dist's Coordinator is the distributed one
-// (used by autorfm-bench -serve to spread a sweep across machines while
-// keeping the tables byte-identical).
+// implementation this package provides.
 type Runner = exp.Runner
 
 // Pool is the parallel experiment engine: a worker pool that executes

@@ -16,15 +16,10 @@
 // stopped, producing byte-identical output. The store file is shared with
 // autorfm-sim -store.
 //
-// Two flags distribute a sweep (docs/DISTRIBUTED.md). -serve ADDR runs
-// the same sweep with the lease-protocol coordinator of internal/dist in
-// place of the local pool: it serves leases, /status, /debug/vars and
-// /metrics on ADDR and persists each uploaded result to the -store file,
-// so a restarted coordinator re-leases only unfinished jobs. -worker URL
-// makes the process a fleet worker instead: it leases jobs from that
-// coordinator, runs them on the local pool (-j, -store and -timeout apply)
-// and exits 0 once the sweep drains. -report writes just the deterministic
-// table bytes, so a distributed sweep can be cmp'd against a local one.
+// -report writes just the deterministic table bytes (no timing lines), so
+// two runs of one sweep can be compared with cmp. -http serves live sweep
+// introspection (expvar, /metrics, pprof) and -metrics streams per-epoch
+// telemetry of every simulated job.
 //
 // Examples:
 //
@@ -34,8 +29,6 @@
 //	autorfm-bench -exp fig3 -j 1        # serial (same bytes as -j 32)
 //	autorfm-bench -exp fig8 -instr 500000 -workloads bwaves,lbm,mcf
 //	autorfm-bench -exp all -store run.jsonl    # interrupt, rerun, continue
-//	autorfm-bench -exp all -serve :9190 -store results.jsonl  # coordinate a fleet
-//	autorfm-bench -worker http://coord:9190    # lease jobs from a coordinator
 //	autorfm-bench -exp tab5 -report tab5.txt   # deterministic table bytes only
 //	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # fault-injection study
 //	autorfm-bench -list-plugins                # registered plugin catalog

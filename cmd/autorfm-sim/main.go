@@ -202,8 +202,8 @@ func main() {
 	pool := runner.New(*jobs)
 	if *storeP != "" {
 		// Known configurations come back without simulating; new ones are
-		// appended (deduped) for every later run, sweep, or coordinator
-		// sharing the file.
+		// appended (deduped) for every later run or sweep sharing the
+		// file.
 		store, err := runner.OpenStore(*storeP)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -6,11 +6,9 @@
 //
 // Simulation-driven experiments express their work as a flat list of
 // sim.Config jobs submitted to a Runner — usually a runner.Pool (see
-// internal/runner), or a dist.Coordinator when the sweep is spread across
-// machines: jobs execute in parallel across the runner's workers, duplicate
-// configurations — most notably the per-workload no-mitigation baseline that
-// almost every figure needs — are simulated once and served from the
-// runner's cache, and results come back in input order so the emitted tables
-// are byte-identical regardless of the worker count, or of which machine ran
-// which job.
+// internal/runner): jobs execute in parallel across the runner's workers,
+// duplicate configurations — most notably the per-workload no-mitigation
+// baseline that almost every figure needs — are simulated once and served
+// from the runner's cache, and results come back in input order so the
+// emitted tables are byte-identical regardless of the worker count.
 package exp

@@ -34,9 +34,8 @@ type Scale struct {
 	// overriding Jobs. Passing one pool to several experiments shares
 	// its result cache across them, so e.g. the per-workload baselines
 	// computed by Fig3 are reused by Table5, Fig8, Fig11, … Any Runner
-	// works: a local *runner.Pool, or a dist.Coordinator that farms the
-	// jobs out to worker processes — experiments cannot tell the
-	// difference because results are deterministic per config.
+	// works — a *runner.Pool, or a wrapper that observes one — because
+	// results are deterministic per config.
 	Pool Runner
 	// Context, when set, cancels in-flight simulations: a fired context
 	// aborts the experiment with the context's error. Nil means
@@ -106,10 +105,10 @@ func (sc Scale) profiles() ([]workload.Profile, error) {
 // Runner executes batches of simulation jobs and reports, index-aligned,
 // each job's result or error. It is the seam between the experiment
 // definitions and the execution substrate: internal/runner's Pool satisfies
-// it locally, internal/dist's Coordinator satisfies it across machines.
-// Implementations must return deterministic results per config (the
+// it, and wrappers around a Pool (perfbench's timing tap) can observe each
+// batch. Implementations must return deterministic results per config (the
 // contract sim.Config.Key encodes) so tables are byte-identical regardless
-// of where and how often jobs actually ran.
+// of how often jobs actually ran.
 type Runner interface {
 	RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, []error)
 }

@@ -310,7 +310,7 @@ func TestUnknownWorkloadIsError(t *testing.T) {
 }
 
 // TestSerialParallelIdentical is the engine's determinism gate: the same
-// experiment run through a 1-worker pool (serial) and an 8-worker pool
+// experiment run through a pool of one worker (serial) and one of eight
 // must render byte-identical tables and summaries. CI runs this under
 // -race, which additionally proves no shared mutable state leaks across
 // concurrently executing simulations.

@@ -44,7 +44,5 @@
 // result is appended as it completes. Because results round-trip exactly
 // through JSON and the store is keyed by config, a sweep killed mid-run
 // and rerun on the same store file produces byte-identical output to an
-// uninterrupted run. The distributed coordinator (internal/dist) uses the
-// same type, so one file serves autorfm-bench (local, -serve and -worker)
-// and autorfm-sim alike.
+// uninterrupted run. One file serves autorfm-bench and autorfm-sim alike.
 package runner

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"autorfm/internal/sim"
-	"autorfm/internal/telemetry"
 )
 
 // PanicError is a recovered per-job panic, converted to an error so one
@@ -89,13 +88,12 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// Phase names reported to Pool.OnJobPhase: the worker-side span names of
-// the telemetry package.
+// Phase names reported to Pool.OnJobPhase.
 const (
 	// PhaseQueue is the wait for a worker slot.
-	PhaseQueue = telemetry.SpanQueue
+	PhaseQueue = "queue"
 	// PhaseRun is the machine execution of the job.
-	PhaseRun = telemetry.SpanRun
+	PhaseRun = "run"
 )
 
 // Pool runs simulation jobs on a fixed number of workers with a shared
@@ -127,11 +125,11 @@ type Pool struct {
 	// OnJobPhase, when non-nil, is called on the worker goroutine for
 	// every job the pool actually simulates, once per execution phase
 	// (PhaseQueue: the wait for a worker slot; PhaseRun: the machine run)
-	// with the phase's wall-clock bounds — the hook distributed workers
-	// use to record execution spans without the runner importing the
-	// observability layer. Cache hits report no phases. Like Instrument
-	// it must not change the simulation outcome. Set it before submitting
-	// jobs; calls may be concurrent.
+	// with the phase's wall-clock bounds — the hook perfbench's sweep
+	// workload uses to split each job's wall time into queueing and
+	// running. Cache hits report no phases. Like Instrument it must not
+	// change the simulation outcome. Set it before submitting jobs; calls
+	// may be concurrent.
 	OnJobPhase func(key, phase string, start, end time.Time)
 
 	// Store, when non-nil, is the pool's durable memo: a job whose key it

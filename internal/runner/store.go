@@ -24,10 +24,9 @@ type record struct {
 // Store is a content-addressed result store: a durable memo table mapping
 // canonical config keys (sim.Config.Key) to completed simulation results,
 // backed by an append-only JSON-lines file. One file serves many sweeps,
-// front ends, and coordinator restarts, because keys — not sweep identity —
-// address the results: a Pool serves its records as cache hits and appends
-// every new simulation to it (Pool.Store), and the distributed coordinator
-// uses it for lookup and upload.
+// front ends, and restarts, because keys — not sweep identity — address
+// the results: a Pool serves its records as cache hits and appends every
+// new simulation to it (Pool.Store).
 //
 // Durability model: appends are a single Write of one fully formed line
 // (O_APPEND), so concurrent writers interleave at line granularity and a
@@ -37,8 +36,7 @@ type record struct {
 // intact line is equally correct). A file that ends in a torn line gets
 // its next record on a fresh line, so the fragment costs only itself. At
 // runtime Put is first-write-wins: a key already present is not rewritten,
-// which both dedups work-steal duplicate results and keeps restarted
-// sweeps from bloating the file.
+// which keeps restarted sweeps from bloating the file.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 type Store struct {
@@ -63,8 +61,8 @@ func OpenStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// NewMemStore returns a store with no backing file — useful for tests and
-// for coordinators that deliberately keep no durable state.
+// NewMemStore returns a store with no backing file, for tests and callers
+// that keep no durable state.
 func NewMemStore() *Store {
 	return &Store{idx: make(map[string]sim.Result)}
 }
@@ -166,16 +164,6 @@ func (s *Store) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Sync flushes the backing file to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Sync()
 }
 
 // Close releases the backing file. The in-memory index stays readable.

@@ -190,9 +190,8 @@ func TestStorePutFirstWriteWins(t *testing.T) {
 }
 
 // TestStoreConcurrentWritersSharedFile: two Store handles on the same path
-// (two coordinator processes would be misuse, but a worker spill shared
-// with tooling does this) interleave whole lines; reopening recovers every
-// key.
+// (an autorfm-bench and an autorfm-sim run sharing one -store file)
+// interleave whole lines; reopening recovers every key.
 func TestStoreConcurrentWritersSharedFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	s1, err := OpenStore(path)

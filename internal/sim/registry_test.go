@@ -175,6 +175,14 @@ func TestRegistryErrors(t *testing.T) {
 			[]string{"mint", "window 0"}},
 		{"tracker param not a number", func(c *Config) { c.Tracker = "mithril(entries=many)" },
 			[]string{"entries", "many"}},
+		{"fifo above the table cap", func(c *Config) { c.Tracker = "pride(fifo=9223372036854775807)" },
+			[]string{"pride", "fifo", "table cap"}},
+		{"buf above the table cap", func(c *Config) { c.Tracker = "parfm(buf=9223372036854775807)" },
+			[]string{"parfm", "buf", "table cap"}},
+		{"entries above the table cap", func(c *Config) { c.Tracker = "graphene(entries=4611686018427387904)" },
+			[]string{"graphene", "entries", "table cap"}},
+		{"counter table above the cap", func(c *Config) { c.Tracker = "mithril(entries=100000000)" },
+			[]string{"mithril", "entries", "table cap"}},
 		{"malformed spec", func(c *Config) { c.Tracker = "mint(window=8" },
 			[]string{"tracker"}},
 		{"unknown policy lists registered", func(c *Config) { c.Policy = "nope" },

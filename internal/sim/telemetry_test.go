@@ -26,9 +26,8 @@ func telemetryTestConfig() Config {
 	}
 }
 
-// tailWriter retains only the bytes after the last newline seen, mimicking
-// the bounded last-line sink a fleet worker arms for flight recording: O(1)
-// memory no matter how long the run streams metrics.
+// tailWriter retains only the bytes after the last newline seen, a bounded
+// last-line sink: O(1) memory no matter how long the run streams metrics.
 type tailWriter struct {
 	tail []byte
 	n    int
@@ -48,9 +47,9 @@ func (w *tailWriter) Write(p []byte) (int, error) {
 // guarantee: a probed run produces a Result identical to the unprobed run —
 // same finish times, same statistics, and the same Events count even though
 // the sampler itself rides the event queue. Covered probe shapes: the full
-// capture a local -metrics/-trace run arms, and the flight-recorder shape a
-// distributed worker arms (tiny wrapping command ring + bounded tail sink),
-// which must be just as invisible even while the ring drops entries.
+// capture a -metrics/-trace run arms, and a flight-recorder shape (a tiny
+// wrapping command ring plus a bounded tail sink), which must be just as
+// invisible even while the ring drops entries.
 func TestTelemetryDoesNotChangeResult(t *testing.T) {
 	plain := MustRun(telemetryTestConfig())
 

@@ -29,6 +29,9 @@ func TestRejectedConfigs(t *testing.T) {
 		{"unknown policy", func(c *Config) { c.Policy = "bogus" }, "policy"},
 		{"unknown mechanism", func(c *Config) { c.Mode = 99 }, "mechanism"},
 		{"negative TH", func(c *Config) { c.TH = -4 }, "threshold"},
+		// parfm's buf defaults to TH; a 2^40-entry buffer is a config
+		// error, not a 4 TB allocation.
+		{"TH sizes an oversized tracker table", func(c *Config) { c.Tracker, c.TH = "parfm", 1<<40 }, "table cap"},
 		{"negative cores", func(c *Config) { c.Cores = -1 }, "core count"},
 		{"negative instructions", func(c *Config) { c.InstructionsPerCore = -5 }, "instruction"},
 		{"negative PRAC ETh", func(c *Config) { c.PRACETh = -2 }, "PRAC"},

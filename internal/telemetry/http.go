@@ -1,12 +1,10 @@
 package telemetry
 
-// Live introspection: expvar-published snapshots of a local sweep
-// ("autorfm.sweep"), a sweep coordinator ("autorfm.coord") and its worker
-// fleet ("autorfm.fleet"). The coordinator serves its two on its own
-// /debug/vars; autorfm-bench -http serves the DefaultServeMux, where
-// "autorfm.sweep" sits next to net/http/pprof (which the command links,
-// not this package), so a multi-minute sweep answers "is it stuck, and
-// where is the time going" without interrupting it:
+// Live introspection: the expvar-published snapshot of a local sweep
+// ("autorfm.sweep"). autorfm-bench -http serves the DefaultServeMux, where
+// it sits next to net/http/pprof (which the command links, not this
+// package), so a multi-minute sweep answers "is it stuck, and where is the
+// time going" without interrupting it:
 //
 //	curl localhost:6060/debug/vars        # {"autorfm.sweep": {...}, ...}
 //	go tool pprof localhost:6060/debug/pprof/profile
@@ -79,76 +77,23 @@ func (s *SweepStatus) Update(done, total, cacheHits, failed int, events int64, e
 // Snapshot returns the latest snapshot (never nil).
 func (s *SweepStatus) Snapshot() SweepSnapshot { return *s.cur.Load() }
 
-// CoordSnapshot is one point-in-time view of a sweep coordinator, as
-// rendered under /debug/vars as "autorfm.coord" and by the coordinator's
-// /status endpoint: how many workers are alive, how many leases are out,
-// and how often the fabric had to requeue or steal work.
-type CoordSnapshot struct {
-	// Workers is the number of distinct workers seen recently (within a
-	// few lease TTLs) — the fabric's live fleet size.
-	Workers int `json:"workers"`
-	// Leases is the number of currently outstanding job leases.
-	Leases int `json:"leases"`
-	// JobsTotal and JobsDone count distinct jobs submitted and completed;
-	// StoreHits is how many of the done jobs were served from the
-	// content-addressed result store without touching a worker.
-	JobsTotal int `json:"jobs_total"`
-	JobsDone  int `json:"jobs_done"`
-	StoreHits int `json:"store_hits"`
-	// Requeues counts leases that expired (crashed or partitioned workers)
-	// and were put back on the queue.
-	Requeues int64 `json:"requeues"`
-	// Steals counts duplicate leases issued for straggling jobs near sweep
-	// end (first uploaded result wins).
-	Steals int64 `json:"steals"`
-	// Uploads and Duplicates count accepted result uploads and uploads
-	// that lost a first-result-wins race (or arrived after a requeue).
-	Uploads    int64 `json:"uploads"`
-	Duplicates int64 `json:"duplicates"`
-	// Drained reports that the sweep is over: workers asking for jobs are
-	// being told to exit.
-	Drained bool `json:"drained"`
-}
-
-// published maps each expvar name to the function currently behind it.
-var published struct {
-	sync.Mutex
-	fns map[string]func() interface{}
-}
-
-// publish exposes f as the expvar name. expvar panics on a duplicate
-// name, so the name is registered once per process and re-pointed at the
-// most recent f on later calls (tests publish several).
-func publish(name string, f func() interface{}) {
-	published.Lock()
-	defer published.Unlock()
-	if published.fns == nil {
-		published.fns = map[string]func() interface{}{}
-	}
-	if _, ok := published.fns[name]; !ok {
-		expvar.Publish(name, expvar.Func(func() interface{} {
-			published.Lock()
-			cur := published.fns[name]
-			published.Unlock()
-			return cur()
-		}))
-	}
-	published.fns[name] = f
+// sweepVar is the function behind the expvar "autorfm.sweep". expvar
+// panics on a duplicate name, so the name is registered once per process
+// and re-pointed at the most recent snapshot function on later calls
+// (tests publish several).
+var sweepVar struct {
+	once sync.Once
+	fn   atomic.Pointer[func() SweepSnapshot]
 }
 
 // PublishSweep exposes snapshot as the expvar "autorfm.sweep".
 func PublishSweep(snapshot func() SweepSnapshot) {
-	publish("autorfm.sweep", func() interface{} { return snapshot() })
-}
-
-// PublishCoord exposes snapshot as the expvar "autorfm.coord".
-func PublishCoord(snapshot func() CoordSnapshot) {
-	publish("autorfm.coord", func() interface{} { return snapshot() })
-}
-
-// PublishFleet exposes snapshot as the expvar "autorfm.fleet".
-func PublishFleet(snapshot func() FleetSnapshot) {
-	publish("autorfm.fleet", func() interface{} { return snapshot() })
+	sweepVar.fn.Store(&snapshot)
+	sweepVar.once.Do(func() {
+		expvar.Publish("autorfm.sweep", expvar.Func(func() interface{} {
+			return (*sweepVar.fn.Load())()
+		}))
+	})
 }
 
 // ServeIntrospection binds addr (e.g. ":6060" or "localhost:0") and serves

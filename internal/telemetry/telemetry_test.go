@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -363,32 +365,27 @@ func TestPublishSweepRepointable(t *testing.T) {
 	}
 }
 
-// TestCoordStatus: the coordinator gauges render under "autorfm.coord"
-// with every documented key, read live from the published function, and
-// publishing twice repoints instead of panicking.
-func TestCoordStatus(t *testing.T) {
-	snap := CoordSnapshot{
-		Workers: 2, Leases: 3, JobsTotal: 40, JobsDone: 12, StoreHits: 5,
-		Requeues: 1, Steals: 2, Uploads: 7, Duplicates: 1, Drained: false,
+// TestMetricsHandlers: the /metrics handler serves the sweep snapshot as
+// Prometheus text with the exposition-format content type.
+func TestMetricsHandlers(t *testing.T) {
+	st := NewSweepStatus()
+	st.Update(3, 10, 1, 0, 42, time.Second, time.Second, 2*time.Second)
+	rr := httptest.NewRecorder()
+	MetricsHandler(func(w io.Writer) error { return WriteSweepProm(w, st.Snapshot()) }).
+		ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("sweep /metrics content type %q", ct)
 	}
-	PublishCoord(func() CoordSnapshot { return CoordSnapshot{} })
-	PublishCoord(func() CoordSnapshot { return snap })
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(expvar.Get("autorfm.coord").String()), &m); err != nil {
-		t.Fatalf("autorfm.coord is not JSON: %v", err)
-	}
-	for _, key := range []string{"workers", "leases", "requeues", "steals", "uploads", "duplicates"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("autorfm.coord missing %q: %v", key, m)
+	body := rr.Body.String()
+	for _, want := range []string{
+		"autorfm_sweep_jobs_done 3",
+		"autorfm_sweep_jobs_total 10",
+		"autorfm_sweep_events_total 42",
+		"autorfm_sweep_events_per_sec 42",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("sweep /metrics missing %q\n%s", want, body)
 		}
-	}
-	snap.JobsDone = 9 // the expvar reads the function on every request
-	var got CoordSnapshot
-	if err := json.Unmarshal([]byte(expvar.Get("autorfm.coord").String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != snap {
-		t.Fatalf("published snapshot = %+v, want %+v", got, snap)
 	}
 }
 

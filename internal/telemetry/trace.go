@@ -153,15 +153,6 @@ func (t *CommandTrace) Record(tick, dur clk.Tick, kind CommandKind, cause Cause,
 	t.n++
 }
 
-// Reset empties the ring for reuse on the next run, keeping its backing
-// array (the worker fleet arms one bounded ring per job without
-// reallocating).
-func (t *CommandTrace) Reset() {
-	t.head = 0
-	t.n = 0
-	t.dropped = 0
-}
-
 // Len returns the number of retained commands.
 func (t *CommandTrace) Len() int { return t.n }
 
@@ -188,7 +179,7 @@ func (t *CommandTrace) Commands() []Command {
 
 // traceEvent is one entry of the Chrome trace-event JSON format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
-// shared by the DRAM command trace and the fleet span trace.
+// as the DRAM command trace writes it.
 type traceEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat,omitempty"`
@@ -220,11 +211,11 @@ type traceWriter struct {
 	err   error
 }
 
-// newTraceWriter writes the document header; unit is the displayTimeUnit
-// the viewer should default to.
-func newTraceWriter(w io.Writer, unit string) *traceWriter {
+// newTraceWriter writes the document header, which sets the viewer's
+// default time unit to nanoseconds.
+func newTraceWriter(w io.Writer) *traceWriter {
 	t := &traceWriter{bw: bufio.NewWriter(w), first: true}
-	_, t.err = t.bw.WriteString("{\"displayTimeUnit\":\"" + unit + "\",\"traceEvents\":[\n")
+	_, t.err = t.bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
 	return t
 }
 
@@ -283,7 +274,7 @@ func ticksToUS(t clk.Tick) float64 { return float64(t) / (clk.TicksPerNS * 1000)
 // durations, zero-duration records as instant ("i") markers. The output
 // loads directly in Perfetto or chrome://tracing.
 func (t *CommandTrace) WriteChrome(w io.Writer) error {
-	tw := newTraceWriter(w, "ns")
+	tw := newTraceWriter(w)
 	// Name the tracks: tid = bank index + 1 (tid 0 is the channel track).
 	seen := map[int16]bool{}
 	for i := 0; i < t.n; i++ {

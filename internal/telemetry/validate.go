@@ -2,11 +2,11 @@ package telemetry
 
 // Whole-file validation for generated telemetry artifacts, tolerant of
 // the damage a killed process actually leaves behind. The metrics stream
-// and the span log are append-only JSON lines, so the one legitimate
-// corruption is a torn final line (the writer died mid-record) — the same
-// failure mode the result-store loader tolerates. Anything else — an empty
-// file, a header that isn't the schema, a damaged interior line — is a
-// real error and must fail loudly, not be skipped.
+// is append-only JSON lines, so the one legitimate corruption is a torn
+// final line (the writer died mid-record) — the same failure mode the
+// result-store loader tolerates. Anything else — an empty file, a header
+// that isn't the schema, a damaged interior line — is a real error and
+// must fail loudly, not be skipped.
 
 import (
 	"bufio"
@@ -21,22 +21,20 @@ import (
 type FileReport struct {
 	// Lines counts the valid records.
 	Lines int
-	// Kinds counts the valid records by their "kind" field (metrics
-	// records: "epoch", "summary") or, when that is empty, their "name"
-	// field (spans: "submit", "lease", ...).
+	// Kinds counts the valid records by their "kind" field ("epoch",
+	// "summary").
 	Kinds map[string]int
 	// TornTail reports that the final line was a torn partial write and
 	// was tolerated rather than counted.
 	TornTail bool
 }
 
-// ValidateFile validates a whole JSON-lines stream, checking each record
-// with validateLine (ValidateMetricsLine for autorfm-metrics/v1,
-// ValidateSpanLine for autorfm-spans/v1). A torn final line — invalid
+// ValidateFile validates a whole autorfm-metrics/v1 JSON-lines stream,
+// checking each record with ValidateMetricsLine. A torn final line — invalid
 // JSON where the writer was killed mid-record — is tolerated and reported
 // via FileReport.TornTail. An empty file, a first line that is not the
 // schema (wrong-schema header), and any damaged interior line are errors.
-func ValidateFile(r io.Reader, validateLine func([]byte) error) (FileReport, error) {
+func ValidateFile(r io.Reader) (FileReport, error) {
 	rep := FileReport{Kinds: map[string]int{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -48,15 +46,12 @@ func ValidateFile(r io.Reader, validateLine func([]byte) error) (FileReport, err
 	var prev *pending // last scanned line, validated once we know it isn't the tail
 	n := 0
 	validate := func(p *pending) error {
-		if err := validateLine(p.line); err != nil {
+		if err := ValidateMetricsLine(p.line); err != nil {
 			return fmt.Errorf("line %d: %w", p.n, err)
 		}
 		rep.Lines++
-		var rec struct{ Kind, Name string }
-		_ = json.Unmarshal(p.line, &rec) // validateLine has parsed it already
-		if rec.Kind == "" {
-			rec.Kind = rec.Name
-		}
+		var rec struct{ Kind string }
+		_ = json.Unmarshal(p.line, &rec) // ValidateMetricsLine has parsed it already
 		rep.Kinds[rec.Kind]++
 		return nil
 	}

@@ -32,6 +32,24 @@ type Env struct {
 	Arena *arena.Arena
 }
 
+// MaxTableEntries caps every table-size parameter (pride's fifo, parfm's
+// buf, the counter trackers' entries): no tracker needs more slots than
+// the 128K rows of the bank it serves, and the cap keeps a huge spec value
+// — or parfm's buf defaulting to a huge TH — a config error instead of a
+// failed allocation.
+const MaxTableEntries = 1 << 17
+
+// checkTable reports a table-size parameter outside [1, MaxTableEntries].
+func checkTable(name string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("%s %d < 1", name, n)
+	}
+	if n > MaxTableEntries {
+		return fmt.Errorf("%s %d above the %d-entry table cap", name, n, MaxTableEntries)
+	}
+	return nil
+}
+
 // Factory builds one tracker instance from a parsed parameter spec. It is
 // called once per bank; parameter conversion errors must be surfaced via
 // spec.Finish and invalid values returned as errors, never panics.
@@ -134,8 +152,11 @@ func init() {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
-		if window < 1 || fifo < 1 {
-			return nil, fmt.Errorf("window %d / fifo %d below 1", window, fifo)
+		if window < 1 {
+			return nil, fmt.Errorf("window %d < 1", window)
+		}
+		if err := checkTable("fifo", fifo); err != nil {
+			return nil, err
 		}
 		return NewPrIDEIn(env.Arena, window, fifo, env.R), nil
 	})
@@ -151,8 +172,8 @@ func init() {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
-		if buf < 1 {
-			return nil, fmt.Errorf("buf %d < 1", buf)
+		if err := checkTable("buf", buf); err != nil {
+			return nil, err
 		}
 		return NewPARFMIn(env.Arena, buf, env.R), nil
 	})
@@ -185,8 +206,8 @@ func init() {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
-		if entries < 1 {
-			return nil, fmt.Errorf("entries %d < 1", entries)
+		if err := checkTable("entries", entries); err != nil {
+			return nil, err
 		}
 		return NewMithrilIn(env.Arena, entries), nil
 	})
@@ -204,8 +225,11 @@ func init() {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
-		if entries < 1 || threshold < 1 {
-			return nil, fmt.Errorf("entries %d / threshold %d below 1", entries, threshold)
+		if err := checkTable("entries", entries); err != nil {
+			return nil, err
+		}
+		if threshold < 1 {
+			return nil, fmt.Errorf("threshold %d < 1", threshold)
 		}
 		return NewGrapheneIn(env.Arena, entries, threshold), nil
 	})
