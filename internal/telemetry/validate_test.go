@@ -140,7 +140,8 @@ func TestValidateTraceFileDamage(t *testing.T) {
 
 // FuzzValidateLine feeds arbitrary bytes to the metrics line validator
 // and to the JSON-lines file validator. Any input may be rejected; none
-// may panic. Seeds are the golden metrics log plus the fixture above.
+// may panic. Seeds are the fixture above, the golden metrics log, and the
+// damage shapes of TestValidateMetricsFileDamage.
 func FuzzValidateLine(f *testing.F) {
 	f.Add([]byte(validEpochLine))
 	data, err := os.ReadFile(filepath.Join("testdata", "golden_metrics.jsonl"))
@@ -150,6 +151,19 @@ func FuzzValidateLine(f *testing.F) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
 		f.Add(append([]byte(nil), sc.Bytes()...))
+	}
+	torn := validEpochLine[:40]
+	for _, s := range []string{
+		"",
+		"\n",
+		torn,
+		validEpochLine + "\n" + torn,
+		validEpochLine + "\n" + torn + "\n" + validEpochLine + "\n",
+		`{"schema":"other/v2","kind":"epoch"}`,
+		`{"schema":"autorfm-metrics/v1","kind":"bogus"}`,
+		`{"schema":"autorfm-metrics/v1","kind":"epoch","epoch":-1}`,
+	} {
+		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		_ = telemetry.ValidateMetricsLine(line)
