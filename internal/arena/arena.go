@@ -3,8 +3,10 @@
 // every pipeline rebuild and re-carves the tracker tables, victim buffers,
 // and PRNGs from it, so (a) the whole device-side state sits in a handful
 // of contiguous slabs instead of hundreds of scattered heap objects, and
-// (b) repeated warm-machine Resets are allocation-free — the slabs grow to
-// the configuration's working set once and are then reused verbatim.
+// (b) repeated warm-machine Resets carve nothing from the heap — the slabs
+// grow to the configuration's working set once and are then reused
+// verbatim. What a Reset still allocates is the per-bank tracker and
+// policy structs themselves (pinned by dram's TestDeviceWarmResetAllocs).
 //
 // An Arena is not a lifetime system: Reset invalidates every carving at
 // once, which matches the device's use exactly (Reset discards the whole
@@ -97,6 +99,6 @@ func Source(a *Arena, seed uint64) *rng.Source {
 		return rng.New(seed)
 	}
 	s := &a.Src.Take(1)[0]
-	*s = *rng.New(seed)
+	s.Seed(seed)
 	return s
 }

@@ -111,6 +111,75 @@ func (st *set) setDirty(w int, dirty bool) {
 	}
 }
 
+// wayArrays is one copy of the way state: a tag per way slot (invalidTag
+// when empty), a record per set, and a bitmap with bit s set once set s may
+// have changed since the bitmap was last cleared.
+type wayArrays struct {
+	tags    []uint32
+	sets    []set
+	touched []uint64
+}
+
+// newWayArrays allocates way state for numSets sets of ways ways, every
+// set marked.
+func newWayArrays(numSets, ways int) wayArrays {
+	w := wayArrays{
+		tags:    make([]uint32, numSets*ways),
+		sets:    make([]set, numSets),
+		touched: make([]uint64, (numSets+63)/64),
+	}
+	w.markAll()
+	return w
+}
+
+// mark records that set s is about to change. Callers mark before they
+// write, so a run cut short by a panic leaves no change unmarked.
+func (w *wayArrays) mark(s uint64) { w.touched[s>>6] |= 1 << (s & 63) }
+
+// markAll marks every set.
+func (w *wayArrays) markAll() {
+	for i := range w.touched {
+		w.touched[i] = ^uint64(0)
+	}
+	if n := len(w.sets) % 64; n != 0 {
+		w.touched[len(w.touched)-1] = 1<<n - 1
+	}
+}
+
+// rollback copies the whole arrays once more than 1/rollbackBulk of the
+// sets are marked, in one streaming pass instead of a scattered copy per
+// set. A job of 2k instructions per core marks about a tenth of the Table
+// IV sets and a quick-scale job most of them; BenchmarkWarm times both.
+const rollbackBulk = 8
+
+// marked returns how many sets are marked.
+func (w *wayArrays) marked() int {
+	n := 0
+	for _, x := range w.touched {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// rollback restores every marked set from the pristine arrays tags and sets
+// and clears the marks.
+func (w *wayArrays) rollback(tags []uint32, sets []set) {
+	if w.marked() > len(w.sets)/rollbackBulk {
+		copy(w.tags, tags)
+		copy(w.sets, sets)
+	} else {
+		ways := len(w.tags) / len(w.sets)
+		for i, x := range w.touched {
+			for ; x != 0; x &= x - 1 {
+				s := i*64 + bits.TrailingZeros64(x)
+				copy(w.tags[s*ways:(s+1)*ways], tags[s*ways:(s+1)*ways])
+				w.sets[s] = sets[s]
+			}
+		}
+	}
+	clear(w.touched)
+}
+
 // mshr is one outstanding fill: the merged waiters, the DRAM request it
 // rides on, and the fill continuation. MSHRs are pooled; the request's
 // Done callback is bound once at creation and re-armed by resetting line,
@@ -136,10 +205,15 @@ type mshr struct {
 // the order. At the default 8MB geometry the way state is 640KB, against
 // 2.1MB for 64-bit tags, 64-bit LRU stamps and dirty bytes per way, so it
 // stays resident in a 2MB host L2.
+//
+// Every change to a set also marks it in a bitmap, which is what lets
+// LoadWarm roll a saved warm back by restoring only the sets a run changed.
 type Cache struct {
-	cfg      Config
-	tags     []uint32 // tag per way slot, invalidTag when empty
-	sets     []set
+	cfg Config
+	// wayArrays is the way state the cache runs on: its own arrays from New,
+	// or the working copy of owner, the WarmState last loaded.
+	wayArrays
+	owner    *WarmState
 	ways     int
 	setMask  uint64
 	setShift uint // log2 of the set count: line == tag<<setShift | set
@@ -178,15 +252,14 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 		panic("cache: set count must be a power of two")
 	}
 	c := &Cache{
-		cfg:      cfg,
-		tags:     make([]uint32, numSets*cfg.Ways),
-		sets:     make([]set, numSets),
-		ways:     cfg.Ways,
-		setMask:  uint64(numSets - 1),
-		setShift: uint(bits.TrailingZeros(uint(numSets))),
-		mc:       mc,
-		q:        q,
-		fresh:    true,
+		cfg:       cfg,
+		wayArrays: newWayArrays(numSets, cfg.Ways),
+		ways:      cfg.Ways,
+		setMask:   uint64(numSets - 1),
+		setShift:  uint(bits.TrailingZeros(uint(numSets))),
+		mc:        mc,
+		q:         q,
+		fresh:     true,
 	}
 	c.wipeArrays()
 	return c
@@ -316,6 +389,7 @@ func (c *Cache) Warm(line uint64, dirty bool) {
 	s := line & c.setMask
 	base := int(s) * c.ways
 	st := &c.sets[s]
+	c.mark(s)
 	c.fresh = false
 	for w, tg := range c.tags[base : base+int(st.n)] {
 		if tg == t {
@@ -505,39 +579,70 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 			c.sets[baseSet+s] = set{order: emptyOrder, dirty: mask, n: uint8(n)}
 		}
 	}
+	c.markAll()
 	c.fresh = len(lines) == 0
 	c.stale = false
 }
 
 // WarmState is a saved copy of a cache's way state: the tag and set arrays
-// and the flags that say how they were filled. One value is reused across
-// SaveWarm calls; its buffers grow to the largest cache it has saved.
+// and the flags that say how they were filled. Beside that pristine copy it
+// keeps a working copy, which LoadWarm points a cache at: the cache marks
+// the sets it changes there, so the next LoadWarm of the same state
+// restores only those. One value is reused across SaveWarm calls; its
+// buffers grow to the largest cache it has saved. A cache remembers the
+// state it runs on by address, so a WarmState must not be copied once
+// used, and it serves one cache at a time.
 type WarmState struct {
 	tags         []uint32
 	sets         []set
 	fresh, stale bool
+	work         wayArrays
 }
 
 // SaveWarm copies c's way state into s, for LoadWarm to restore later
 // without recomputing it. Only the way arrays are saved: the MSHRs, the
 // stream detector and the stats are run state that Reset clears anyway.
+// The cache keeps running on the arrays it had.
 func (c *Cache) SaveWarm(s *WarmState) {
 	s.tags = append(s.tags[:0], c.tags...)
 	s.sets = append(s.sets[:0], c.sets...)
 	s.fresh, s.stale = c.fresh, c.stale
+	if c.owner == s {
+		clear(c.touched) // c runs on s's working copy, which is what was saved
+	} else {
+		s.work.markAll()
+	}
 }
 
 // LoadWarm restores the way state s holds, exactly as the SaveWarm that
-// filled it found it. It copies over every way of every set, so it may
-// follow ResetForWarm as WarmAll does. It panics if s was saved from a
+// filled it found it, and points c at s's working copy: it restores the
+// sets marked there since s was last loaded or saved, or copies the whole
+// state when more than an eighth are marked (as in a new working copy). It
+// may follow ResetForWarm as WarmAll does. It panics if s was saved from a
 // cache with a different set count or associativity.
 func (c *Cache) LoadWarm(s *WarmState) {
 	if len(s.tags) != len(c.tags) || len(s.sets) != len(c.sets) {
 		panic(fmt.Sprintf("cache: LoadWarm of a %d-set, %d-slot state into a %d-set, %d-slot cache",
 			len(s.sets), len(s.tags), len(c.sets), len(c.tags)))
 	}
-	copy(c.tags, s.tags)
-	copy(c.sets, s.sets)
+	if len(s.work.tags) != len(c.tags) || len(s.work.sets) != len(c.sets) {
+		s.work = newWayArrays(len(c.sets), c.ways)
+	}
+	bulk := len(c.sets) / rollbackBulk
+	if c.owner != s && s.work.marked() > bulk && c.marked() > bulk {
+		// The arrays c ran on need a whole copy as much as s's do, and they
+		// are still in the host's caches: copy into them instead, and give
+		// their owner s's old copy, every set marked. (c's own arrays from
+		// New have no owner, and s's old copy is dropped.)
+		if c.owner != nil {
+			c.owner.work = s.work
+			c.owner.work.markAll()
+		}
+		s.work = c.wayArrays
+		s.work.markAll()
+	}
+	s.work.rollback(s.tags, s.sets)
+	c.wayArrays, c.owner = s.work, s
 	c.fresh, c.stale = s.fresh, s.stale
 }
 
@@ -566,6 +671,7 @@ func (c *Cache) ResetForWarm(mc *memctrl.Controller) {
 
 // wipeArrays empties every way slot of every set.
 func (c *Cache) wipeArrays() {
+	c.markAll()
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
@@ -611,6 +717,7 @@ func (c *Cache) Access(line uint64, write bool, done func(clk.Tick)) {
 	for w, tg := range c.tags[base : base+c.ways] {
 		if tg == t {
 			c.Stats.Hits++
+			c.mark(s)
 			st := &c.sets[s]
 			st.touch(w)
 			if write {
@@ -656,6 +763,7 @@ func (c *Cache) fill(m *mshr, now clk.Tick) {
 	s := line & c.setMask
 	base := int(s) * c.ways
 	st := &c.sets[s]
+	c.mark(s)
 	v, full := st.victim(c.ways)
 	if full && st.dirty>>v&1 != 0 {
 		c.Stats.Writebacks++

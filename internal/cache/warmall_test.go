@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -165,7 +166,8 @@ func TestLoadWarmRejectsOtherGeometry(t *testing.T) {
 
 // BenchmarkWarm compares the serial per-entry warm loop against the
 // set-major WarmAll pass at the default LLC geometry (the exact work
-// sim.prewarm does per run), and both against restoring a saved warm.
+// sim.prewarm does per run), and both against restoring a saved warm whole
+// and rolling back only the sets a run changed.
 func BenchmarkWarm(b *testing.B) {
 	cfg := DefaultConfig()
 	total := cfg.SizeBytes / cfg.LineBytes
@@ -206,19 +208,47 @@ func BenchmarkWarm(b *testing.B) {
 			c.WarmAll(lines, dirty, &plan)
 		}
 	})
-	// The simulator's start sequence on a pre-warm memo hit: the same
-	// reset, then a copy of the saved way state.
+	// The simulator's start sequence on a pre-warm memo hit whose working
+	// copy is wholly marked (an entry's first hit, or one after a pre-warm
+	// of another key overwrote it): the same reset, then one copy of the
+	// saved way state.
 	b.Run("restore", func(b *testing.B) {
 		c, mc, _ := newRig(b, cfg)
 		var plan WarmPlan
 		c.WarmAll(lines, dirty, &plan)
 		var saved WarmState
 		c.SaveWarm(&saved)
+		c.LoadWarm(&saved)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			saved.work.markAll()
 			c.ResetForWarm(mc)
 			c.LoadWarm(&saved)
 		}
 	})
+	// A memo hit onto the working copy a run has just used: LoadWarm
+	// restores only the sets the run marked. A 2k-instruction job marks 815
+	// sets on average; a quick-scale job marks most of them.
+	numSets := total / cfg.Ways
+	for _, n := range []int{815, numSets} {
+		b.Run(fmt.Sprintf("rollback/sets=%d", n), func(b *testing.B) {
+			c, mc, _ := newRig(b, cfg)
+			var plan WarmPlan
+			c.WarmAll(lines, dirty, &plan)
+			var saved WarmState
+			c.SaveWarm(&saved)
+			c.LoadWarm(&saved)
+			touched := r.Perm(numSets)[:n]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range touched {
+					c.mark(uint64(s))
+				}
+				c.ResetForWarm(mc)
+				c.LoadWarm(&saved)
+			}
+		})
+	}
 }

@@ -78,7 +78,8 @@ type Config struct {
 	// pipeline state — tracker tables, victim buffers, PRNGs — instead of
 	// the heap. The arena is reset and re-carved on every Device Reset
 	// (pipelines are rebuilt wholesale there), which lays the device's
-	// tables out contiguously and makes repeated Resets allocation-free.
+	// tables out contiguously and leaves a repeated Reset allocating only
+	// the per-bank tracker and policy structs.
 	Arena *arena.Arena
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"autorfm/internal/arena"
 	"autorfm/internal/clk"
 	"autorfm/internal/mapping"
 	"autorfm/internal/mitigation"
@@ -454,5 +455,24 @@ func BenchmarkBankActivate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeviceWarmResetAllocs pins what a warm Reset allocates: with an arena
+// sized by an earlier Reset, the PRNGs, tracker tables and victim buffers
+// are re-carved from its slabs, so the only heap objects are each bank's
+// tracker and policy structs (one MINT and one Fractal per bank here).
+func TestDeviceWarmResetAllocs(t *testing.T) {
+	cfg := autoCfg(4)
+	cfg.Arena = &arena.Arena{}
+	cfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker { return tracker.NewMINT(4, false, r) }
+	cfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy { return mitigation.NewFractal(r) }
+	d := NewDevice(cfg)
+	if !d.Reset(cfg) {
+		t.Fatal("Reset refused its own config")
+	}
+	allocs := testing.AllocsPerRun(10, func() { d.Reset(cfg) })
+	if want := float64(2 * cfg.Geo.Banks); allocs != want {
+		t.Fatalf("warm Reset allocates %.0f objects, want %.0f (a tracker and a policy per bank)", allocs, want)
 	}
 }

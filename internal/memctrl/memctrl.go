@@ -208,35 +208,69 @@ type Controller struct {
 // New builds a controller for dev, driven by the event queue q. It schedules
 // the periodic REF stream immediately.
 func New(cfg Config, dev *dram.Device, q *event.Queue) *Controller {
+	c := &Controller{}
+	c.Reset(cfg, dev, q)
+	return c
+}
+
+// Reset reinitialises c for cfg, dev and q exactly as New builds a
+// controller: bank and subchannel timing, RAA, the REF index and the stats
+// start over, and the REF stream is armed on q. It keeps the bank queue
+// rings and the wake, mitigation, PRAC and write pools, so a reused machine
+// starts its next run without rebuilding them; pooled writes still queued
+// return to the write pool and other queued requests are dropped. Events c
+// armed before the Reset must not fire after it: q must be a reset or new
+// queue, as it is for New.
+func (c *Controller) Reset(cfg Config, dev *dram.Device, q *event.Queue) {
 	if cfg.RetryWait == 0 {
 		cfg.RetryWait = cfg.Timing.MitigationTime(4)
 	}
 	if cfg.RAAMaxFactor == 0 {
 		cfg.RAAMaxFactor = 4
 	}
-	c := &Controller{
-		cfg:   cfg,
-		q:     q,
-		dev:   dev,
-		subch: make([]*subchState, cfg.Mapper.Geometry().Subchannels),
-	}
-	for i := range c.subch {
-		sub := &subchState{}
-		for j := range sub.actRing {
-			sub.actRing[j] = -clk.MS(1) // no ACTs in the initial tFAW window
+	for _, b := range c.banks {
+		for b.qn > 0 {
+			req := b.front()
+			b.pop()
+			if req.pooled {
+				c.recycleWrite(req)
+			}
 		}
-		c.subch[i] = sub
 	}
 	// The bank→subchannel mapping is static; resolving it here keeps
 	// Geometry() — a by-value struct copy — out of the per-wake hot path.
 	geo := cfg.Mapper.Geometry()
-	c.banks = make([]*bankState, geo.Banks)
-	for i := range c.banks {
-		c.banks[i] = &bankState{id: i, sub: c.subch[geo.Subchannel(i)], openRow: -1}
+	if len(c.subch) != geo.Subchannels {
+		c.subch = make([]*subchState, geo.Subchannels)
+		for i := range c.subch {
+			c.subch[i] = &subchState{}
+		}
 	}
-	c.refreshT = event.NewTimer(q, c.refresh)
+	for _, sub := range c.subch {
+		*sub = subchState{}
+		for j := range sub.actRing {
+			sub.actRing[j] = -clk.MS(1) // no ACTs in the initial tFAW window
+		}
+	}
+	if len(c.banks) != geo.Banks {
+		c.banks = make([]*bankState, geo.Banks)
+		for i := range c.banks {
+			c.banks[i] = &bankState{}
+		}
+	}
+	for i, b := range c.banks {
+		// The generation moves on, so no wake armed before the Reset can
+		// pass for a current one.
+		*b = bankState{id: i, sub: c.subch[geo.Subchannel(i)], openRow: -1,
+			queue: b.queue, gen: b.gen + 1}
+	}
+	if c.refreshT == nil || c.q != q {
+		c.refreshT = event.NewTimer(q, c.refresh)
+	}
+	c.cfg, c.q, c.dev = cfg, q, dev
+	c.refIdx, c.pending = 0, 0
+	c.Stats = Stats{}
 	c.refreshT.At(q.Now() + cfg.Timing.TREFI)
-	return c
 }
 
 // Pending returns the number of requests admitted but not yet completed

@@ -3,8 +3,8 @@ package rng
 import "math/bits"
 
 // Source is a deterministic xoshiro256** pseudo-random generator.
-// The zero value is invalid; construct with New. The state lives in four
-// scalar fields (not an array) to keep Uint64 within the compiler's
+// The zero value is invalid; construct with New or Seed. The state lives in
+// four scalar fields (not an array) to keep Uint64 within the compiler's
 // mid-stack inlining budget — the per-draw call overhead is visible in both
 // the event loop's per-activation draws and the prewarm's two-draws-per-line
 // loop.
@@ -15,6 +15,14 @@ type Source struct {
 // New returns a Source seeded from seed via splitmix64, so that nearby seeds
 // give uncorrelated streams.
 func New(seed uint64) *Source {
+	r := new(Source)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream New(seed) returns, in place: a Source carved
+// from a slab is reseeded without allocating a new one.
+func (r *Source) Seed(seed uint64) {
 	var state [4]uint64
 	sm := seed
 	for i := range state {
@@ -24,12 +32,11 @@ func New(seed uint64) *Source {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		state[i] = z ^ (z >> 31)
 	}
-	src := &Source{s0: state[0], s1: state[1], s2: state[2], s3: state[3]}
+	r.s0, r.s1, r.s2, r.s3 = state[0], state[1], state[2], state[3]
 	// A handful of warm-up draws to diffuse low-entropy seeds.
 	for i := 0; i < 8; i++ {
-		src.Uint64()
+		r.Uint64()
 	}
-	return src
 }
 
 // Uint64 returns the next 64 uniformly random bits.

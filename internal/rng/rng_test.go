@@ -208,3 +208,21 @@ func TestUint32AndInt63n(t *testing.T) {
 	}()
 	r.Int63n(0)
 }
+
+// TestSeedMatchesNew: reseeding a Source in place, even one that has
+// already drawn, gives exactly New's stream for that seed.
+func TestSeedMatchesNew(t *testing.T) {
+	r := New(1)
+	for i := 0; i < 100; i++ {
+		r.Uint64()
+	}
+	for _, seed := range []uint64{0, 7, 1 << 63, ^uint64(0)} {
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 1000; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %d draw %d: Seed gives %#x, New %#x", seed, i, got, w)
+			}
+		}
+	}
+}

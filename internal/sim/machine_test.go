@@ -35,7 +35,7 @@ func memoHas(m *Machine, cfg Config) bool {
 // TestMachineReuseMatchesFresh pins the reuse contract: a Machine reused
 // across seeds — and across incompatible configs, which force a partial
 // rebuild — produces byte-identical Results to fresh construction, whether
-// its LLC pre-warm is computed or restored from the memo. Each step also
+// its LLC pre-warm is computed or rolled back from the memo. Each step also
 // states whether its pre-warm is a memo hit.
 func TestMachineReuseMatchesFresh(t *testing.T) {
 	type step struct {
@@ -81,6 +81,22 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 	}
 	first, last := seq[len(seq)-warmMemoCap-1], seq[len(seq)-1]
 	seq = append(seq, step{first.cfg, false}, step{last.cfg, true})
+	// perfbench's short jobs over more keys than the memo holds: each key
+	// misses under no mechanism and hits under AutoRFM, so misses pre-warm
+	// over the working copy of the key before, and entries the LLC runs on
+	// are evicted. A second pass over the newest keys hits throughout, each
+	// rolling back the few sets a 2k-instruction run changed.
+	short := func(mode dram.Mode, seed uint64) Config {
+		name := []string{"mcf", "lbm", "bwaves"}[seed%3]
+		return Config{Workload: diffProfile(name), InstructionsPerCore: 2_000, Mode: mode, TH: 4, Seed: seed}
+	}
+	const keys = warmMemoCap + 4
+	for i := uint64(0); i < keys; i++ {
+		seq = append(seq, step{short(dram.ModeNone, 200+i), false}, step{short(dram.ModeAutoRFM, 200+i), true})
+	}
+	for i := uint64(keys - warmMemoCap/2); i < keys; i++ {
+		seq = append(seq, step{short(dram.ModeNone, 200+i), true}, step{short(dram.ModeAutoRFM, 200+i), true})
+	}
 
 	var m Machine
 	for i, st := range seq {
@@ -110,39 +126,47 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 // TestMachineDropsStateAfterPanic pins the poisoning contract: a run that
 // panics mid-simulation leaves the machine dirty, and the next run builds
 // fresh state rather than resuming from garbage — except for the pre-warm
-// memo, whose entries are complete copies the panic cannot touch.
+// memo. The panicking run is itself a memo hit, so it dies halfway through
+// changing that entry's working copy; the LLC marked every set before
+// changing it, so the memo hits that follow roll the copy back.
 func TestMachineDropsStateAfterPanic(t *testing.T) {
 	var m Machine
 	good := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
 		Mode: dram.ModeAutoRFM, TH: 4, Seed: 11}
+	none := good
+	none.Mode = dram.ModeNone
 	if _, err := m.Run(good); err != nil {
 		t.Fatal(err)
 	}
-	bad := good
-	bad.Fault = fault.Config{Seed: 3, PanicAfterActs: 50}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("fault-injected run did not panic")
-			}
+	for _, acts := range []int{5, 60} {
+		bad := good
+		bad.Fault = fault.Config{Seed: 3, PanicAfterActs: acts}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("run set to panic after %d ACTs did not panic", acts)
+				}
+			}()
+			_, _ = m.Run(bad)
 		}()
-		_, _ = m.Run(bad)
-	}()
-	// The memo was written before the panic and is kept: the next run
-	// restores its pre-warm onto the rebuilt LLC.
-	if !memoHas(&m, good) {
-		t.Fatal("the panicked run dropped the pre-warm memo")
-	}
-	fresh, err := Run(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := m.Run(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(after, fresh) {
-		t.Fatal("post-panic machine run diverges from fresh run")
+		// The memo was written before the panic and is kept: the next runs
+		// roll its pre-warm back onto the rebuilt LLC.
+		for _, cfg := range []Config{good, none} {
+			if !memoHas(&m, cfg) {
+				t.Fatal("the panicked run dropped the pre-warm memo")
+			}
+			fresh, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := m.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, fresh) {
+				t.Fatalf("%v run after a panic at %d ACTs diverges from a fresh run", cfg.Mode, acts)
+			}
+		}
 	}
 }
 
@@ -221,13 +245,14 @@ func TestMachineDispatchZeroAllocs(t *testing.T) {
 }
 
 // warmRunAllocCeiling bounds the objects a second Machine.Run of one config
-// allocates end to end: validation, plugin resolution, the per-run
-// controller and cores, and the dispatch of a 100k-instruction AutoRFM-4
-// run (BenchmarkSimRun's config). The device pipelines, LLC, event queue
-// and pre-warm scratch are all reused, so the count is ≈930 on go1.24;
-// the allocating victim path and per-bank heap tables used to put it at
-// ≈7.9k.
-const warmRunAllocCeiling = 1100
+// allocates end to end: validation, plugin resolution, the per-run cores,
+// and the dispatch of a 100k-instruction AutoRFM-4 run
+// (BenchmarkSimRun's config). The device pipelines, memory controller, LLC,
+// event queue and pre-warm scratch are all reused, so the count is ≈476 on
+// go1.24, chiefly the new cores' pooled ops and the 128 per-bank tracker
+// and policy structs; a new controller per run put it at ≈930, and the
+// allocating victim path and per-bank heap tables at ≈7.9k.
+const warmRunAllocCeiling = 550
 
 // TestMachineWarmRunAllocs pins the warm-start cost: a repeated Run of the
 // same config on one Machine stays under warmRunAllocCeiling objects.

@@ -331,18 +331,21 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // Machine is a reusable simulation allocation: the event queue, the LLC's
-// tag and set arrays, the DRAM device's largest arrays (PRAC counters,
-// audit ledgers — kept across mode changes), the arena its per-bank
-// pipelines are carved from, and the pre-warm scratch survive from run to
-// run and are reset instead of reconstructed. Sweeps that run many seeds of one configuration
+// tag and set arrays, the memory controller's bank rings and event pools,
+// the DRAM device's largest arrays (PRAC counters, audit ledgers — kept
+// across mode changes), the arena its per-bank pipelines are carved from,
+// and the pre-warm scratch survive from run to run and are reset instead of
+// reconstructed. Sweeps that run many seeds of one configuration
 // (fig1d-style) avoid rebuilding ~3MB of state per run; a Machine run is
 // byte-identical to a fresh Run (pinned by TestMachineReuseMatchesFresh).
 //
 // The machine also memoizes the LLC pre-warm: it keeps the way state of
-// its last warmMemoCap distinct pre-warms (640KB each at the Table IV
-// geometry), keyed by everything the pre-warm reads (warmKey), and a run
-// whose key repeats — another mechanism or threshold on the same workload
-// and seed — copies the saved state in instead of recomputing it.
+// its last warmMemoCap distinct pre-warms, keyed by everything the pre-warm
+// reads (warmKey). A run whose key repeats — another mechanism or threshold
+// on the same workload and seed — runs on that entry's working copy of the
+// way state, rolled back to the saved pre-warm by restoring only the sets
+// the copy's last run changed (cache.LoadWarm). At the Table IV geometry
+// each entry is 640KB saved plus, once hit, 640KB of working copy.
 //
 // The zero value is ready to use; each Run warms it further. A Machine is
 // not safe for concurrent use — give each worker goroutine its own.
@@ -350,16 +353,20 @@ type Machine struct {
 	q      *event.Queue
 	llc    *cache.Cache
 	llcCfg cache.Config
+	mc     *memctrl.Controller
 	dev    *dram.Device
 	// arena is the device-state allocator: the device resets and re-carves
 	// it on every run, so the per-bank tracker tables, PRNGs, and victim
-	// buffers stay contiguous and warm-machine Resets are allocation-free.
+	// buffers stay contiguous and a warm-machine Reset allocates only the
+	// per-bank tracker and policy structs.
 	// It survives dirty teardowns — NewDevice resets it before carving.
 	arena arena.Arena
 	warm  prewarmScratch
 	// memo is the saved pre-warms, most recent first. An entry is written
 	// once, after its pre-warm completed, so it survives dirty teardowns.
-	memo []warmEntry
+	// Entries are pointers because the LLC keeps the address of the one it
+	// runs on.
+	memo []*warmEntry
 	// dirty marks a run in flight; if a run panics or is cancelled the warm
 	// state is mid-run garbage, so the next run drops it and builds fresh.
 	dirty bool
@@ -510,7 +517,7 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 	// flight so a panicking or cancelled run poisons the reuse path, and
 	// drop state a previous failed run left behind.
 	if m.dirty {
-		m.q, m.llc, m.dev = nil, nil, nil
+		m.q, m.llc, m.mc, m.dev = nil, nil, nil, nil
 	}
 	m.dirty = true
 	if m.dev == nil || !m.dev.Reset(dcfg) {
@@ -533,7 +540,12 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 		rs.qHist = stats.NewHistogram()
 		mcCfg.QueueHist = rs.qHist
 	}
-	rs.mc = memctrl.New(mcCfg, dev, q)
+	if m.mc == nil {
+		m.mc = memctrl.New(mcCfg, dev, q)
+	} else {
+		m.mc.Reset(mcCfg, dev, q)
+	}
+	rs.mc = m.mc
 
 	// The epoch sampler rides the event queue as a periodic timer. It is
 	// armed after the controller so that at a tied tick the REF dispatches
@@ -560,8 +572,9 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 	}
 	llcCfg := cfg.llcConfig()
 	if m.llc != nil && m.llcCfg == llcCfg {
-		// The pre-warm or its restore rewrites every way of every set, so
-		// the reset can skip its full-cache array wipe (see ResetForWarm).
+		// The pre-warm rewrites every way of every set, and a memo hit
+		// leaves every set as saved, so the reset can skip its full-cache
+		// array wipe (see ResetForWarm).
 		m.llc.ResetForWarm(rs.mc)
 	} else {
 		m.llc = cache.New(llcCfg, rs.mc, q)
@@ -750,9 +763,8 @@ type warmEntry struct {
 // prewarm runs and its result is saved as the most recent entry, reusing
 // the buffers of the least recent one once the memo is full.
 func (m *Machine) warmLLC(k warmKey) {
-	for i := range m.memo {
-		if m.memo[i].key == k {
-			e := m.memo[i]
+	for i, e := range m.memo {
+		if e.key == k {
 			copy(m.memo[1:i+1], m.memo[:i])
 			m.memo[0] = e
 			m.llc.LoadWarm(&e.state)
@@ -761,13 +773,13 @@ func (m *Machine) warmLLC(k warmKey) {
 	}
 	prewarm(m.llc, k, &m.warm)
 	if len(m.memo) < warmMemoCap {
-		m.memo = append(m.memo, warmEntry{})
+		m.memo = append(m.memo, &warmEntry{})
 	}
 	e := m.memo[len(m.memo)-1]
 	copy(m.memo[1:], m.memo[:len(m.memo)-1])
 	e.key = k
-	m.llc.SaveWarm(&e.state)
 	m.memo[0] = e
+	m.llc.SaveWarm(&e.state)
 }
 
 // prewarmScratch is the machine's reusable buffer set for the LLC pre-warm:
