@@ -63,6 +63,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// A count below its flag's range is a typo, not a request for the
+	// default: reject it before any work.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"record-n", *recN, 0}, {"seeds", *seeds, 1}, {"trace-cap", *traceCap, 0}} {
+		if f.v < f.min {
+			fmt.Fprintf(os.Stderr, "-%s %d: must be at least %d\n", f.name, f.v, f.min)
+			os.Exit(1)
+		}
+	}
+
 	if *list {
 		fmt.Printf("%-12s %-8s %8s %12s\n", "workload", "suite", "ACT-PKI", "ACT/tREFI")
 		for _, p := range autorfm.Workloads() {
@@ -218,9 +230,6 @@ func main() {
 	// One job per seed: the mitigated seeds come first, then (unless
 	// suppressed) the matching no-mitigation baselines.
 	nSeeds := *seeds
-	if nSeeds < 1 {
-		nSeeds = 1
-	}
 	var todo []sim.Config
 	for b := 0; b < nSeeds; b++ {
 		c := scfg

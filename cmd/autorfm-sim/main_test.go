@@ -65,3 +65,27 @@ func TestReplayTruncatedTraceFails(t *testing.T) {
 		t.Fatalf("intact trace: exit %d:\n%s", code, out)
 	}
 }
+
+// TestRejectsOutOfRangeCounts: a count flag below its range exits 1 with a
+// message naming the flag before any work, instead of writing a trace
+// whose header line claims a negative count or silently taking a default.
+func TestRejectsOutOfRangeCounts(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-record", filepath.Join(dir, "neg.arfm"), "-record-n", "-5"}, "-record-n -5: must be at least 0"},
+		{[]string{"-seeds", "-3"}, "-seeds -3: must be at least 1"},
+		{[]string{"-seeds", "0"}, "-seeds 0: must be at least 1"},
+		{[]string{"-trace", filepath.Join(dir, "t.json"), "-trace-cap", "-1"}, "-trace-cap -1: must be at least 0"},
+	} {
+		out, code := runSim(t, append([]string{"-workload", "lbm", "-instr", "2000", "-j", "1"}, tc.args...)...)
+		if code != 1 || !strings.Contains(out, tc.want) {
+			t.Errorf("%v: exit %d, want 1 with %q:\n%s", tc.args, code, tc.want, out)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("rejected runs left files %v (%v)", entries, err)
+	}
+}

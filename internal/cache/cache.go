@@ -219,15 +219,8 @@ type Cache struct {
 	setShift uint // log2 of the set count: line == tag<<setShift | set
 	mc       *memctrl.Controller
 	q        *event.Queue
-	// fresh marks an empty cache, nothing installed since the last reset:
-	// WarmAll's precondition for warmFresh.
-	fresh bool
-	// stale marks the way state as still holding a previous run's lines:
-	// ResetForWarm defers the full wipe to the WarmAll that follows it (see
-	// warmFresh), and Warm pays it on entry.
-	stale bool
-	out   mshrTable
-	freeM *mshr
+	out      mshrTable
+	freeM    *mshr
 
 	// Stream-detector state: the set of recent demand-miss lines, bounded
 	// by a FIFO ring. A miss to L with L-1 or L-2 recently missed is
@@ -259,7 +252,6 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 		setShift:  uint(bits.TrailingZeros(uint(numSets))),
 		mc:        mc,
 		q:         q,
-		fresh:     true,
 	}
 	c.wipeArrays()
 	return c
@@ -380,17 +372,11 @@ func (c *Cache) lookup(line uint64) bool {
 // line becomes its set's most recent; a resident copy keeps its way and
 // takes the new dirty bit, and a full set silently drops its least recent.
 func (c *Cache) Warm(line uint64, dirty bool) {
-	if c.stale {
-		// ResetForWarm deferred the array wipe betting on warmFresh covering
-		// every way; a warm that patches only one set must pay it now.
-		c.wipeArrays()
-	}
 	t := c.tag(line)
 	s := line & c.setMask
 	base := int(s) * c.ways
 	st := &c.sets[s]
 	c.mark(s)
-	c.fresh = false
 	for w, tg := range c.tags[base : base+int(st.n)] {
 		if tg == t {
 			st.touch(w)
@@ -403,210 +389,26 @@ func (c *Cache) Warm(line uint64, dirty bool) {
 	st.setDirty(w, dirty)
 }
 
-// WarmPlan is the reusable scratch warmFresh partitions its entries in. One
-// plan serves any number of WarmAll calls (across caches and runs); its
-// arrays grow to the largest warm it has applied and are then reused
-// allocation-free.
-type WarmPlan struct {
-	// Coarse bucket bounds and cursors, the packed entry permutation, and
-	// the per-bucket second-level bounds/cursors/entries. The second-level
-	// arrays are bucket-sized, so the whole level-2 partition runs in L1.
-	coarse    []int32
-	cur       []int32
-	packed    []uint64
-	setStarts []int32
-	setCur    []int32
-	setBuf    []uint64
-}
-
-// WarmAll installs lines[i] (dirty[i]) for all i, leaving the same state as
-// len(lines) successive Warm calls: the same lines in each set, in the same
-// recency order, with the same dirty bits (pinned by
-// TestWarmAllMatchesSerial). Lines may sit in other ways of their set than
-// the serial loop would give them, which nothing observable depends on
-// (TestWarmAllEquivalent). The fast path is warmFresh, taken on an empty
-// cache — the simulator's prewarm, where a machine reuses one plan across
-// its runs; a cache already holding lines gets the serial Warm loop.
-func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
-	if len(lines) != len(dirty) {
-		panic("cache: WarmAll lines/dirty length mismatch")
-	}
-	if c.fresh {
-		// warmFresh packs line<<1|dirty, and its installs skip Warm's tag
-		// check; one OR over the input checks every line at streaming speed.
-		var orAll uint64
-		for _, line := range lines {
-			orAll |= line
-		}
-		if orAll < 1<<63 && orAll>>c.setShift < uint64(invalidTag) {
-			c.warmFresh(lines, dirty, plan)
-			return
-		}
-	}
-	for i, line := range lines {
-		c.Warm(line, dirty[i])
-	}
-}
-
-// warmCoarse is warmFresh's first-level radix width. 256 write streams keep
-// every stream head L1-resident during the scatter, and each second-level
-// bucket (numSets/256 sets) is small enough to partition entirely in cache.
-const warmCoarse = 256
-
-// warmFresh is WarmAll's empty-cache path (fresh or ResetForWarm — the
-// simulator's prewarm). LRU warming of an empty set leaves exactly the last
-// `ways` distinct lines touched, each with the dirty bit of its last touch,
-// most recent last touched first; so per set a single backward scan installs
-// the final state directly — the k-th line found goes to way k, which is
-// recency position k of emptyOrder — instead of replaying every eviction.
-//
-// Entries are packed into one word each — line<<1 | dirty — and partitioned
-// set-major in two stable radix levels, so every pass is either a
-// sequential stream or an L1-resident scatter, and a set's entries keep
-// their input order. The apply writes every set's record and clears the
-// ways it does not install, leaving every set exactly as a full Reset plus
-// warm would, which is what lets ResetForWarm skip its array wipe.
-func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
-	numSets := int(c.setMask) + 1
-	nb := min(warmCoarse, numSets) // coarse buckets; both powers of two
-	spc := numSets / nb            // sets per coarse bucket
-	shift := uint(bits.TrailingZeros(uint(spc)))
-	if cap(plan.coarse) < nb+1 {
-		plan.coarse = make([]int32, nb+1)
-		plan.cur = make([]int32, nb)
-	}
-	if cap(plan.setStarts) < spc+1 {
-		plan.setStarts = make([]int32, spc+1)
-		plan.setCur = make([]int32, spc)
-	}
-	coarse := plan.coarse[:nb+1]
-	cur := plan.cur[:nb]
-	setStarts := plan.setStarts[:spc+1]
-	setCur := plan.setCur[:spc]
-	for i := range coarse {
-		coarse[i] = 0
-	}
-	if cap(plan.packed) < len(lines) {
-		plan.packed = make([]uint64, len(lines))
-	}
-	packed := plan.packed[:len(lines)]
-
-	// Level 1: count, prefix-sum, scatter packed entries into coarse
-	// buckets. Buckets cover contiguous set ranges, so the apply below walks
-	// the tag and set arrays strictly forward.
-	for _, line := range lines {
-		coarse[(line&c.setMask)>>shift+1]++
-	}
-	maxBucket := int32(0)
-	for b := 0; b < nb; b++ {
-		if coarse[b+1] > maxBucket {
-			maxBucket = coarse[b+1]
-		}
-		coarse[b+1] += coarse[b]
-		cur[b] = coarse[b]
-	}
-	for i, line := range lines {
-		b := (line & c.setMask) >> shift
-		p := line << 1
-		if dirty[i] {
-			p |= 1
-		}
-		packed[cur[b]] = p
-		cur[b]++
-	}
-	if cap(plan.setBuf) < int(maxBucket) {
-		plan.setBuf = make([]uint64, maxBucket)
-	}
-
-	// Level 2, per coarse bucket: partition the bucket's entries by set
-	// (everything here fits in L1), then install each set's last `ways`
-	// distinct lines by backward scan and clear the ways left over.
-	for b := 0; b < nb; b++ {
-		ents := packed[coarse[b]:coarse[b+1]]
-		baseSet := b * spc
-		for i := range setStarts {
-			setStarts[i] = 0
-		}
-		for _, p := range ents {
-			setStarts[int(p>>1&c.setMask)-baseSet+1]++
-		}
-		for s := 0; s < spc; s++ {
-			setStarts[s+1] += setStarts[s]
-			setCur[s] = setStarts[s]
-		}
-		setBuf := plan.setBuf[:len(ents)]
-		for _, p := range ents {
-			s := int(p>>1&c.setMask) - baseSet
-			setBuf[setCur[s]] = p
-			setCur[s]++
-		}
-		for s := 0; s < spc; s++ {
-			bws := (baseSet + s) * c.ways
-			n := 0
-			var mask uint16
-			// sig is a one-word Bloom filter over the installed tags' low
-			// bits: a clear bit proves the line is new, skipping the
-			// duplicate scan for the common case; a set bit (≈n/64 false
-			// positive rate) falls back to the exact scan.
-			var sig uint64
-			for k := setStarts[s+1] - 1; k >= setStarts[s]; k-- {
-				p := setBuf[k]
-				t := uint32(p >> 1 >> c.setShift)
-				bit := uint64(1) << (t & 63)
-				if sig&bit != 0 {
-					dup := false
-					for _, tg := range c.tags[bws : bws+n] {
-						if tg == t {
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
-					}
-				}
-				sig |= bit
-				c.tags[bws+n] = t
-				mask |= uint16(p&1) << n
-				n++
-				if n == c.ways {
-					break // everything earlier in the set was evicted
-				}
-			}
-			for w := n; w < c.ways; w++ {
-				c.tags[bws+w] = invalidTag
-			}
-			c.sets[baseSet+s] = set{order: emptyOrder, dirty: mask, n: uint8(n)}
-		}
-	}
-	c.markAll()
-	c.fresh = len(lines) == 0
-	c.stale = false
-}
-
-// WarmState is a saved copy of a cache's way state: the tag and set arrays
-// and the flags that say how they were filled. Beside that pristine copy it
-// keeps a working copy, which LoadWarm points a cache at: the cache marks
-// the sets it changes there, so the next LoadWarm of the same state
-// restores only those. One value is reused across SaveWarm calls; its
-// buffers grow to the largest cache it has saved. A cache remembers the
-// state it runs on by address, so a WarmState must not be copied once
-// used, and it serves one cache at a time.
+// WarmState is a saved copy of a cache's way state: its tag and set
+// arrays. Beside that pristine copy it keeps a working copy, which LoadWarm
+// points a cache at: the cache marks the sets it changes there, so the next
+// LoadWarm of the same state restores only those. One value is reused
+// across SaveWarm calls; its buffers grow to the largest cache it has
+// saved. A cache remembers the state it runs on by address, so a WarmState
+// must not be copied once used, and it serves one cache at a time.
 type WarmState struct {
-	tags         []uint32
-	sets         []set
-	fresh, stale bool
-	work         wayArrays
+	tags []uint32
+	sets []set
+	work wayArrays
 }
 
 // SaveWarm copies c's way state into s, for LoadWarm to restore later
 // without recomputing it. Only the way arrays are saved: the MSHRs, the
-// stream detector and the stats are run state that Reset clears anyway.
-// The cache keeps running on the arrays it had.
+// stream detector and the stats are run state that Reset and LoadWarm
+// clear anyway. The cache keeps running on the arrays it had.
 func (c *Cache) SaveWarm(s *WarmState) {
 	s.tags = append(s.tags[:0], c.tags...)
 	s.sets = append(s.sets[:0], c.sets...)
-	s.fresh, s.stale = c.fresh, c.stale
 	if c.owner == s {
 		clear(c.touched) // c runs on s's working copy, which is what was saved
 	} else {
@@ -614,17 +416,19 @@ func (c *Cache) SaveWarm(s *WarmState) {
 	}
 }
 
-// LoadWarm restores the way state s holds, exactly as the SaveWarm that
-// filled it found it, and points c at s's working copy: it restores the
-// sets marked there since s was last loaded or saved, or copies the whole
-// state when more than an eighth are marked (as in a new working copy). It
-// may follow ResetForWarm as WarmAll does. It panics if s was saved from a
-// cache with a different set count or associativity.
-func (c *Cache) LoadWarm(s *WarmState) {
+// LoadWarm is Reset for a run that starts from a saved warm: it rebinds c
+// to mc and clears its run state as Reset does, but instead of wiping the
+// way arrays it restores the state s holds, exactly as the SaveWarm that
+// filled it found it. It points c at s's working copy and restores the sets
+// marked there since s was last loaded or saved, or copies the whole state
+// when more than an eighth are marked (as in a new working copy). It panics
+// if s was saved from a cache with a different set count or associativity.
+func (c *Cache) LoadWarm(s *WarmState, mc *memctrl.Controller) {
 	if len(s.tags) != len(c.tags) || len(s.sets) != len(c.sets) {
 		panic(fmt.Sprintf("cache: LoadWarm of a %d-set, %d-slot state into a %d-set, %d-slot cache",
 			len(s.sets), len(s.tags), len(c.sets), len(c.tags)))
 	}
+	c.resetMeta(mc)
 	if len(s.work.tags) != len(c.tags) || len(s.work.sets) != len(c.sets) {
 		s.work = newWayArrays(len(c.sets), c.ways)
 	}
@@ -643,7 +447,6 @@ func (c *Cache) LoadWarm(s *WarmState) {
 	}
 	s.work.rollback(s.tags, s.sets)
 	c.wayArrays, c.owner = s.work, s
-	c.fresh, c.stale = s.fresh, s.stale
 }
 
 // Reset empties the cache and rebinds it to mc (typically a freshly built
@@ -657,18 +460,6 @@ func (c *Cache) Reset(mc *memctrl.Controller) {
 	c.resetMeta(mc)
 }
 
-// ResetForWarm is Reset for a caller that immediately follows with a
-// full-coverage WarmAll (the simulator's prewarm): the wipe of the tag and
-// set arrays — a pass over the whole cache — is skipped, because warmFresh
-// rewrites every way of every set anyway. Until that WarmAll runs the
-// arrays hold the previous run's state; Warm, and so WarmAll's serial path,
-// detects this (c.stale) and pays the deferred wipe, so the combination is
-// correct for every input, just fastest on the warmFresh path.
-func (c *Cache) ResetForWarm(mc *memctrl.Controller) {
-	c.stale = true
-	c.resetMeta(mc)
-}
-
 // wipeArrays empties every way slot of every set.
 func (c *Cache) wipeArrays() {
 	c.markAll()
@@ -678,14 +469,12 @@ func (c *Cache) wipeArrays() {
 	for i := range c.sets {
 		c.sets[i] = set{order: emptyOrder}
 	}
-	c.stale = false
 }
 
-// resetMeta clears everything Reset owns except the way arrays: the MSHRs,
-// the prefetcher's recent-miss filter, and the stats; the cache is empty
-// from here on.
+// resetMeta clears the run state Reset and LoadWarm share, everything but
+// the way arrays: the MSHRs, the prefetcher's recent-miss filter, and the
+// stats.
 func (c *Cache) resetMeta(mc *memctrl.Controller) {
-	c.fresh = true
 	c.mc = mc
 	c.out.drain(func(m *mshr) {
 		m.waiters = m.waiters[:0]
@@ -771,7 +560,6 @@ func (c *Cache) fill(m *mshr, now clk.Tick) {
 	}
 	c.tags[base+v] = c.tag(line)
 	st.setDirty(v, m.dirty)
-	c.fresh = false
 
 	for _, w := range m.waiters {
 		if c.cfg.MissExtra > 0 {

@@ -14,11 +14,16 @@ import (
 
 func newRig(t testing.TB, cfg Config) (*Cache, *memctrl.Controller, *event.Queue) {
 	t.Helper()
+	q := &event.Queue{}
+	mc := newMC(q)
+	return New(cfg, mc, q), mc, q
+}
+
+// newMC builds a memory controller on q in front of a new device.
+func newMC(q *event.Queue) *memctrl.Controller {
 	geo := mapping.Default()
 	dev := dram.NewDevice(dram.Config{Geo: geo, Timing: clk.DDR5(), Mode: dram.ModeNone, Seed: 1})
-	q := &event.Queue{}
-	mc := memctrl.New(memctrl.Config{Timing: clk.DDR5(), Mapper: mapping.NewZen(geo)}, dev, q)
-	return New(cfg, mc, q), mc, q
+	return memctrl.New(memctrl.Config{Timing: clk.DDR5(), Mapper: mapping.NewZen(geo)}, dev, q)
 }
 
 func smallCfg() Config {
@@ -354,7 +359,9 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 	newWarm := func() *Cache {
 		c := New(cfg, nil, &event.Queue{})
-		c.WarmAll(warm, make([]bool, total), &WarmPlan{})
+		for _, line := range warm {
+			c.Warm(line, false)
+		}
 		return c
 	}
 	b.Run("hit", func(b *testing.B) {

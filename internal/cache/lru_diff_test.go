@@ -55,6 +55,24 @@ func (r *stampLRU) reset() {
 	r.stats = Stats{}
 }
 
+// save returns a copy of r's way state and clock, for restore.
+func (r *stampLRU) save() stampLRU {
+	s := *r
+	s.tags = append([]uint64(nil), r.tags...)
+	s.lru = append([]uint64(nil), r.lru...)
+	s.dirty = append([]bool(nil), r.dirty...)
+	return s
+}
+
+// restore is Cache.LoadWarm: the way state and clock s saved, zero stats.
+func (r *stampLRU) restore(s *stampLRU) {
+	copy(r.tags, s.tags)
+	copy(r.lru, s.lru)
+	copy(r.dirty, s.dirty)
+	r.tick = s.tick
+	r.stats = Stats{}
+}
+
 // warm installs line as the most recent in its set, overwriting the dirty
 // bit of a resident copy and evicting the least recent line of a full set.
 func (r *stampLRU) warm(line uint64, dirty bool) {
@@ -178,28 +196,37 @@ func (m *recMapper) Map(line uint64) mapping.Location {
 }
 
 // TestCacheMatchesStampLRU is the differential test for the LLC's
-// replacement state: random Warm/WarmAll/Access streams, after Reset and
-// ResetForWarm, at 1, 2, 4 and 16 ways and at set counts on both sides of
-// WarmAll's radix path, must give the same hit/miss outcome per access, the
-// same DRAM submissions (demand reads and written-back lines, in order), the
-// same Stats, and the same per-set recency order and dirty bits as stampLRU.
+// replacement state: random Warm/Access streams, at 1, 2, 4 and 16 ways and
+// 64 and 256 sets, must give the same hit/miss outcome per access, the same
+// DRAM submissions (demand reads and written-back lines, in order), the same
+// Stats, and the same per-set recency order and dirty bits as stampLRU.
+// Rounds start every way a simulator run can: from Reset, from a cold
+// pre-warm (Reset, then Warm calls), and from a pre-warm memo hit (LoadWarm
+// of a saved warm), whose rollback of a short round's sets and whole copy
+// after a long round must both take place.
 //
 // Once a round has accessed the cache it warms only lines neither model
 // holds: stampLRU's fill leaves way 0 empty in a fresh set, and a later warm
 // of a line resident in a higher way would install a second copy in way 0.
 // The simulator only warms an empty cache, before any access.
 func TestCacheMatchesStampLRU(t *testing.T) {
+	paths := map[string]int{}
 	for _, ways := range []int{1, 2, 4, 16} {
 		for _, sets := range []int{64, 256} {
 			t.Run(fmt.Sprintf("ways=%d/sets=%d", ways, sets), func(t *testing.T) {
 				diffStampLRU(t, Config{SizeBytes: sets * ways * 64, Ways: ways,
-					LineBytes: 64, HitLatency: clk.NS(12)}, uint64(ways*1000+sets))
+					LineBytes: 64, HitLatency: clk.NS(12)}, uint64(ways*1000+sets), paths)
 			})
 		}
 	}
+	if paths["sets"] == 0 || paths["whole"] == 0 {
+		t.Fatalf("memo-hit restore paths taken: %v, want both the per-set and the whole-copy path", paths)
+	}
 }
 
-func diffStampLRU(t *testing.T, cfg Config, seed uint64) {
+// diffStampLRU runs one geometry of TestCacheMatchesStampLRU, counting in
+// paths how each memo hit restored the saved warm.
+func diffStampLRU(t *testing.T, cfg Config, seed uint64, paths map[string]int) {
 	geo := mapping.Default()
 	dev := dram.NewDevice(dram.Config{Geo: geo, Timing: clk.DDR5(), Mode: dram.ModeNone, Seed: 1})
 	q := &event.Queue{}
@@ -208,7 +235,6 @@ func diffStampLRU(t *testing.T, cfg Config, seed uint64) {
 	c := New(cfg, mc, q)
 	ref := newStampLRU(cfg)
 	var want []uint64 // the submissions ref predicts
-	var plan WarmPlan
 
 	r := rng.New(seed)
 	capacity := cfg.SizeBytes / cfg.LineBytes
@@ -226,6 +252,12 @@ func diffStampLRU(t *testing.T, cfg Config, seed uint64) {
 		}
 		return lines, dirty
 	}
+	warm := func(lines []uint64, dirty []bool) {
+		for i, l := range lines {
+			c.Warm(l, dirty[i])
+			ref.warm(l, dirty[i])
+		}
+	}
 	access := func(op int, line uint64, write bool) {
 		hits := c.Stats.Hits
 		c.Access(line, write, nil)
@@ -238,41 +270,52 @@ func diffStampLRU(t *testing.T, cfg Config, seed uint64) {
 		}
 	}
 
-	for round := 0; round < 6; round++ {
-		ref.reset()
-		if round%2 == 0 {
+	// saved is the last cold pre-warm, and refSaved ref's copy of it. A
+	// round of few ops leaves few sets marked in saved's working copy.
+	var saved WarmState
+	var refSaved stampLRU
+	rounds := []struct {
+		start string
+		ops   int
+	}{
+		{"reset", 3000}, {"warm", 3000}, {"load", 3000}, {"load", 4}, {"load", 3000},
+		{"reset", 3000}, {"warm", 4}, {"load", 3000}, {"warm", 3000}, {"load", 3000},
+	}
+	for round, rd := range rounds {
+		switch rd.start {
+		case "reset":
 			c.Reset(mc)
-		} else {
-			// ResetForWarm defers the wipe to the warm that must follow it:
-			// a WarmAll, or in round 3 a single Warm.
-			c.ResetForWarm(mc)
+			ref.reset()
+		case "warm":
+			c.Reset(mc)
+			ref.reset()
 			n := r.Intn(2 * capacity)
-			if round == 3 {
+			if round == 6 {
 				n = 1
 			}
-			lines, dirty := randLines(n, false)
-			if round == 3 {
-				c.Warm(lines[0], dirty[0])
-			} else {
-				c.WarmAll(lines, dirty, &plan)
+			warm(randLines(n, false))
+			c.SaveWarm(&saved)
+			refSaved = ref.save()
+		case "load":
+			switch m := saved.work.marked(); {
+			case m > len(c.sets)/rollbackBulk:
+				paths["whole"]++
+			case m > 0:
+				paths["sets"]++
 			}
-			for i, l := range lines {
-				ref.warm(l, dirty[i])
+			c.LoadWarm(&saved, mc)
+			ref.restore(&refSaved)
+			if !reflect.DeepEqual(recencyState(c), ref.recency()) {
+				t.Fatalf("round %d: LoadWarm's recency order or dirty bits diverge from stampLRU's saved warm", round)
 			}
 		}
 		accessed := false
-		for op := 0; op < 3000; op++ {
+		for op := 0; op < rd.ops; op++ {
 			switch k := r.Intn(100); {
 			case k < 4 || (!accessed && k < 30):
-				lines, dirty := randLines(1, accessed)
-				c.Warm(lines[0], dirty[0])
-				ref.warm(lines[0], dirty[0])
+				warm(randLines(1, accessed))
 			case k < 6 || (!accessed && k < 35):
-				lines, dirty := randLines(r.Intn(capacity), accessed)
-				c.WarmAll(lines, dirty, &plan)
-				for i, l := range lines {
-					ref.warm(l, dirty[i])
-				}
+				warm(randLines(r.Intn(capacity), accessed))
 			default:
 				accessed = true
 				line := uint64(r.Int63n(span))

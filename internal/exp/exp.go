@@ -262,19 +262,13 @@ func (js jobSet) slowdown(base, test int) (float64, bool) {
 // failures lists the failed jobs as "label: cause" footnotes, deduplicated
 // (the same cached failure can back several cells).
 func (js jobSet) failures() []string {
-	seen := map[string]bool{}
 	var out []string
 	for i, err := range js.errs {
-		if err == nil {
-			continue
-		}
-		f := fmt.Sprintf("%s: %v", jobLabel(js.jobs[i]), err)
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", jobLabel(js.jobs[i]), err))
 		}
 	}
-	return out
+	return dedup(out)
 }
 
 // jobLabel is a compact human identity for a job in failure footnotes.

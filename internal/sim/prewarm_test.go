@@ -39,7 +39,7 @@ func TestPrewarmHonorsConfiguredCache(t *testing.T) {
 	llc := newWarmTarget(t, small)
 	wantLines := small.SizeBytes / small.LineBytes
 
-	warmed := prewarm(llc, warmKeyFor(small), &prewarmScratch{})
+	warmed := prewarm(llc, warmKeyFor(small))
 	if warmed != wantLines {
 		t.Fatalf("prewarm warmed %d lines for a %d-line cache (DefaultConfig would be %d)",
 			warmed, wantLines, cache.DefaultConfig().SizeBytes/cache.DefaultConfig().LineBytes)
@@ -65,8 +65,8 @@ func TestPrewarmPrefetchDegreeInvariant(t *testing.T) {
 	defLLC := newWarmTarget(t, defCfg)
 	pfLLC := newWarmTarget(t, pfCfg)
 
-	warmedDef := prewarm(defLLC, warmKeyFor(defCfg), &prewarmScratch{})
-	warmedPf := prewarm(pfLLC, warmKeyFor(pfCfg), &prewarmScratch{})
+	warmedDef := prewarm(defLLC, warmKeyFor(defCfg))
+	warmedPf := prewarm(pfLLC, warmKeyFor(pfCfg))
 	if warmedDef != warmedPf {
 		t.Fatalf("warmed %d lines with default prefetch degree, %d with degree 4", warmedDef, warmedPf)
 	}

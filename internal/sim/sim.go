@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 
 	"autorfm/internal/arena"
@@ -333,19 +332,21 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 // Machine is a reusable simulation allocation: the event queue, the LLC's
 // tag and set arrays, the memory controller's bank rings and event pools,
 // the DRAM device's largest arrays (PRAC counters, audit ledgers — kept
-// across mode changes), the arena its per-bank pipelines are carved from,
-// and the pre-warm scratch survive from run to run and are reset instead of
-// reconstructed. Sweeps that run many seeds of one configuration
-// (fig1d-style) avoid rebuilding ~3MB of state per run; a Machine run is
-// byte-identical to a fresh Run (pinned by TestMachineReuseMatchesFresh).
+// across mode changes), and the arena its per-bank pipelines are carved
+// from survive from run to run and are reset instead of reconstructed.
+// Sweeps that run many seeds of one configuration (fig1d-style) avoid
+// rebuilding ~3MB of state per run; a Machine run is byte-identical to a
+// fresh Run (pinned by TestMachineReuseMatchesFresh).
 //
 // The machine also memoizes the LLC pre-warm: it keeps the way state of
 // its last warmMemoCap distinct pre-warms, keyed by everything the pre-warm
 // reads (warmKey). A run whose key repeats — another mechanism or threshold
 // on the same workload and seed — runs on that entry's working copy of the
 // way state, rolled back to the saved pre-warm by restoring only the sets
-// the copy's last run changed (cache.LoadWarm). At the Table IV geometry
-// each entry is 640KB saved plus, once hit, 640KB of working copy.
+// the copy's last run changed (cache.LoadWarm), with no wipe. Any other run
+// wipes the LLC (cache.Reset) and warms it line by line (prewarm). At the
+// Table IV geometry each entry is 640KB saved plus, once hit, 640KB of
+// working copy.
 //
 // The zero value is ready to use; each Run warms it further. A Machine is
 // not safe for concurrent use — give each worker goroutine its own.
@@ -361,7 +362,6 @@ type Machine struct {
 	// per-bank tracker and policy structs.
 	// It survives dirty teardowns — NewDevice resets it before carving.
 	arena arena.Arena
-	warm  prewarmScratch
 	// memo is the saved pre-warms, most recent first. An entry is written
 	// once, after its pre-warm completed, so it survives dirty teardowns.
 	// Entries are pointers because the LLC keeps the address of the one it
@@ -571,17 +571,12 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 		rs.samplerT.At(q.Now() + rs.epochPeriod)
 	}
 	llcCfg := cfg.llcConfig()
-	if m.llc != nil && m.llcCfg == llcCfg {
-		// The pre-warm rewrites every way of every set, and a memo hit
-		// leaves every set as saved, so the reset can skip its full-cache
-		// array wipe (see ResetForWarm).
-		m.llc.ResetForWarm(rs.mc)
-	} else {
+	if m.llc == nil || m.llcCfg != llcCfg {
 		m.llc = cache.New(llcCfg, rs.mc, q)
 		m.llcCfg = llcCfg
 	}
 	llc := m.llc
-	m.warmLLC(newWarmKey(&cfg, llcCfg))
+	m.warmLLC(newWarmKey(&cfg, llcCfg), rs.mc)
 
 	rs.remaining = cfg.Cores
 	coreFinished := func() { rs.remaining-- }
@@ -758,20 +753,22 @@ type warmEntry struct {
 	state cache.WarmState
 }
 
-// warmLLC pre-warms m.llc, which must be freshly reset, for key k. A key
-// in the memo is restored and becomes the most recent entry. Otherwise
-// prewarm runs and its result is saved as the most recent entry, reusing
-// the buffers of the least recent one once the memo is full.
-func (m *Machine) warmLLC(k warmKey) {
+// warmLLC resets m.llc onto mc and pre-warms it for key k. A key in the
+// memo is restored without a wipe (cache.LoadWarm) and becomes the most
+// recent entry. Otherwise the LLC is wiped, prewarm runs, and its result is
+// saved as the most recent entry, reusing the buffers of the least recent
+// one once the memo is full.
+func (m *Machine) warmLLC(k warmKey, mc *memctrl.Controller) {
 	for i, e := range m.memo {
 		if e.key == k {
 			copy(m.memo[1:i+1], m.memo[:i])
 			m.memo[0] = e
-			m.llc.LoadWarm(&e.state)
+			m.llc.LoadWarm(&e.state, mc)
 			return
 		}
 	}
-	prewarm(m.llc, k, &m.warm)
+	m.llc.Reset(mc)
+	prewarm(m.llc, k)
 	if len(m.memo) < warmMemoCap {
 		m.memo = append(m.memo, &warmEntry{})
 	}
@@ -782,78 +779,23 @@ func (m *Machine) warmLLC(k warmKey) {
 	m.llc.SaveWarm(&e.state)
 }
 
-// prewarmScratch is the machine's reusable buffer set for the LLC pre-warm:
-// the drawn line/dirty vectors and the WarmAll counting-sort plan.
-type prewarmScratch struct {
-	lines []uint64
-	dirty []bool
-	plan  cache.WarmPlan
-}
-
 // prewarm fills the LLC to steady-state occupancy so short slices see the
 // same capacity-eviction and writeback behaviour as long runs: every line
 // slot of the configured cache is warmed with a line drawn from the cores'
-// footprints, dirty with the workload's write fraction. k's geometry must
-// be the one llc was built with — warming DefaultConfig's line count into a
-// differently sized cache would silently skew occupancy (a bug this
-// helper's regression test pins down). prewarm reads nothing but k, which
-// is what lets Machine memoize its result by k. The draws are applied
-// set-major through WarmAll with the machine's reused scratch, leaving the
-// state successive cache.Warm calls would. Returns the number of lines
-// warmed.
-func prewarm(llc *cache.Cache, k warmKey, s *prewarmScratch) int {
+// footprints, dirty with the workload's write fraction, the cores taking
+// turns. k's geometry must be the one llc was built with — warming
+// DefaultConfig's line count into a differently sized cache would silently
+// skew occupancy (a bug this helper's regression test pins down). prewarm
+// reads nothing but k, which is what lets Machine memoize its result by k.
+// Returns the number of lines warmed.
+func prewarm(llc *cache.Cache, k warmKey) int {
 	wr := rng.New(k.Seed ^ 0x3a3a)
 	totalLines := k.SizeBytes / k.LineBytes
 	fpLines := footprintLines(k.FootprintMB)
-	if cap(s.lines) < totalLines {
-		s.lines = make([]uint64, totalLines)
-		s.dirty = make([]bool, totalLines)
+	for i := 0; i < totalLines; i++ {
+		line := uint64(i%k.Cores)*fpLines + uint64(wr.Int63n(int64(fpLines)))
+		llc.Warm(line, wr.Bernoulli(k.WriteFrac))
 	}
-	lines := s.lines[:totalLines]
-	dirty := s.dirty[:totalLines]
-	wf := k.WriteFrac
-	if fpLines > 0 && wf > 0 && wf < 1 {
-		// Call-free draw loop: rng.Int63n and rng.Bernoulli stay outside the
-		// compiler's inline budget (the rejection loop), so this replays
-		// their exact algorithms — Lemire multiply-shift with the same
-		// accept condition, Float64-compare Bernoulli — against the inlined
-		// Uint64. Identical draws, identical values (pinned by the golden
-		// digests); the rejection threshold and the i % cores counter are
-		// merely hoisted out of the loop.
-		thresh := -fpLines % fpLines
-		core, coreBase := 0, uint64(0)
-		for i := range lines {
-			var off uint64
-			for {
-				hi, lo := bits.Mul64(wr.Uint64(), fpLines)
-				if lo >= fpLines || lo >= thresh {
-					off = hi
-					break
-				}
-			}
-			lines[i] = coreBase + off
-			dirty[i] = float64(wr.Uint64()>>11)/(1<<53) < wf
-			core++
-			coreBase += fpLines
-			if core == k.Cores {
-				core, coreBase = 0, 0
-			}
-		}
-	} else {
-		// Degenerate parameters (no footprint, all-read or all-write
-		// workloads) keep the library calls so the draw count stays exact —
-		// Bernoulli(0) and Bernoulli(1) consume no draw.
-		core := 0
-		for i := range lines {
-			lines[i] = uint64(core)*fpLines + uint64(wr.Int63n(int64(fpLines)))
-			dirty[i] = wr.Bernoulli(wf)
-			core++
-			if core == k.Cores {
-				core = 0
-			}
-		}
-	}
-	llc.WarmAll(lines, dirty, &s.plan)
 	return totalLines
 }
 
