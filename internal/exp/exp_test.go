@@ -447,8 +447,9 @@ func TestResumeByteIdentical(t *testing.T) {
 // TestFailureFootnoteRendering: the ERR footnotes distinguish failure
 // causes — a typed per-job timeout renders as "timeout after Xs", a
 // recovered panic keeps its "job panicked:" prefix, and any other error
-// falls through verbatim. Table-driven over jobSet.failures, the single
-// place every experiment's footnotes are produced.
+// falls through verbatim; one failure behind several cells is footnoted
+// once. Table-driven over jobSet.failures, the single place every
+// experiment's footnotes are produced.
 func TestFailureFootnoteRendering(t *testing.T) {
 	prof, err := workload.ByName("bwaves")
 	if err != nil {
@@ -501,6 +502,12 @@ func TestFailureFootnoteRendering(t *testing.T) {
 				t.Fatalf("failures() = %v, want [%q]", got, tc.want)
 			}
 		})
+	}
+	// The same cached failure backing two cells is footnoted once.
+	boom := &runner.PanicError{Key: job.Key(), Value: "boom"}
+	js := jobSet{jobs: []sim.Config{job, job}, res: make([]sim.Result, 2), errs: []error{boom, boom}}
+	if got := js.failures(); len(got) != 1 {
+		t.Fatalf("two cells of one failed job: failures() = %v, want one footnote", got)
 	}
 }
 
