@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"autorfm/internal/dram"
 	"autorfm/internal/sim"
@@ -36,104 +35,85 @@ func Ablations(sc Scale) (Result, error) {
 			return Result{}, err
 		}
 	}
-	pool := sc.pool()
-	tbl := stats.NewTable("Ablation", "Variant", "Avg slowdown(%)", "Avg ALERT/ACT(%)")
-	summary := map[string]float64{}
-	var fails []string
 
-	// Each variant is one job list (baseline + test per workload); the
-	// shared baselines are simulated once thanks to the pool's cache.
-	// ok is false when every profile's pair failed.
-	measure := func(mut func(*sim.Config)) (float64, float64, bool, error) {
-		sds, tests, fs, err := slowdowns(pool, sc, profiles, mut)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		fails = append(fails, fs...)
-		var als []float64
-		for i, test := range tests {
-			if !math.IsNaN(sds[i]) {
-				als = append(als, test.AlertPerAct()*100)
-			}
-		}
-		sd, ok := meanValid(sds)
-		al, _ := meanValid(als)
-		return sd, al, ok, nil
+	// One table row per variant. Each row renders the variant's mean
+	// slowdown and ALERT/ACT over the baseline (or 0 where the ablation
+	// does not measure it) and records the named means in the summary.
+	type ablation struct {
+		name, label         string
+		variant             func(*sim.Config)
+		sdKey, alKey        string // summary keys ("" = not recorded)
+		noSlowdown, noAlert bool
 	}
+	autoRFM4 := func(mut func(*sim.Config)) func(*sim.Config) {
+		return func(c *sim.Config) {
+			mech(dram.ModeAutoRFM, 4, "")(c)
+			mut(c)
+		}
+	}
+	var rows []ablation
 
 	// 1. ALERT retry wait (AutoRFM-4, Zen mapping to keep conflicts common).
 	for _, wait := range []int64{200, 400, 800} {
-		wait := wait
-		sd, al, ok, err := measure(func(c *sim.Config) {
-			c.Mode = dram.ModeAutoRFM
-			c.TH = 4
-			c.RetryWaitNS = wait
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tbl.Add("retry-wait", fmt.Sprintf("%dns", wait), cell(sd, ok), cell(al, ok))
-		if ok {
-			summary[fmt.Sprintf("retry%d_slowdown", wait)] = sd
-		}
+		rows = append(rows, ablation{name: "retry-wait", label: fmt.Sprintf("%dns", wait),
+			variant: autoRFM4(func(c *sim.Config) { c.RetryWaitNS = wait }),
+			sdKey:   fmt.Sprintf("retry%d_slowdown", wait)})
 	}
-
 	// 2. RFM scheduling: eager vs deferred (RFM-8).
 	for _, f := range []int{1, 4, 8} {
-		f := f
-		sd, _, ok, err := measure(func(c *sim.Config) {
-			c.Mode = dram.ModeRFM
-			c.TH = 8
-			c.RAAMaxFactor = f
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tbl.Add("rfm-schedule", fmt.Sprintf("raamax=%dx", f), cell(sd, ok), 0.0)
-		if ok {
-			summary[fmt.Sprintf("raamax%d_slowdown", f)] = sd
-		}
+		rows = append(rows, ablation{name: "rfm-schedule", label: fmt.Sprintf("raamax=%dx", f),
+			variant: func(c *sim.Config) {
+				mech(dram.ModeRFM, 8, "")(c)
+				c.RAAMaxFactor = f
+			},
+			sdKey: fmt.Sprintf("raamax%d_slowdown", f), noAlert: true})
 	}
-
 	// 3. Mapping spectrum under AutoRFM-4.
 	for _, m := range []string{"page-in-row", "amd-zen", "rubix"} {
-		m := m
-		sd, al, ok, err := measure(func(c *sim.Config) {
-			c.Mode = dram.ModeAutoRFM
-			c.TH = 4
-			c.Mapping = m
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tbl.Add("mapping", m, cell(sd, ok), cell(al, ok))
-		if ok {
-			summary["map_"+m+"_alert_pct"] = al
-			summary["map_"+m+"_slowdown"] = sd
-		}
+		rows = append(rows, ablation{name: "mapping", label: m,
+			variant: mech(dram.ModeAutoRFM, 4, m),
+			sdKey:   "map_" + m + "_slowdown", alKey: "map_" + m + "_alert_pct"})
 	}
-
 	// 4. Prefetcher off: the page-buddy correlation disappears.
 	for _, deg := range []int{-1, 0} { // -1 = disabled, 0 = default(40)
-		deg := deg
 		label := "on(40)"
 		if deg < 0 {
 			label = "off"
 		}
-		_, al, ok, err := measure(func(c *sim.Config) {
-			c.Mode = dram.ModeAutoRFM
-			c.TH = 4
-			c.PrefetchDegree = deg
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		tbl.Add("prefetch", label, 0.0, cell(al, ok))
-		if ok {
-			summary["prefetch_"+label+"_alert_pct"] = al
-		}
+		rows = append(rows, ablation{name: "prefetch", label: label,
+			variant: autoRFM4(func(c *sim.Config) { c.PrefetchDegree = deg }),
+			alKey:   "prefetch_" + label + "_alert_pct", noSlowdown: true})
 	}
 
+	variants := make([]func(*sim.Config), len(rows))
+	for i, a := range rows {
+		variants[i] = a.variant
+	}
+	g, err := runGrid(sc, profiles, variants...)
+	if err != nil {
+		return Result{}, err
+	}
+	tbl := stats.NewTable("Ablation", "Variant", "Avg slowdown(%)", "Avg ALERT/ACT(%)")
+	summary := map[string]float64{}
+	for i, a := range rows {
+		// The ALERT rate is defined exactly where the slowdown is.
+		sd, ok := g.mean(g.slowdownCol(base, i))
+		al, _ := g.mean(g.alertCol(i))
+		sdCell, alCell := cell(sd, ok), cell(al, ok)
+		if a.noSlowdown {
+			sdCell = 0.0
+		}
+		if a.noAlert {
+			alCell = 0.0
+		}
+		tbl.Add(a.name, a.label, sdCell, alCell)
+		if ok && a.sdKey != "" {
+			summary[a.sdKey] = sd
+		}
+		if ok && a.alKey != "" {
+			summary[a.alKey] = al
+		}
+	}
 	return Result{ID: "ablate", Title: "Design-choice ablations", Table: tbl,
-		Summary: summary, Failures: dedup(fails)}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }

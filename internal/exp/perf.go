@@ -17,51 +17,20 @@ func Fig3(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ths := []int{4, 8, 16, 32}
-
-	// One job list: [base, rfm4, rfm8, rfm16, rfm32] per workload.
-	stride := 1 + len(ths)
-	var jobs []sim.Config
-	for _, p := range profiles {
-		jobs = append(jobs, sc.simCfg(p))
-		for _, th := range ths {
-			th := th
-			jobs = append(jobs, sc.simCfg(p, func(c *sim.Config) {
-				c.Mode = dram.ModeRFM
-				c.TH = th
-			}))
-		}
-	}
-	js, err := submit(sc.pool(), sc, jobs)
+	g, err := runGrid(sc, profiles,
+		mech(dram.ModeRFM, 4, ""), mech(dram.ModeRFM, 8, ""),
+		mech(dram.ModeRFM, 16, ""), mech(dram.ModeRFM, 32, ""))
 	if err != nil {
 		return Result{}, err
 	}
-
 	tbl := stats.NewTable("Workload", "RFM-4(%)", "RFM-8(%)", "RFM-16(%)", "RFM-32(%)")
-	sums := make([][]float64, len(ths))
-	for wi, p := range profiles {
-		row := []interface{}{p.Name}
-		for i := range ths {
-			sd, ok := js.slowdown(wi*stride, wi*stride+1+i)
-			if ok {
-				sums[i] = append(sums[i], sd)
-			}
-			row = append(row, cell(sd, ok))
-		}
-		tbl.Add(row...)
-	}
-	summary := map[string]float64{}
-	avgRow := []interface{}{"AVERAGE"}
-	for i, th := range ths {
-		m, ok := meanValid(sums[i])
-		avgRow = append(avgRow, cell(m, ok))
-		if ok {
-			summary[fmt.Sprintf("rfm%d_avg_slowdown_pct", th)] = m
-		}
-	}
-	tbl.Add(avgRow...)
+	summary := g.averageRows(tbl,
+		column{"rfm4_avg_slowdown_pct", g.slowdownCol(base, 0)},
+		column{"rfm8_avg_slowdown_pct", g.slowdownCol(base, 1)},
+		column{"rfm16_avg_slowdown_pct", g.slowdownCol(base, 2)},
+		column{"rfm32_avg_slowdown_pct", g.slowdownCol(base, 3)})
 	return Result{ID: "fig3", Title: "Performance impact of RFM", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Fig1d regenerates Figure 1(d): the average RFM slowdown paired with the
@@ -95,22 +64,18 @@ func Table5(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	jobs := make([]sim.Config, len(profiles))
-	for i, p := range profiles {
-		jobs[i] = sc.simCfg(p)
-	}
-	js, err := submit(sc.pool(), sc, jobs)
+	g, err := runGrid(sc, profiles)
 	if err != nil {
 		return Result{}, err
 	}
 	tbl := stats.NewTable("Workload", "Suite", "ACT-PKI", "paper", "ACT/tREFI", "paper")
 	var pkiErr, trefiErr []float64
-	for i, p := range profiles {
-		if !js.ok(i) {
+	for wi, p := range profiles {
+		r, ok := g.result(wi, base)
+		if !ok {
 			tbl.Add(p.Name, p.Suite, "ERR", p.TargetACTPKI, "ERR", p.TargetACTPerTREFI)
 			continue
 		}
-		r := js.res[i]
 		tbl.Add(p.Name, p.Suite, r.ACTPKI(), p.TargetACTPKI, r.ACTPerTREFI(), p.TargetACTPerTREFI)
 		pkiErr = append(pkiErr, abs(r.ACTPKI()-p.TargetACTPKI)/p.TargetACTPKI*100)
 		trefiErr = append(trefiErr, abs(r.ACTPerTREFI()-p.TargetACTPerTREFI)/p.TargetACTPerTREFI*100)
@@ -123,7 +88,7 @@ func Table5(sc Scale) (Result, error) {
 		summary["mean_acttrefi_error_pct"] = m
 	}
 	return Result{ID: "tab5", Title: "Workload characteristics", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Fig8 regenerates Figure 8: AutoRFM-4 slowdown (a) and ALERT-per-ACT (b)
@@ -134,63 +99,20 @@ func Fig8(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Job list: [base, zen, rubix] per workload.
-	var jobs []sim.Config
-	for _, p := range profiles {
-		jobs = append(jobs,
-			sc.simCfg(p),
-			sc.simCfg(p, func(c *sim.Config) {
-				c.Mode = dram.ModeAutoRFM
-				c.TH = 4
-				c.Mapping = "amd-zen"
-			}),
-			sc.simCfg(p, func(c *sim.Config) {
-				c.Mode = dram.ModeAutoRFM
-				c.TH = 4
-				c.Mapping = "rubix"
-			}))
-	}
-	js, err := submit(sc.pool(), sc, jobs)
+	g, err := runGrid(sc, profiles,
+		mech(dram.ModeAutoRFM, 4, "amd-zen"), mech(dram.ModeAutoRFM, 4, "rubix"))
 	if err != nil {
 		return Result{}, err
 	}
 	tbl := stats.NewTable("Workload", "Zen slow(%)", "Zen ALERT/ACT(%)",
 		"Rubix slow(%)", "Rubix ALERT/ACT(%)")
-	var zenSD, zenAL, rbxSD, rbxAL []float64
-	for i, p := range profiles {
-		zs, zok := js.slowdown(3*i, 3*i+1)
-		rs, rok := js.slowdown(3*i, 3*i+2)
-		var za, ra float64
-		if zok {
-			za = js.res[3*i+1].AlertPerAct() * 100
-			zenSD, zenAL = append(zenSD, zs), append(zenAL, za)
-		}
-		if rok {
-			ra = js.res[3*i+2].AlertPerAct() * 100
-			rbxSD, rbxAL = append(rbxSD, rs), append(rbxAL, ra)
-		}
-		tbl.Add(p.Name, cell(zs, zok), cell(za, zok), cell(rs, rok), cell(ra, rok))
-	}
-	summary := map[string]float64{}
-	avgRow := []interface{}{"AVERAGE"}
-	for _, col := range []struct {
-		key  string
-		vals []float64
-	}{
-		{"zen_avg_slowdown_pct", zenSD},
-		{"zen_alert_per_act_pct", zenAL},
-		{"rubix_avg_slowdown_pct", rbxSD},
-		{"rubix_alert_per_act_pct", rbxAL},
-	} {
-		m, ok := meanValid(col.vals)
-		avgRow = append(avgRow, cell(m, ok))
-		if ok {
-			summary[col.key] = m
-		}
-	}
-	tbl.Add(avgRow...)
+	summary := g.averageRows(tbl,
+		column{"zen_avg_slowdown_pct", g.slowdownCol(base, 0)},
+		column{"zen_alert_per_act_pct", g.alertCol(0)},
+		column{"rubix_avg_slowdown_pct", g.slowdownCol(base, 1)},
+		column{"rubix_alert_per_act_pct", g.alertCol(1)})
 	return Result{ID: "fig8", Title: "Impact of memory mapping on AutoRFM-4", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Fig11 regenerates Figure 11: per-workload slowdown of RFM-4/8 (blocking)
@@ -201,62 +123,20 @@ func Fig11(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ths := []int{4, 8}
-	// Job list: [base, rfm4, auto4, rfm8, auto8] per workload.
-	stride := 1 + 2*len(ths)
-	var jobs []sim.Config
-	for _, p := range profiles {
-		jobs = append(jobs, sc.simCfg(p))
-		for _, th := range ths {
-			th := th
-			jobs = append(jobs,
-				sc.simCfg(p, func(c *sim.Config) {
-					c.Mode = dram.ModeRFM
-					c.TH = th
-				}),
-				sc.simCfg(p, func(c *sim.Config) {
-					c.Mode = dram.ModeAutoRFM
-					c.TH = th
-					c.Mapping = "rubix"
-				}))
-		}
-	}
-	js, err := submit(sc.pool(), sc, jobs)
+	g, err := runGrid(sc, profiles,
+		mech(dram.ModeRFM, 4, ""), mech(dram.ModeAutoRFM, 4, "rubix"),
+		mech(dram.ModeRFM, 8, ""), mech(dram.ModeAutoRFM, 8, "rubix"))
 	if err != nil {
 		return Result{}, err
 	}
 	tbl := stats.NewTable("Workload", "RFM-4(%)", "AutoRFM-4(%)", "RFM-8(%)", "AutoRFM-8(%)")
-	cols := map[string][]float64{}
-	for wi, p := range profiles {
-		vals := []interface{}{p.Name}
-		for ti, th := range ths {
-			rs, rok := js.slowdown(wi*stride, wi*stride+1+2*ti)
-			as, aok := js.slowdown(wi*stride, wi*stride+2+2*ti)
-			vals = append(vals, cell(rs, rok), cell(as, aok))
-			if rok {
-				cols[fmt.Sprintf("rfm%d", th)] = append(cols[fmt.Sprintf("rfm%d", th)], rs)
-			}
-			if aok {
-				cols[fmt.Sprintf("auto%d", th)] = append(cols[fmt.Sprintf("auto%d", th)], as)
-			}
-		}
-		tbl.Add(vals...)
-	}
-	summary := map[string]float64{}
-	avgRow := []interface{}{"AVERAGE"}
-	for _, c := range []struct{ col, key string }{
-		{"rfm4", "rfm4_avg_pct"}, {"auto4", "autorfm4_avg_pct"},
-		{"rfm8", "rfm8_avg_pct"}, {"auto8", "autorfm8_avg_pct"},
-	} {
-		m, ok := meanValid(cols[c.col])
-		avgRow = append(avgRow, cell(m, ok))
-		if ok {
-			summary[c.key] = m
-		}
-	}
-	tbl.Add(avgRow...)
+	summary := g.averageRows(tbl,
+		column{"rfm4_avg_pct", g.slowdownCol(base, 0)},
+		column{"autorfm4_avg_pct", g.slowdownCol(base, 1)},
+		column{"rfm8_avg_pct", g.slowdownCol(base, 2)},
+		column{"autorfm8_avg_pct", g.slowdownCol(base, 3)})
 	return Result{ID: "fig11", Title: "RFM vs AutoRFM", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Table6 regenerates Table VI: average AutoRFM slowdown (Rubix + FM) and
@@ -269,36 +149,20 @@ func Table6(sc Scale) (Result, error) {
 	}
 	tm := clk.DDR5()
 	ths := []int{4, 5, 6, 8}
-	// One job list across all thresholds: [base, auto-th] per (th, workload);
-	// the cache collapses the repeated baselines to one run each.
-	var jobs []sim.Config
-	for _, th := range ths {
-		th := th
-		for _, p := range profiles {
-			jobs = append(jobs, sc.simCfg(p), sc.simCfg(p, func(c *sim.Config) {
-				c.Mode = dram.ModeAutoRFM
-				c.TH = th
-				c.Mapping = "rubix"
-			}))
-		}
+	variants := make([]func(*sim.Config), len(ths))
+	for i, th := range ths {
+		variants[i] = mech(dram.ModeAutoRFM, th, "rubix")
 	}
-	js, err := submit(sc.pool(), sc, jobs)
+	g, err := runGrid(sc, profiles, variants...)
 	if err != nil {
 		return Result{}, err
 	}
 	tbl := stats.NewTable("AutoRFMTH", "Slowdown(%)", "Recursive TRH-D", "Fractal TRH-D")
 	summary := map[string]float64{}
-	for ti, th := range ths {
-		var sds []float64
-		for wi := range profiles {
-			i := 2 * (ti*len(profiles) + wi)
-			if sd, ok := js.slowdown(i, i+1); ok {
-				sds = append(sds, sd)
-			}
-		}
+	for i, th := range ths {
 		_, rm := analytic.MINTThreshold(th, true, tm, analytic.MTTFTarget)
 		_, fm := analytic.MINTThreshold(th, false, tm, analytic.MTTFTarget)
-		m, ok := meanValid(sds)
+		m, ok := g.mean(g.slowdownCol(base, i))
 		tbl.Add(th, cell(m, ok), rm, fm)
 		if ok {
 			summary[fmt.Sprintf("autorfm%d_slowdown_pct", th)] = m
@@ -307,7 +171,7 @@ func Table6(sc Scale) (Result, error) {
 		summary[fmt.Sprintf("autorfm%d_trhd_rm", th)] = rm
 	}
 	return Result{ID: "tab6", Title: "Slowdown and tolerated threshold", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Fig13 regenerates Figure 13: average slowdown of PRAC+ABO, RFM, and
@@ -328,74 +192,53 @@ func Fig13(sc Scale) (Result, error) {
 			return Result{}, err
 		}
 	}
-	pool := sc.pool()
 	thresholds := []float64{74, 100, 161, 250, 356, 500, 702}
-	tbl := stats.NewTable("TRH-D", "PRAC(%)", "RFM(%)", "AutoRFM(%)")
-	summary := map[string]float64{}
-	var fails []string
-
-	avg := func(mut func(*sim.Config)) (float64, bool, error) {
-		sds, _, fs, err := slowdowns(pool, sc, profiles, mut)
-		if err != nil {
-			return 0, false, err
-		}
-		fails = append(fails, fs...)
-		m, ok := meanValid(sds)
-		return m, ok, nil
+	// Each threshold's row holds the variant behind each mechanism's cell,
+	// or none where the mechanism cannot reach the threshold.
+	const none = base - 1
+	var variants []func(*sim.Config)
+	add := func(v func(*sim.Config)) int {
+		variants = append(variants, v)
+		return len(variants) - 1
 	}
-
-	for _, trhd := range thresholds {
-		row := []interface{}{trhd}
+	rows := make([][3]int, len(thresholds))
+	for i, trhd := range thresholds {
 		// PRAC+ABO: inflated timings always; ABO threshold scales with TRH.
-		eth := int(trhd / 2)
-		if eth < 8 {
-			eth = 8
-		}
-		prac, pok, err := avg(func(c *sim.Config) { c.Mode = dram.ModePRAC; c.PRACETh = eth })
-		if err != nil {
-			return Result{}, err
-		}
-		row = append(row, cell(prac, pok))
-
+		eth := max(int(trhd/2), 8)
+		rows[i] = [3]int{add(func(c *sim.Config) { c.Mode = dram.ModePRAC; c.PRACETh = eth }), none, none}
 		// RFM: the largest window whose recursive-mitigation threshold is
 		// still below trhd.
 		if w := analytic.WindowForThreshold(trhd, true, tm, analytic.MTTFTarget); w >= 2 {
-			rfm, ok, err := avg(func(c *sim.Config) { c.Mode = dram.ModeRFM; c.TH = w })
-			if err != nil {
-				return Result{}, err
-			}
-			row = append(row, cell(rfm, ok))
-			if ok {
-				summary[fmt.Sprintf("rfm_at_%0.f", trhd)] = rfm
-			}
-		} else {
-			row = append(row, "n/a")
+			rows[i][1] = add(mech(dram.ModeRFM, w, ""))
 		}
-
 		// AutoRFM with Rubix + FM.
 		if w := analytic.WindowForThreshold(trhd, false, tm, analytic.MTTFTarget); w >= 2 {
-			auto, ok, err := avg(func(c *sim.Config) {
-				c.Mode = dram.ModeAutoRFM
-				c.TH = w
-				c.Mapping = "rubix"
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			row = append(row, cell(auto, ok))
-			if ok {
-				summary[fmt.Sprintf("autorfm_at_%0.f", trhd)] = auto
-			}
-		} else {
-			row = append(row, "n/a")
+			rows[i][2] = add(mech(dram.ModeAutoRFM, w, "rubix"))
 		}
-		if pok {
-			summary[fmt.Sprintf("prac_at_%0.f", trhd)] = prac
+	}
+	g, err := runGrid(sc, profiles, variants...)
+	if err != nil {
+		return Result{}, err
+	}
+	tbl := stats.NewTable("TRH-D", "PRAC(%)", "RFM(%)", "AutoRFM(%)")
+	summary := map[string]float64{}
+	for i, trhd := range thresholds {
+		row := []interface{}{trhd}
+		for m, name := range []string{"prac", "rfm", "autorfm"} {
+			if rows[i][m] == none {
+				row = append(row, "n/a")
+				continue
+			}
+			sd, ok := g.mean(g.slowdownCol(base, rows[i][m]))
+			row = append(row, cell(sd, ok))
+			if ok {
+				summary[fmt.Sprintf("%s_at_%0.f", name, trhd)] = sd
+			}
 		}
 		tbl.Add(row...)
 	}
 	return Result{ID: "fig13", Title: "PRAC vs RFM vs AutoRFM across thresholds", Table: tbl,
-		Summary: summary, Failures: dedup(fails)}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 // Fig17 regenerates Appendix C / Figure 17: the average slowdown of RFM on
@@ -406,61 +249,37 @@ func Fig17(sc Scale) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ths := []int{4, 8}
-	// Job list: [zenBase, zenRFM, rubixBase, rubixRFM] per (th, workload);
-	// the two baselines repeat across ths and are served from the cache.
-	var jobs []sim.Config
-	for _, th := range ths {
-		th := th
-		for _, p := range profiles {
-			jobs = append(jobs,
-				sc.simCfg(p),
-				sc.simCfg(p, func(c *sim.Config) { c.Mode = dram.ModeRFM; c.TH = th }),
-				sc.simCfg(p, func(c *sim.Config) { c.Mapping = "rubix" }),
-				sc.simCfg(p, func(c *sim.Config) {
-					c.Mode = dram.ModeRFM
-					c.TH = th
-					c.Mapping = "rubix"
-				}))
-		}
-	}
-	js, err := submit(sc.pool(), sc, jobs)
+	const rubix = 0 // the Rubix-mapped no-RFM baseline
+	g, err := runGrid(sc, profiles,
+		mech(dram.ModeNone, 0, "rubix"),
+		mech(dram.ModeRFM, 4, ""), mech(dram.ModeRFM, 4, "rubix"),
+		mech(dram.ModeRFM, 8, ""), mech(dram.ModeRFM, 8, "rubix"))
 	if err != nil {
 		return Result{}, err
 	}
+	extra, eok := g.mean(func(wi int) (float64, bool) {
+		zBase, zok := g.result(wi, base)
+		rBase, rok := g.result(wi, rubix)
+		return (float64(rBase.MC.Acts)/float64(zBase.MC.Acts) - 1) * 100, zok && rok
+	})
 	tbl := stats.NewTable("RFMTH", "Zen RFM slow(%)", "Rubix RFM slow(%)", "Rubix extra ACTs(%)")
 	summary := map[string]float64{}
-	for ti, th := range ths {
-		var zen, rbx, extra []float64
-		for wi := range profiles {
-			i := 4 * (ti*len(profiles) + wi)
-			if sd, ok := js.slowdown(i, i+1); ok {
-				zen = append(zen, sd)
-			}
-			if sd, ok := js.slowdown(i+2, i+3); ok {
-				rbx = append(rbx, sd)
-			}
-			if js.ok(i, i+2) {
-				zBase, rBase := js.res[i], js.res[i+2]
-				extra = append(extra, (float64(rBase.MC.Acts)/float64(zBase.MC.Acts)-1)*100)
-			}
-		}
-		zm, zok := meanValid(zen)
-		rm, rok := meanValid(rbx)
-		em, eok := meanValid(extra)
-		tbl.Add(th, cell(zm, zok), cell(rm, rok), cell(em, eok))
+	for _, row := range []struct{ th, zen, rbx int }{{4, 1, 2}, {8, 3, 4}} {
+		zm, zok := g.mean(g.slowdownCol(base, row.zen))
+		rm, rok := g.mean(g.slowdownCol(rubix, row.rbx))
+		tbl.Add(row.th, cell(zm, zok), cell(rm, rok), cell(extra, eok))
 		if zok {
-			summary[fmt.Sprintf("zen_rfm%d_pct", th)] = zm
+			summary[fmt.Sprintf("zen_rfm%d_pct", row.th)] = zm
 		}
 		if rok {
-			summary[fmt.Sprintf("rubix_rfm%d_pct", th)] = rm
+			summary[fmt.Sprintf("rubix_rfm%d_pct", row.th)] = rm
 		}
 		if eok {
-			summary[fmt.Sprintf("rubix_extra_acts_pct_th%d", th)] = em
+			summary[fmt.Sprintf("rubix_extra_acts_pct_th%d", row.th)] = extra
 		}
 	}
 	return Result{ID: "fig17", Title: "Impact of RFM on Rubix vs Zen", Table: tbl,
-		Summary: summary, Failures: js.failures()}, nil
+		Summary: summary, Failures: g.failures()}, nil
 }
 
 func abs(x float64) float64 {
