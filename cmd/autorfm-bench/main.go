@@ -56,6 +56,24 @@ func run() int {
 	)
 	flag.Parse()
 
+	// A count below its flag's range is a typo, not a request for the
+	// default: reject it before any work or file creation.
+	for _, f := range []struct {
+		name   string
+		bad    bool
+		v, min interface{}
+	}{
+		{"instr", *instr < 0, *instr, 0},
+		{"j", *jobs < 1, *jobs, 1},
+		{"timeout", *timeout < 0, *timeout, time.Duration(0)},
+		{"epoch-ns", *epochNS < 0, *epochNS, 0},
+	} {
+		if f.bad {
+			fmt.Fprintf(os.Stderr, "-%s %v: must be at least %v\n", f.name, f.v, f.min)
+			return 1
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -81,3 +81,32 @@ func TestChaosFails(t *testing.T) {
 		t.Fatalf("chaos sweep: exit %d, want 1 with the chaos footnote:\n%s", code, out)
 	}
 }
+
+// TestRejectsOutOfRangeCounts: a count flag below its range exits 1 with a
+// message naming the flag before any work or file creation, instead of
+// silently taking the scale's default, no timeout, every CPU, or an epoch
+// length that renders every simulated cell ERR.
+func TestRejectsOutOfRangeCounts(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-instr", "-5"}, "-instr -5: must be at least 0"},
+		{[]string{"-timeout", "-1s"}, "-timeout -1s: must be at least 0s"},
+		{[]string{"-j", "-3"}, "-j -3: must be at least 1"},
+		{[]string{"-j", "0"}, "-j 0: must be at least 1"},
+		{[]string{"-epoch-ns", "-5"}, "-epoch-ns -5: must be at least 0"},
+	} {
+		args := append([]string{"-exp", "tab5", "-workloads", "lbm", "-quiet",
+			"-report", filepath.Join(dir, "report.txt"), "-metrics", filepath.Join(dir, "metrics.jsonl"),
+			"-cpuprofile", filepath.Join(dir, "cpu.pprof")}, tc.args...)
+		out, code := runBench(t, args...)
+		if code != 1 || !strings.Contains(out, tc.want) {
+			t.Errorf("%v: exit %d, want 1 with %q:\n%s", tc.args, code, tc.want, out)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("rejected runs left files %v (%v)", entries, err)
+	}
+}

@@ -67,8 +67,11 @@ func main() {
 	// default: reject it before any work.
 	for _, f := range []struct {
 		name   string
-		v, min int
-	}{{"record-n", *recN, 0}, {"seeds", *seeds, 1}, {"trace-cap", *traceCap, 0}} {
+		v, min int64
+	}{
+		{"record-n", int64(*recN), 0}, {"seeds", int64(*seeds), 1}, {"trace-cap", int64(*traceCap), 0},
+		{"j", int64(*jobs), 1}, {"epoch-ns", *epochNS, 0},
+	} {
 		if f.v < f.min {
 			fmt.Fprintf(os.Stderr, "-%s %d: must be at least %d\n", f.name, f.v, f.min)
 			os.Exit(1)

@@ -79,6 +79,8 @@ func TestRejectsOutOfRangeCounts(t *testing.T) {
 		{[]string{"-seeds", "-3"}, "-seeds -3: must be at least 1"},
 		{[]string{"-seeds", "0"}, "-seeds 0: must be at least 1"},
 		{[]string{"-trace", filepath.Join(dir, "t.json"), "-trace-cap", "-1"}, "-trace-cap -1: must be at least 0"},
+		{[]string{"-j", "-3"}, "-j -3: must be at least 1"},
+		{[]string{"-metrics", filepath.Join(dir, "m.jsonl"), "-epoch-ns", "-5"}, "-epoch-ns -5: must be at least 0"},
 	} {
 		out, code := runSim(t, append([]string{"-workload", "lbm", "-instr", "2000", "-j", "1"}, tc.args...)...)
 		if code != 1 || !strings.Contains(out, tc.want) {
