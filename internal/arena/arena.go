@@ -5,8 +5,10 @@
 // of contiguous slabs instead of hundreds of scattered heap objects, and
 // (b) repeated warm-machine Resets carve nothing from the heap — the slabs
 // grow to the configuration's working set once and are then reused
-// verbatim. What a Reset still allocates is the per-bank tracker and
-// policy structs themselves (pinned by dram's TestDeviceWarmResetAllocs).
+// verbatim. The per-bank tracker and policy structs are not carved: the
+// built-in factories rebuild each bank's previous ones in place (see
+// tracker.Env.Prev), so a warm Reset of a registry-built device allocates
+// nothing at all (pinned by dram's TestDeviceWarmResetAllocs).
 //
 // An Arena is not a lifetime system: Reset invalidates every carving at
 // once, which matches the device's use exactly (Reset discards the whole

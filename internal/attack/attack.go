@@ -175,14 +175,14 @@ func Run(cfg Config, p Pattern) (Report, error) {
 	if _, err := buildTrk(tracker.Env{TH: cfg.TH, Recursive: recursive, R: rng.New(0)}); err != nil {
 		return Report{}, err
 	}
-	dcfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy {
+	dcfg.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy {
 		pol, err := mitigation.ByName(cfg.Policy, r)
 		if err != nil {
 			panic(err)
 		}
 		return pol
 	}
-	dcfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
+	dcfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
 		trk, err := buildTrk(tracker.Env{Bank: bank, TH: cfg.TH, Recursive: recursive, R: r})
 		if err != nil {
 			panic(err)

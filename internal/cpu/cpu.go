@@ -86,8 +86,9 @@ type Core struct {
 	pending []*memOp
 	head, n int
 
-	lastLoad *memOp // most recently dispatched load (dependence target)
-	freeOps  *memOp // memOp free list
+	lastLoad *memOp   // most recently dispatched load (dependence target)
+	freeOps  *memOp   // memOp free list
+	ops      []*memOp // every op the core made, for Reset to reclaim
 	adv      *event.Timer
 	rec      Record
 	haveRec  bool
@@ -114,9 +115,29 @@ const horizon = clk.Tick(4000) // 1µs
 
 // New creates a core reading from strm and accessing memory through port.
 func New(id int, cfg Config, strm Stream, port MemPort, q *event.Queue) *Core {
-	c := &Core{ID: id, cfg: cfg, strm: strm, port: port, q: q}
-	c.adv = event.NewTimer(q, c.advance)
+	c := &Core{}
+	c.Reset(id, cfg, strm, port, q)
 	return c
+}
+
+// Reset reinitialises c exactly as New builds a core. It keeps the memOp
+// pool (every op c made goes back on its free list, including stores whose
+// issue event the previous run never reached), the pending ring, the
+// advance timer and OnFinish, so a reused machine starts its next run
+// without allocating. Nothing c armed or handed out before the Reset may
+// fire after it: q must be a reset or new queue and port must hold none of
+// c's completions, as a reset LLC does.
+func (c *Core) Reset(id int, cfg Config, strm Stream, port MemPort, q *event.Queue) {
+	ops, pending, adv, onFinish := c.ops, c.pending, c.adv, c.OnFinish
+	if adv == nil || c.q != q {
+		adv = event.NewTimer(q, c.advance)
+	}
+	clear(pending)
+	*c = Core{ID: id, cfg: cfg, strm: strm, port: port, q: q,
+		ops: ops, pending: pending, adv: adv, OnFinish: onFinish}
+	for _, m := range ops {
+		c.putOp(m)
+	}
 }
 
 // Start begins execution at the current simulation time.
@@ -135,6 +156,7 @@ func (c *Core) getOp() *memOp {
 	if m == nil {
 		m = &memOp{c: c}
 		m.doneFn = func(now clk.Tick) { m.c.complete(m, now) }
+		c.ops = append(c.ops, m)
 	} else {
 		c.freeOps = m.next
 	}

@@ -222,3 +222,90 @@ func TestDependentLoadsSerialise(t *testing.T) {
 		t.Fatalf("serial chain time %v, want ≈50000 cycles", tSer)
 	}
 }
+
+// pooledPort completes every load after a fixed latency through a pool of
+// completion events, so a warm port allocates nothing.
+type pooledPort struct {
+	q       *event.Queue
+	latency clk.Tick
+	free    []*completion
+}
+
+type completion struct {
+	p    *pooledPort
+	done func(clk.Tick)
+}
+
+func (c *completion) OnEvent(now clk.Tick) {
+	done := c.done
+	c.done = nil
+	c.p.free = append(c.p.free, c)
+	done(now)
+}
+
+func (p *pooledPort) Access(line uint64, write bool, done func(clk.Tick)) {
+	if done == nil {
+		return
+	}
+	var c *completion
+	if n := len(p.free); n > 0 {
+		c, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		c = &completion{p: p}
+	}
+	c.done = done
+	p.q.Schedule(p.q.Now()+p.latency, c)
+}
+
+// mixedStream mixes loads, posted stores and dependent loads, then issues
+// only stores from its 3,000th record on.
+type mixedStream struct{ n uint64 }
+
+func (s *mixedStream) Next() (Record, bool) {
+	s.n++
+	return Record{Gap: int(s.n % 5), Line: s.n * 7, Write: s.n%3 == 0 || s.n >= 3000, DependsPrev: s.n%11 == 0}, true
+}
+
+// TestCoreResetZeroAllocs guards warm core reuse: a core Reset onto a reset
+// queue runs its next workload on the memOp pool, pending ring and advance
+// timer of the last run, allocating nothing, and finishes exactly as a new
+// core does. Like a simulation run, each run stops when the core finishes,
+// with posted stores still queued whose ops only Reset can reclaim.
+func TestCoreResetZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig(20_000)
+	s := &mixedStream{}
+	runOn := func(c *Core, q *event.Queue, p *pooledPort) {
+		q.Reset()
+		*s = mixedStream{}
+		c.Reset(0, cfg, s, p, q)
+		c.Start()
+		for !c.Finished && q.Step() {
+		}
+	}
+	fq := &event.Queue{}
+	fresh := New(0, cfg, &mixedStream{}, &pooledPort{q: fq, latency: 90}, fq)
+	fresh.Start()
+	for !fresh.Finished && fq.Step() {
+	}
+	if fq.Len() == 0 {
+		t.Fatal("no store left queued at the finish; the test does not reach Reset's reclaim")
+	}
+
+	q := &event.Queue{}
+	p := &pooledPort{q: q, latency: 90}
+	finished := 0
+	c := New(0, cfg, s, p, q)
+	c.OnFinish = func() { finished++ }
+	runOn(c, q, p)
+	if c.FinishTime != fresh.FinishTime || c.Loads != fresh.Loads || c.Stores != fresh.Stores {
+		t.Fatalf("reset core finished at %d with %d loads, %d stores; a new core at %d with %d, %d",
+			c.FinishTime, c.Loads, c.Stores, fresh.FinishTime, fresh.Loads, fresh.Stores)
+	}
+	allocs := testing.AllocsPerRun(5, func() { runOn(c, q, p) })
+	if allocs != 0 {
+		t.Fatalf("warm core Reset and run allocate %.1f objects, want 0", allocs)
+	}
+	if finished != 7 || c.FinishTime != fresh.FinishTime {
+		t.Fatalf("OnFinish fired %d times over 7 runs, last finish %d (want %d)", finished, c.FinishTime, fresh.FinishTime)
+	}
+}

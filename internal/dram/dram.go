@@ -56,10 +56,14 @@ type Config struct {
 	TH int
 	// NewTracker builds the per-bank tracker. Defaults to MINT with window
 	// TH; recursive slot reservation follows the policy's Recursive().
-	NewTracker func(bank int, r *rng.Source) tracker.Tracker
+	// prev is the bank's tracker before a Reset (nil in NewDevice), which
+	// the hook may rebuild in place (see tracker.Env.Prev).
+	NewTracker func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker
 	// NewPolicy builds the per-bank victim-refresh policy. Defaults to
-	// Fractal Mitigation.
-	NewPolicy func(bank int, r *rng.Source) mitigation.Policy
+	// Fractal Mitigation. prev is the bank's policy before a Reset (nil in
+	// NewDevice), which the hook may rebuild in place (see
+	// mitigation.Env.Prev).
+	NewPolicy func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy
 	// PRACETh is the per-row counter value at which a PRAC device raises
 	// ABO. Required for ModePRAC.
 	PRACETh int
@@ -78,8 +82,8 @@ type Config struct {
 	// pipeline state — tracker tables, victim buffers, PRNGs — instead of
 	// the heap. The arena is reset and re-carved on every Device Reset
 	// (pipelines are rebuilt wholesale there), which lays the device's
-	// tables out contiguously and leaves a repeated Reset allocating only
-	// the per-bank tracker and policy structs.
+	// tables out contiguously; with hooks that rebuild their prev in place
+	// a repeated Reset allocates nothing.
 	Arena *arena.Arena
 }
 
@@ -88,14 +92,15 @@ func (c *Config) fillDefaults() {
 		c.TH = 4
 	}
 	if c.NewPolicy == nil {
-		c.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy {
+		c.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy {
 			return mitigation.NewFractal(r)
 		}
 	}
 	if c.NewTracker == nil {
 		th := c.TH
-		c.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
-			// The recursive flag must match the policy; resolved in NewDevice.
+		c.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
+			// The recursive flag must match the policy; resolved in
+			// buildPipeline.
 			return tracker.NewMINT(th, false, r)
 		}
 	}
@@ -247,15 +252,18 @@ func (b *Bank) clearPRAC() {
 
 // buildPipeline constructs the bank's fresh-state device pipeline — PRNG,
 // policy, tracker — and zeroes the per-run scalar state. It is the shared
-// core of NewDevice and Reset: both produce bit-identical bank state.
+// core of NewDevice and Reset: both produce bit-identical bank state. The
+// hooks get the bank's previous policy and tracker, which the built-in
+// ones rebuild in place.
 func (b *Bank) buildPipeline(cfg *Config) {
 	r := arena.Source(cfg.Arena, cfg.Seed^(0xb1a5ed<<16+uint64(b.ID)*0x9e37))
-	pol := cfg.NewPolicy(b.ID, r)
-	trk := cfg.NewTracker(b.ID, r)
+	pol := cfg.NewPolicy(b.ID, r, b.policy)
+	trk := cfg.NewTracker(b.ID, r, b.trk)
 	// If the policy is recursive and the default MINT tracker is in
-	// use, it must reserve the transitive slot (W+1 selection).
+	// use, it must reserve the transitive slot (W+1 selection). The
+	// rebuild draws the slot a second time, as a second NewMINT did.
 	if m, ok := trk.(*tracker.MINT); ok && pol.Recursive() && m.Window() == cfg.TH {
-		trk = tracker.NewMINT(cfg.TH, true, r)
+		trk = tracker.ReuseMINT(m, cfg.TH, true, r)
 	}
 	b.trk, b.policy, b.r = trk, pol, r
 	b.va, b.victimBuf = nil, nil

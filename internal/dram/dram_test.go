@@ -215,7 +215,7 @@ func TestPRACCountersAndABO(t *testing.T) {
 
 func TestRecursivePolicyGetsReservedSlotTracker(t *testing.T) {
 	cfg := autoCfg(4)
-	cfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy {
+	cfg.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy {
 		return mitigation.NewRecursive()
 	}
 	d := NewDevice(cfg)
@@ -299,7 +299,7 @@ func TestMaxDamagePanicsWithoutAudit(t *testing.T) {
 // every REF command the bank executes.
 func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
 	cfg := autoCfg(4)
-	cfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
+	cfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
 		return tracker.NewTWiCe(1000)
 	}
 	d := NewDevice(cfg)
@@ -460,19 +460,52 @@ func BenchmarkBankActivate(b *testing.B) {
 
 // TestDeviceWarmResetAllocs pins what a warm Reset allocates: with an arena
 // sized by an earlier Reset, the PRNGs, tracker tables and victim buffers
-// are re-carved from its slabs, so the only heap objects are each bank's
-// tracker and policy structs (one MINT and one Fractal per bank here).
+// are re-carved from its slabs, and registry-built hooks rebuild each bank's
+// previous tracker and policy in place, so nothing is allocated. Hooks that
+// ignore prev still allocate one tracker and one policy per bank.
 func TestDeviceWarmResetAllocs(t *testing.T) {
-	cfg := autoCfg(4)
-	cfg.Arena = &arena.Arena{}
-	cfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker { return tracker.NewMINT(4, false, r) }
-	cfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy { return mitigation.NewFractal(r) }
-	d := NewDevice(cfg)
-	if !d.Reset(cfg) {
-		t.Fatal("Reset refused its own config")
+	buildTrk, err := tracker.FromSpec("mint")
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() { d.Reset(cfg) })
-	if want := float64(2 * cfg.Geo.Banks); allocs != want {
-		t.Fatalf("warm Reset allocates %.0f objects, want %.0f (a tracker and a policy per bank)", allocs, want)
+	buildPol, err := mitigation.FromSpecEnv("fractal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registry := autoCfg(4)
+	registry.Arena = &arena.Arena{}
+	registry.NewTracker = func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker {
+		trk, err := buildTrk(tracker.Env{Bank: bank, TH: 4, R: r, Arena: registry.Arena, Prev: prev})
+		if err != nil {
+			panic(err)
+		}
+		return trk
+	}
+	registry.NewPolicy = func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy {
+		pol, err := buildPol(mitigation.Env{R: r, Prev: prev})
+		if err != nil {
+			panic(err)
+		}
+		return pol
+	}
+	fresh := registry
+	fresh.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker { return tracker.NewMINT(4, false, r) }
+	fresh.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return mitigation.NewFractal(r) }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"registry", registry, 0},
+		{"hooks ignoring prev", fresh, 2 * registry.Geo.Banks},
+	} {
+		d := NewDevice(tc.cfg)
+		if !d.Reset(tc.cfg) {
+			t.Fatal("Reset refused its own config")
+		}
+		allocs := testing.AllocsPerRun(10, func() { d.Reset(tc.cfg) })
+		if allocs != float64(tc.want) {
+			t.Errorf("%s: warm Reset allocates %.0f objects, want %d", tc.name, allocs, tc.want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func newRig(mode dram.Mode, th int, pol string) *rig {
 		Seed:   7,
 	}
 	if pol != "" {
-		dcfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy {
+		dcfg.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy {
 			p, err := mitigation.ByName(pol, r)
 			if err != nil {
 				panic(err)

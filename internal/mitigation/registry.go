@@ -8,15 +8,36 @@ import (
 )
 
 // Factory builds one policy instance from a parsed parameter spec and the
-// bank's device-side PRNG. It runs once per bank at device construction.
+// bank's device-side PRNG. It runs once per bank at every device build or
+// Reset.
 type Factory func(spec *plugin.Spec, r *rng.Source) (Policy, error)
 
-var registry = plugin.NewRegistry[Factory]("policy")
+// Env is what a built-in policy factory consults: the bank's device-side
+// PRNG, and the policy the bank ran before the device Reset that is
+// rebuilding it.
+type Env struct {
+	// R is the bank's device-side PRNG.
+	R *rng.Source
+	// Prev, when non-nil, is the bank's previous policy; nothing else
+	// references it any more. The built-in factories reinitialise it in
+	// place when it is of their own type, with exactly the state of a
+	// fresh build, so a warm sim.Machine rebuilds its registry-built
+	// pipelines without allocating. Registered Factories never see it and
+	// allocate as before.
+	Prev Policy
+}
+
+// envFactory is a Factory that is also handed the bank's previous policy.
+type envFactory func(spec *plugin.Spec, env Env) (Policy, error)
+
+var registry = plugin.NewRegistry[envFactory]("policy")
 
 // Register adds a victim-refresh policy to the registry under info.Name.
 // Call it from an init function; after that, sim.Config.Policy selects the
 // implementation by name.
-func Register(info plugin.Info, f Factory) { registry.Register(info, f) }
+func Register(info plugin.Info, f Factory) {
+	registry.Register(info, func(s *plugin.Spec, env Env) (Policy, error) { return f(s, env.R) })
+}
 
 // Names returns the registered policy names, sorted.
 func Names() []string { return registry.Names() }
@@ -30,6 +51,16 @@ func Catalog() plugin.Section {
 // bound constructor. Parse and lookup errors surface here (config time);
 // parameter errors surface on the returned constructor's first call.
 func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
+	build, err := FromSpecEnv(selector)
+	if err != nil {
+		return nil, err
+	}
+	return func(r *rng.Source) (Policy, error) { return build(Env{R: r}) }, nil
+}
+
+// FromSpecEnv is FromSpec with a constructor that takes the whole Env, so a
+// device Reset can hand each bank's previous policy to a built-in factory.
+func FromSpecEnv(selector string) (func(env Env) (Policy, error), error) {
 	spec, err := plugin.ParseSpec(selector)
 	if err != nil {
 		return nil, fmt.Errorf("mitigation: %w", err)
@@ -47,13 +78,13 @@ func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
 		spec  plugin.Spec
 		ready bool
 	}
-	return func(r *rng.Source) (Policy, error) {
+	return func(env Env) (Policy, error) {
 		sp := &reuse.spec
 		if !reuse.ready {
 			s := spec.Clone()
 			sp = &s
 		}
-		p, err := f(sp, r)
+		p, err := f(sp, env)
 		if err != nil {
 			return nil, fmt.Errorf("mitigation policy %q: %w", spec.Name, err)
 		}
@@ -70,42 +101,49 @@ func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
 // entry point, kept for programmatic callers; parameterized selectors go
 // through FromSpec).
 func ByName(name string, r *rng.Source) (Policy, error) {
-	build, err := FromSpec(name)
+	build, err := FromSpecEnv(name)
 	if err != nil {
 		return nil, err
 	}
-	return build(r)
+	return build(Env{R: r})
 }
 
-// The built-in policies register themselves here.
+// The built-in policies register themselves here. Baseline and Recursive
+// are empty structs, which an interface holds without allocating; Fractal
+// rebuilds env.Prev in place.
 func init() {
-	Register(plugin.Info{
+	registry.Register(plugin.Info{
 		Name: "baseline",
 		Doc:  "always refresh the blast-radius-2 victims (±1, ±2)",
-	}, func(s *plugin.Spec, r *rng.Source) (Policy, error) {
+	}, func(s *plugin.Spec, _ Env) (Policy, error) {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
 		return NewBaseline(), nil
 	})
 
-	Register(plugin.Info{
+	registry.Register(plugin.Info{
 		Name: "recursive",
 		Doc:  "level-L mitigations refresh ±(2L-1), ±2L; defends transitive attacks by chaining",
-	}, func(s *plugin.Spec, r *rng.Source) (Policy, error) {
+	}, func(s *plugin.Spec, _ Env) (Policy, error) {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
 		return NewRecursive(), nil
 	})
 
-	Register(plugin.Info{
+	registry.Register(plugin.Info{
 		Name: "fractal",
 		Doc:  "±1 plus one pair at distance d with probability 2^(1-d) (the paper's Fractal Mitigation)",
-	}, func(s *plugin.Spec, r *rng.Source) (Policy, error) {
+	}, func(s *plugin.Spec, env Env) (Policy, error) {
 		if err := s.Finish(); err != nil {
 			return nil, err
 		}
-		return NewFractal(r), nil
+		f, ok := env.Prev.(*Fractal)
+		if !ok {
+			return NewFractal(env.R), nil
+		}
+		*f = Fractal{r: env.R}
+		return f, nil
 	})
 }

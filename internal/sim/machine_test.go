@@ -1,14 +1,21 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
+	"autorfm/internal/cpu"
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
+	"autorfm/internal/mitigation"
+	"autorfm/internal/tracker"
+	"autorfm/internal/workload"
 )
 
 func resultJSON(t *testing.T, r Result) []byte {
@@ -128,7 +135,10 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 // fresh state rather than resuming from garbage — except for the pre-warm
 // memo. The panicking run is itself a memo hit, so it dies halfway through
 // changing that entry's working copy; the LLC marked every set before
-// changing it, so the memo hits that follow roll the copy back.
+// changing it, so the memo hits that follow roll the copy back. The runs
+// die in the tracker (a fault panic after some ACTs) and in a core's
+// advance pass (a stream that panics), which must not leave a reused core
+// marked as running, so that it never dispatches again.
 func TestMachineDropsStateAfterPanic(t *testing.T) {
 	var m Machine
 	good := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
@@ -138,13 +148,19 @@ func TestMachineDropsStateAfterPanic(t *testing.T) {
 	if _, err := m.Run(good); err != nil {
 		t.Fatal(err)
 	}
-	for _, acts := range []int{5, 60} {
+	for _, acts := range []int{5, 60, -300} {
 		bad := good
-		bad.Fault = fault.Config{Seed: 3, PanicAfterActs: acts}
+		if acts > 0 {
+			bad.Fault = fault.Config{Seed: 3, PanicAfterActs: acts}
+		} else {
+			bad.NewStream = func(core int) cpu.Stream {
+				return &panicStream{inner: workload.NewGenerator(good.Workload, core, good.Seed^0xc0de), left: -acts}
+			}
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("run set to panic after %d ACTs did not panic", acts)
+					t.Fatalf("run set to panic after %d ACTs or records did not panic", acts)
 				}
 			}()
 			_, _ = m.Run(bad)
@@ -159,15 +175,84 @@ func TestMachineDropsStateAfterPanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := m.Run(cfg)
+			// A core left marked as running never dispatches, and the REF
+			// stream keeps the queue from draining: bound the run.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			after, err := m.RunCtx(ctx, cfg)
+			cancel()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(after, fresh) {
-				t.Fatalf("%v run after a panic at %d ACTs diverges from a fresh run", cfg.Mode, acts)
+				t.Fatalf("%v run after a panic at %d ACTs or records diverges from a fresh run", cfg.Mode, acts)
 			}
 		}
 	}
+}
+
+// TestMachineCyclesEveryPlugin pins the in-place rebuild of each bank's
+// tracker and policy, and the reuse of cores: one
+// Machine runs every registered tracker × policy × mode, plus a
+// fault-injected and a NewTracker-hook config, twice each in a shuffled
+// order, so every built-in type is rebuilt over itself and over the
+// others. Each Result equals a fresh Run's byte for byte.
+func TestMachineCyclesEveryPlugin(t *testing.T) {
+	var cfgs []Config
+	modes := []dram.Mode{dram.ModeNone, dram.ModeRFM, dram.ModeAutoRFM, dram.ModePRAC}
+	for _, trk := range tracker.Names() {
+		for _, pol := range mitigation.Names() {
+			for _, mode := range modes {
+				cfgs = append(cfgs, Config{Tracker: trk, Policy: pol, Mode: mode})
+			}
+		}
+	}
+	cfgs = append(cfgs,
+		Config{Mode: dram.ModeAutoRFM, Fault: fault.Config{Seed: 5, TrackerBitFlipProb: 0.05, DropMitigationProb: 0.1}},
+		Config{Mode: dram.ModeRFM, NewTracker: directTrackers["pride"]})
+	workloads := []string{"mcf", "lbm", "bwaves"}
+	fresh := make([][]byte, len(cfgs))
+	for i := range cfgs {
+		cfgs[i].Workload = diffProfile(workloads[i%len(workloads)])
+		cfgs[i].InstructionsPerCore = 2_000
+		cfgs[i].TH = 4
+		cfgs[i].PRACETh = 8
+		cfgs[i].Seed = uint64(1 + i%2)
+		res, err := Run(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = resultJSON(t, res)
+	}
+	order := rand.New(rand.NewPCG(1, 2))
+	var m Machine
+	for pass := 0; pass < 2; pass++ {
+		for _, i := range order.Perm(len(cfgs)) {
+			res, err := m.Run(cfgs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resultJSON(t, res), fresh[i]) {
+				c := cfgs[i]
+				t.Fatalf("pass %d: %s/%s/%v run on the reused machine diverges from a fresh run",
+					pass, c.Tracker, c.Policy, c.Mode)
+			}
+		}
+	}
+}
+
+// panicStream panics in its Next after left records, from inside the
+// core's advance pass that asked for them.
+type panicStream struct {
+	inner cpu.Stream
+	left  int
+}
+
+func (s *panicStream) Next() (cpu.Record, bool) {
+	if s.left == 0 {
+		panic("stream ends mid-advance")
+	}
+	s.left--
+	return s.inner.Next()
 }
 
 // TestMachineCancellation: a cancelled context fails the run with the
@@ -203,7 +288,11 @@ func warmStart(t *testing.T, m *Machine, cfg Config) *runState {
 		t.Fatal(err)
 	}
 	cfg.fillDefaults()
-	rs, err := m.start(cfg)
+	pl, err := resolvePlugins(&cfg, &m.arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.start(cfg, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +336,15 @@ func TestMachineDispatchZeroAllocs(t *testing.T) {
 // warmRunAllocCeiling bounds the objects a second Machine.Run of one config
 // allocates end to end: validation, plugin resolution, the per-run cores,
 // and the dispatch of a 100k-instruction AutoRFM-4 run
-// (BenchmarkSimRun's config). The device pipelines, memory controller, LLC,
-// event queue and pre-warm scratch are all reused, so the count is ≈476 on
-// go1.24, chiefly the new cores' pooled ops and the 128 per-bank tracker
-// and policy structs; a new controller per run put it at ≈930, and the
-// allocating victim path and per-bank heap tables at ≈7.9k.
-const warmRunAllocCeiling = 550
+// (BenchmarkSimRun's config). The device pipelines down to each bank's
+// tracker and policy, the cores and their memory ops, the memory
+// controller, LLC, event queue and pre-warm are all reused, so the count
+// is 82 on go1.24: chiefly the eight workload generators (three objects
+// each), the plugin resolution (17), the Result, and pools still growing
+// into the second run. New per-bank trackers, policies and cores every run
+// put it at ≈476, a new controller per run at ≈930, and the allocating
+// victim path and per-bank heap tables at ≈7.9k.
+const warmRunAllocCeiling = 98
 
 // TestMachineWarmRunAllocs pins the warm-start cost: a repeated Run of the
 // same config on one Machine stays under warmRunAllocCeiling objects.

@@ -208,10 +208,12 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// validate rejects every user-reachable misconfiguration as an error, so
-// Run never panics on bad input (enforced by FuzzConfigValidate). It runs
-// after fillDefaults, so zero values have already taken their defaults and
-// only genuinely invalid values (negatives, NaNs, unknown names) trip it.
+// validate rejects every user-reachable misconfiguration of c's values as
+// an error; resolvePlugins does the same for its policy and tracker
+// selectors. Together they keep Run from panicking on bad input (enforced
+// by FuzzConfigValidate). validate runs after fillDefaults, so zero values
+// have already taken their defaults and only genuinely invalid values
+// (negatives, NaNs) trip it.
 func (c *Config) validate() error {
 	switch c.Mode {
 	case dram.ModeNone, dram.ModeRFM, dram.ModeAutoRFM, dram.ModePRAC:
@@ -264,37 +266,7 @@ func (c *Config) validate() error {
 	if w.Burst < 0 || w.Burst > 1<<20 {
 		return fmt.Errorf("sim: workload %q burst %d outside [0, 1Mi]", w.Name, w.Burst)
 	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
-	}
-	// Resolve the policy and tracker selectors against their plugin
-	// registries now, with a probe build each, so unknown names, unknown
-	// parameters, and out-of-range parameter values are all config-time
-	// errors with the offending key in the message. Caller-supplied
-	// NewTracker/NewPolicy hooks are exempt, like NewStream: programmatic
-	// construction validates itself. (Unknown mapping names still error in
-	// Run, where the mapper is built.)
-	if c.NewPolicy == nil {
-		build, err := mitigation.FromSpec(c.Policy)
-		if err != nil {
-			return err
-		}
-		if _, err := build(rng.New(0)); err != nil {
-			return err
-		}
-	}
-	if c.NewTracker == nil {
-		build, err := tracker.FromSpec(c.Tracker)
-		if err != nil {
-			return err
-		}
-		// Recursive is irrelevant to parameter validity, so the probe may
-		// run before the policy's recursive flag is known.
-		if _, err := build(tracker.Env{TH: c.TH, R: rng.New(0)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Fault.Validate()
 }
 
 // Result collects everything a run produced.
@@ -332,11 +304,15 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 // Machine is a reusable simulation allocation: the event queue, the LLC's
 // tag and set arrays, the memory controller's bank rings and event pools,
 // the DRAM device's largest arrays (PRAC counters, audit ledgers — kept
-// across mode changes), and the arena its per-bank pipelines are carved
-// from survive from run to run and are reset instead of reconstructed.
-// Sweeps that run many seeds of one configuration (fig1d-style) avoid
-// rebuilding ~3MB of state per run; a Machine run is byte-identical to a
-// fresh Run (pinned by TestMachineReuseMatchesFresh).
+// across mode changes), the arena its per-bank pipelines are carved from,
+// each bank's tracker and policy structs, and the cores with their pools
+// of memory ops survive from run to run and are reset instead of
+// reconstructed. Sweeps that run many seeds of one configuration
+// (fig1d-style) avoid rebuilding ~3MB of state per run, and a warm run of
+// a registry-built config allocates little
+// beyond its workload generators, the resolution of its plugins and its
+// Result; a Machine run is byte-identical to a fresh Run (pinned by
+// TestMachineReuseMatchesFresh).
 //
 // The machine also memoizes the LLC pre-warm: it keeps the way state of
 // its last warmMemoCap distinct pre-warms, keyed by everything the pre-warm
@@ -358,10 +334,15 @@ type Machine struct {
 	dev    *dram.Device
 	// arena is the device-state allocator: the device resets and re-carves
 	// it on every run, so the per-bank tracker tables, PRNGs, and victim
-	// buffers stay contiguous and a warm-machine Reset allocates only the
-	// per-bank tracker and policy structs.
-	// It survives dirty teardowns — NewDevice resets it before carving.
+	// buffers stay contiguous and a warm Reset carves them without
+	// allocating. It survives dirty teardowns — NewDevice resets it before
+	// carving.
 	arena arena.Arena
+	// cores are the cores of the last run, reset for the next one. Each
+	// core's OnFinish counts rs.remaining down.
+	cores []*cpu.Core
+	// rs is the run in flight, reused from run to run.
+	rs runState
 	// memo is the saved pre-warms, most recent first. An entry is written
 	// once, after its pre-warm completed, so it survives dirty teardowns.
 	// Entries are pointers because the LLC keeps the address of the one it
@@ -372,21 +353,86 @@ type Machine struct {
 	dirty bool
 }
 
-// prepared is the configuration-level part of a run's construction:
-// geometry, timing, the telemetry attachment, and the plugin constructors
-// resolved from their registries.
-type prepared struct {
-	geo        mapping.Geometry
-	timing     clk.Timing
-	trace      *telemetry.CommandTrace
-	metrics    *telemetry.MetricsConfig
-	newPolicy  func(bank int, r *rng.Source) mitigation.Policy
-	newTracker func(bank int, r *rng.Source) tracker.Tracker
+// plugins is a config's policy and tracker, resolved against their
+// registries and probed once per run, and bound into the device's per-bank
+// hooks. The registry-built hooks rebuild the bank's previous tracker and
+// policy in place; caller hooks (Config.NewPolicy, NewTracker) allocate.
+type plugins struct {
+	recursive  bool // the policy relies on recursive re-mitigation
+	newPolicy  func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy
+	newTracker func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker
 }
 
-// prepare resolves cfg's geometry, timing, telemetry and plugins.
-// Registry-built trackers carve their tables from a.
-func prepare(cfg *Config, a *arena.Arena) (prepared, error) {
+// resolvePlugins resolves cfg's policy and tracker selectors against their
+// plugin registries, with a probe build each, so unknown names, unknown
+// parameters, and out-of-range parameter values are all config-time errors
+// with the offending key in the message. Caller-supplied NewTracker and
+// NewPolicy hooks are exempt, like NewStream: programmatic construction
+// validates itself. (Unknown mapping names still error in start, where the
+// mapper is built.) Registry-built trackers carve their tables from a.
+func resolvePlugins(cfg *Config, a *arena.Arena) (*plugins, error) {
+	p := &plugins{}
+	if cfg.NewPolicy == nil {
+		build, err := mitigation.FromSpecEnv(cfg.Policy)
+		if err != nil {
+			return nil, err
+		}
+		probe, err := build(mitigation.Env{R: rng.New(0)})
+		if err != nil {
+			return nil, err
+		}
+		p.recursive = probe.Recursive()
+		p.newPolicy = func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy {
+			pol, perr := build(mitigation.Env{R: r, Prev: prev})
+			if perr != nil {
+				panic(perr) // unreachable: the probe accepted the spec
+			}
+			return pol
+		}
+	}
+	if cfg.NewTracker == nil {
+		build, err := tracker.FromSpec(cfg.Tracker)
+		if err != nil {
+			return nil, err
+		}
+		// Recursive is irrelevant to parameter validity, so the probe may
+		// run before the policy's recursive flag is known.
+		th := cfg.TH
+		if _, err := build(tracker.Env{TH: th, R: rng.New(0)}); err != nil {
+			return nil, err
+		}
+		p.newTracker = func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker {
+			t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: p.recursive, R: r, Arena: a, Prev: prev})
+			if terr != nil {
+				panic(terr) // unreachable: the probe accepted the spec
+			}
+			return t
+		}
+	} else {
+		hook := cfg.NewTracker
+		p.newTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker { return hook(bank, r) }
+	}
+	if cfg.NewPolicy != nil {
+		// The hook is probed (bank -1, throwaway PRNG) to learn whether the
+		// policy is recursive.
+		hook := cfg.NewPolicy
+		p.recursive = hook(-1, rng.New(0)).Recursive()
+		p.newPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return hook(bank, r) }
+	}
+	return p, nil
+}
+
+// prepared is the configuration-level part of a run's construction:
+// geometry, timing and the telemetry attachment.
+type prepared struct {
+	geo     mapping.Geometry
+	timing  clk.Timing
+	trace   *telemetry.CommandTrace
+	metrics *telemetry.MetricsConfig
+}
+
+// prepare resolves cfg's geometry, timing and telemetry.
+func prepare(cfg *Config) (prepared, error) {
 	pre := prepared{geo: mapping.Default(), timing: clk.DDR5()}
 	if cfg.Mode == dram.ModePRAC {
 		pre.timing = clk.PRAC()
@@ -406,54 +452,11 @@ func prepare(cfg *Config, a *arena.Arena) (prepared, error) {
 			pre.trace.SetTiming(pre.timing)
 		}
 	}
-	// Resolve the policy and tracker plugins. The registry is consulted
-	// exactly once per run: the selected constructors are bound into
-	// dram.Config's per-bank hooks, and the instances they produce are the
-	// same concrete types the per-activation hot path always called — no
-	// registry indirection survives past this point.
-	var recursive bool
-	if cfg.NewPolicy != nil {
-		pre.newPolicy = cfg.NewPolicy
-		recursive = cfg.NewPolicy(-1, rng.New(0)).Recursive()
-	} else {
-		build, err := mitigation.FromSpec(cfg.Policy)
-		if err != nil {
-			return pre, err // unreachable: validate resolved the spec
-		}
-		probe, err := build(rng.New(0))
-		if err != nil {
-			return pre, err
-		}
-		recursive = probe.Recursive()
-		pre.newPolicy = func(bank int, r *rng.Source) mitigation.Policy {
-			p, perr := build(r)
-			if perr != nil {
-				panic(perr) // unreachable: the spec was validated above
-			}
-			return p
-		}
-	}
-	if cfg.NewTracker != nil {
-		pre.newTracker = cfg.NewTracker
-	} else {
-		build, err := tracker.FromSpec(cfg.Tracker)
-		if err != nil {
-			return pre, err // unreachable: validate resolved the spec
-		}
-		th := cfg.TH
-		pre.newTracker = func(bank int, r *rng.Source) tracker.Tracker {
-			t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: recursive, R: r, Arena: a})
-			if terr != nil {
-				panic(terr) // unreachable: the spec was validated above
-			}
-			return t
-		}
-	}
 	return pre, nil
 }
 
-// runState is one in-flight run: the per-run components built for it and
-// its dispatch bookkeeping.
+// runState is one in-flight run: its controller and cores and its
+// dispatch bookkeeping.
 type runState struct {
 	m     *Machine
 	cfg   Config
@@ -475,12 +478,12 @@ type runState struct {
 	qHist       *stats.Histogram
 }
 
-// start builds everything a run needs — plugins, mapper, device,
-// controller, LLC, pre-warm, cores — on the machine's warm state, leaving
+// start builds everything a run needs — mapper, device, controller, LLC,
+// pre-warm, cores — on the machine's warm state, with pl's plugins, leaving
 // the run ready to dispatch. cfg must already be filled and validated. The
 // machine is marked dirty until finish completes.
-func (m *Machine) start(cfg Config) (*runState, error) {
-	pre, err := prepare(&cfg, &m.arena)
+func (m *Machine) start(cfg Config, pl *plugins) (*runState, error) {
+	pre, err := prepare(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -496,20 +499,22 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 		PRACETh:    cfg.PRACETh,
 		Seed:       cfg.Seed,
 		Trace:      pre.trace,
-		NewPolicy:  pre.newPolicy,
-		NewTracker: pre.newTracker,
+		NewPolicy:  pl.newPolicy,
+		NewTracker: pl.newTracker,
 		Arena:      &m.arena,
 	}
 	if cfg.Fault.Active() {
 		// Interpose the fault injectors between the device and its trackers.
 		// Each bank's injector has its own PRNG off Fault.Seed so the fault
-		// pattern is independent of the simulation's randomness.
+		// pattern is independent of the simulation's randomness. The
+		// wrapper hides the inner tracker, so a faulty run builds its
+		// trackers afresh.
 		inner := dcfg.NewTracker
 		fcfg := cfg.Fault
 		seed := cfg.Seed
-		dcfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
+		dcfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
 			fr := rng.New(fcfg.Seed ^ seed ^ (0xfa017<<20 | uint64(bank)*0x9e3779b9))
-			return fault.WrapTracker(inner(bank, r), fcfg, fr)
+			return fault.WrapTracker(inner(bank, r, nil), fcfg, fr)
 		}
 	}
 
@@ -517,7 +522,7 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 	// flight so a panicking or cancelled run poisons the reuse path, and
 	// drop state a previous failed run left behind.
 	if m.dirty {
-		m.q, m.llc, m.mc, m.dev = nil, nil, nil, nil
+		m.q, m.llc, m.mc, m.dev, m.cores = nil, nil, nil, nil, nil
 	}
 	m.dirty = true
 	if m.dev == nil || !m.dev.Reset(dcfg) {
@@ -530,7 +535,8 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 		m.q.Reset()
 	}
 	q := m.q
-	rs := &runState{m: m, cfg: cfg}
+	rs := &m.rs
+	*rs = runState{m: m, cfg: cfg}
 	mcCfg := memctrl.Config{Timing: pre.timing, Mapper: mapper, RFMTH: cfg.TH,
 		RAAMaxFactor: cfg.RAAMaxFactor, Trace: pre.trace}
 	if cfg.RetryWaitNS > 0 {
@@ -579,18 +585,19 @@ func (m *Machine) start(cfg Config) (*runState, error) {
 	m.warmLLC(newWarmKey(&cfg, llcCfg), rs.mc)
 
 	rs.remaining = cfg.Cores
-	coreFinished := func() { rs.remaining-- }
-	rs.cores = make([]*cpu.Core, cfg.Cores)
-	for i := range rs.cores {
+	for len(m.cores) < cfg.Cores {
+		m.cores = append(m.cores, &cpu.Core{OnFinish: func() { m.rs.remaining-- }})
+	}
+	rs.cores = m.cores[:cfg.Cores]
+	for i, c := range rs.cores {
 		var strm cpu.Stream
 		if cfg.NewStream != nil {
 			strm = cfg.NewStream(i)
 		} else {
 			strm = workload.NewGenerator(cfg.Workload, i, cfg.Seed^0xc0de)
 		}
-		rs.cores[i] = cpu.New(i, cpu.DefaultConfig(cfg.InstructionsPerCore), strm, llc, q)
-		rs.cores[i].OnFinish = coreFinished
-		rs.cores[i].Start()
+		c.Reset(i, cpu.DefaultConfig(cfg.InstructionsPerCore), strm, llc, q)
+		c.Start()
 	}
 	return rs, nil
 }
@@ -639,6 +646,10 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
+	pl, err := resolvePlugins(&cfg, &m.arena)
+	if err != nil {
+		return Result{}, err
+	}
 	// Chaos injection happens before any simulation work so induced job
 	// deaths are cheap and deterministic per job identity.
 	if cfg.Fault.ChaosProb > 0 {
@@ -648,7 +659,7 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		}
 		fault.MaybeChaosPanic(cfg.Fault, id)
 	}
-	rs, err := m.start(cfg)
+	rs, err := m.start(cfg, pl)
 	if err != nil {
 		return Result{}, err
 	}

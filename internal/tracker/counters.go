@@ -43,16 +43,17 @@ type Graphene struct {
 // NewGraphene returns a Graphene tracker with the given entry budget that
 // nominates rows at the given estimated activation count.
 func NewGraphene(entries int, threshold int64) *Graphene {
-	return NewGrapheneIn(nil, entries, threshold)
+	return reuseGraphene(nil, nil, entries, threshold)
 }
 
-// NewGrapheneIn is NewGraphene with the tables carved from a (nil for the
-// heap).
-func NewGrapheneIn(a *arena.Arena, entries int, threshold int64) *Graphene {
+// reuseGraphene is NewGraphene with the tables carved from a (nil for the
+// heap), rebuilding prev in place when it is a *Graphene.
+func reuseGraphene(prev Tracker, a *arena.Arena, entries int, threshold int64) *Graphene {
 	if entries < 1 || threshold < 1 {
 		panic("tracker: invalid Graphene parameters")
 	}
-	g := &Graphene{threshold: threshold}
+	g := reuse[Graphene](prev)
+	g.threshold = threshold
 	g.t.a = a
 	g.t.init(entries)
 	g.inQ.a = a
@@ -142,20 +143,20 @@ type TWiCe struct {
 
 // NewTWiCe returns a TWiCe tracker targeting the given Rowhammer threshold.
 func NewTWiCe(threshold int64) *TWiCe {
-	return NewTWiCeIn(nil, threshold)
+	return reuseTWiCe(nil, nil, threshold)
 }
 
-// NewTWiCeIn is NewTWiCe with the row index carved from a (nil for the
-// heap); the slot arrays grow on demand either way (TWiCe's table size is
-// workload-dependent by design).
-func NewTWiCeIn(a *arena.Arena, threshold int64) *TWiCe {
+// reuseTWiCe is NewTWiCe with the row index carved from a (nil for the
+// heap; the slot arrays grow on demand either way, as TWiCe's table size is
+// workload-dependent by design), rebuilding prev in place when it is a
+// *TWiCe.
+func reuseTWiCe(prev Tracker, a *arena.Arena, threshold int64) *TWiCe {
 	if threshold < 2 {
 		panic("tracker: invalid TWiCe threshold")
 	}
-	t := &TWiCe{
-		threshold:  threshold,
-		lifeEpochs: 8192, // REF commands per tREFW in DDR5
-	}
+	t := reuse[TWiCe](prev)
+	t.threshold = threshold
+	t.lifeEpochs = 8192 // REF commands per tREFW in DDR5
 	t.idx.a = a
 	t.idx.init(16)
 	return t

@@ -9,8 +9,8 @@ import (
 )
 
 // Env is the simulation context a tracker factory may consult. The factory
-// runs once per bank at device construction; nothing here is touched on the
-// per-activation path.
+// runs once per bank at every device build or Reset; nothing here is
+// touched on the per-activation path.
 type Env struct {
 	// Bank is the index of the bank the tracker will serve.
 	Bank int
@@ -30,6 +30,14 @@ type Env struct {
 	// warm-machine Resets re-carve instead of reallocating. Purely a
 	// placement hint: carved state behaves identically to heap state.
 	Arena *arena.Arena
+	// Prev, when non-nil, is the tracker this bank ran before the device
+	// Reset that is rebuilding it; nothing else references it any more. A
+	// factory may reinitialise it in place instead of allocating when it
+	// is of the factory's own type, provided the result has exactly the
+	// state and PRNG draws of a fresh build. Every built-in tracker does,
+	// so a warm sim.Machine rebuilds its registry-built pipelines without
+	// allocating; a factory that ignores Prev allocates as before.
+	Prev Tracker
 }
 
 // MaxTableEntries caps every table-size parameter (pride's fifo, parfm's
@@ -136,7 +144,7 @@ func init() {
 		if window < 1 {
 			return nil, fmt.Errorf("window %d < 1", window)
 		}
-		return NewMINT(window, recursive, env.R), nil
+		return ReuseMINT(env.Prev, window, recursive, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -158,7 +166,7 @@ func init() {
 		if err := checkTable("fifo", fifo); err != nil {
 			return nil, err
 		}
-		return NewPrIDEIn(env.Arena, window, fifo, env.R), nil
+		return reusePrIDE(env.Prev, env.Arena, window, fifo, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -175,7 +183,7 @@ func init() {
 		if err := checkTable("buf", buf); err != nil {
 			return nil, err
 		}
-		return NewPARFMIn(env.Arena, buf, env.R), nil
+		return reusePARFM(env.Prev, env.Arena, buf, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -192,7 +200,7 @@ func init() {
 		if p <= 0 || p > 1 {
 			return nil, fmt.Errorf("p %v outside (0,1]", p)
 		}
-		return NewPARA(p, env.R), nil
+		return reusePARA(env.Prev, p, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -209,7 +217,7 @@ func init() {
 		if err := checkTable("entries", entries); err != nil {
 			return nil, err
 		}
-		return NewMithrilIn(env.Arena, entries), nil
+		return reuseMithril(env.Prev, env.Arena, entries), nil
 	})
 
 	Register(plugin.Info{
@@ -231,7 +239,7 @@ func init() {
 		if threshold < 1 {
 			return nil, fmt.Errorf("threshold %d < 1", threshold)
 		}
-		return NewGrapheneIn(env.Arena, entries, threshold), nil
+		return reuseGraphene(env.Prev, env.Arena, entries, threshold), nil
 	})
 
 	Register(plugin.Info{
@@ -248,6 +256,6 @@ func init() {
 		if threshold < 2 {
 			return nil, fmt.Errorf("threshold %d < 2", threshold)
 		}
-		return NewTWiCeIn(env.Arena, threshold), nil
+		return reuseTWiCe(env.Prev, env.Arena, threshold), nil
 	})
 }

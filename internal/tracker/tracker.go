@@ -62,12 +62,34 @@ type MINT struct {
 // (selection probability 1/(W+1) per activation); otherwise it selects over
 // exactly W slots (probability 1/W), as in MINT+FM.
 func NewMINT(window int, recursive bool, r *rng.Source) *MINT {
+	return ReuseMINT(nil, window, recursive, r)
+}
+
+// ReuseMINT is NewMINT reinitialising prev in place when prev is a *MINT,
+// and allocating otherwise. Either way the tracker's state and its PRNG
+// draw are exactly NewMINT's.
+func ReuseMINT(prev Tracker, window int, recursive bool, r *rng.Source) *MINT {
 	if window < 1 {
 		panic(fmt.Sprintf("tracker: MINT window %d < 1", window))
 	}
-	m := &MINT{window: window, recursive: recursive, r: r}
+	m := reuse[MINT](prev)
+	m.window, m.recursive, m.r = window, recursive, r
 	m.pickSlot()
 	return m
+}
+
+// reuse returns prev zeroed when it is a *T, so a factory can rebuild the
+// bank's previous tracker in place, and a new T otherwise.
+func reuse[T any, P interface {
+	*T
+	Tracker
+}](prev Tracker) P {
+	if p, ok := prev.(P); ok {
+		var zero T
+		*p = zero
+		return p
+	}
+	return new(T)
 }
 
 func (m *MINT) Name() string {
@@ -139,15 +161,18 @@ type PrIDE struct {
 // NewPrIDE returns a PrIDE tracker sampling with probability 1/window into a
 // FIFO of fifoSize entries (the paper uses 4).
 func NewPrIDE(window, fifoSize int, r *rng.Source) *PrIDE {
-	return NewPrIDEIn(nil, window, fifoSize, r)
+	return reusePrIDE(nil, nil, window, fifoSize, r)
 }
 
-// NewPrIDEIn is NewPrIDE with the FIFO carved from a (nil for the heap).
-func NewPrIDEIn(a *arena.Arena, window, fifoSize int, r *rng.Source) *PrIDE {
+// reusePrIDE is NewPrIDE with the FIFO carved from a (nil for the heap),
+// rebuilding prev in place when it is a *PrIDE.
+func reusePrIDE(prev Tracker, a *arena.Arena, window, fifoSize int, r *rng.Source) *PrIDE {
 	if window < 1 || fifoSize < 1 {
 		panic("tracker: invalid PrIDE parameters")
 	}
-	return &PrIDE{window: window, fifoSize: fifoSize, r: r, fifo: arena.Uint32s(a, fifoSize)}
+	p := reuse[PrIDE](prev)
+	p.window, p.fifoSize, p.r, p.fifo = window, fifoSize, r, arena.Uint32s(a, fifoSize)
+	return p
 }
 
 func (p *PrIDE) Name() string { return fmt.Sprintf("pride-%d", p.window) }
@@ -200,15 +225,18 @@ type PARFM struct {
 // NewPARFM returns a PARFM tracker whose buffer covers a mitigation window
 // of bufSize activations.
 func NewPARFM(bufSize int, r *rng.Source) *PARFM {
-	return NewPARFMIn(nil, bufSize, r)
+	return reusePARFM(nil, nil, bufSize, r)
 }
 
-// NewPARFMIn is NewPARFM with the buffer carved from a (nil for the heap).
-func NewPARFMIn(a *arena.Arena, bufSize int, r *rng.Source) *PARFM {
+// reusePARFM is NewPARFM with the buffer carved from a (nil for the heap),
+// rebuilding prev in place when it is a *PARFM.
+func reusePARFM(prev Tracker, a *arena.Arena, bufSize int, r *rng.Source) *PARFM {
 	if bufSize < 1 {
 		panic("tracker: invalid PARFM buffer size")
 	}
-	return &PARFM{bufSize: bufSize, r: r, buf: arena.Uint32s(a, bufSize)[:0]}
+	p := reuse[PARFM](prev)
+	p.bufSize, p.r, p.buf = bufSize, r, arena.Uint32s(a, bufSize)[:0]
+	return p
 }
 
 func (p *PARFM) Name() string { return fmt.Sprintf("parfm-%d", p.bufSize) }
@@ -258,10 +286,17 @@ type PARA struct {
 
 // NewPARA returns a PARA tracker with selection probability p.
 func NewPARA(p float64, r *rng.Source) *PARA {
+	return reusePARA(nil, p, r)
+}
+
+// reusePARA is NewPARA rebuilding prev in place when it is a *PARA.
+func reusePARA(prev Tracker, p float64, r *rng.Source) *PARA {
 	if p <= 0 || p > 1 {
 		panic("tracker: PARA probability out of (0,1]")
 	}
-	return &PARA{p: p, r: r}
+	t := reuse[PARA](prev)
+	t.p, t.r = p, r
+	return t
 }
 
 func (p *PARA) Name() string { return fmt.Sprintf("para-%.3f", p.p) }
@@ -299,16 +334,16 @@ type Mithril struct {
 
 // NewMithril returns a Mithril tracker with the given entry budget.
 func NewMithril(entries int) *Mithril {
-	return NewMithrilIn(nil, entries)
+	return reuseMithril(nil, nil, entries)
 }
 
-// NewMithrilIn is NewMithril with the counter table carved from a (nil for
-// the heap).
-func NewMithrilIn(a *arena.Arena, entries int) *Mithril {
+// reuseMithril is NewMithril with the counter table carved from a (nil for
+// the heap), rebuilding prev in place when it is a *Mithril.
+func reuseMithril(prev Tracker, a *arena.Arena, entries int) *Mithril {
 	if entries < 1 {
 		panic("tracker: invalid Mithril entry count")
 	}
-	m := &Mithril{}
+	m := reuse[Mithril](prev)
 	m.t.a = a
 	m.t.init(entries)
 	return m
