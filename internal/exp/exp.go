@@ -257,7 +257,10 @@ func (js jobSet) failures() []string {
 	return dedup(out)
 }
 
-// jobLabel is a compact human identity for a job in failure footnotes.
+// jobLabel is a compact human identity for a job in failure footnotes:
+// the workload and mechanism, then every field an experiment varies that
+// is set away from its default, so no two jobs of one grid share a label
+// (pinned by TestJobLabelsUnique).
 func jobLabel(c sim.Config) string {
 	l := fmt.Sprintf("%s/%v", c.Workload.Name, c.Mode)
 	if c.TH > 0 {
@@ -268,6 +271,36 @@ func jobLabel(c sim.Config) string {
 	}
 	if c.Tracker != "" {
 		l += "/" + c.Tracker
+	}
+	if c.PRACETh != 0 {
+		l += fmt.Sprintf("/eth=%d", c.PRACETh)
+	}
+	if c.RetryWaitNS != 0 {
+		l += fmt.Sprintf("/retry=%dns", c.RetryWaitNS)
+	}
+	if c.RAAMaxFactor != 0 {
+		l += fmt.Sprintf("/raamax=%dx", c.RAAMaxFactor)
+	}
+	switch {
+	case c.PrefetchDegree < 0:
+		l += "/prefetch=off"
+	case c.PrefetchDegree > 0:
+		l += fmt.Sprintf("/prefetch=%d", c.PrefetchDegree)
+	}
+	// The tracker-path faults, spelled as their -faults injectors. The
+	// chaos and panic knobs apply to a whole sweep and name themselves in
+	// the failure.
+	f := c.Fault
+	for _, inj := range []struct {
+		name string
+		p    float64
+	}{
+		{"act-miss", f.ActMissProb}, {"bit-flip", f.TrackerBitFlipProb},
+		{"drop-mitigation", f.DropMitigationProb}, {"delay-mitigation", f.DelayMitigationProb},
+	} {
+		if inj.p != 0 {
+			l += fmt.Sprintf("/%s(p=%g)", inj.name, inj.p)
+		}
 	}
 	return l
 }

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"autorfm/internal/fault"
 	"autorfm/internal/runner"
+	"autorfm/internal/sim"
 )
 
 // TestGoldenReports pins the rendered report of every registered experiment
@@ -42,6 +44,40 @@ func checkGoldens(t *testing.T, sc Scale, prefix string) {
 		}
 		if got != string(want) {
 			t.Errorf("%s report differs from its golden:\n--- got ---\n%s--- want ---\n%s", e.ID, got, want)
+		}
+	}
+}
+
+// recorder is a Runner that keeps every job submitted through it.
+type recorder struct {
+	Runner
+	jobs []sim.Config
+}
+
+func (r *recorder) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, []error) {
+	r.jobs = append(r.jobs, cfgs...)
+	return r.Runner.RunAll(ctx, cfgs)
+}
+
+// TestJobLabelsUnique: within every experiment's grid, two jobs share a
+// failure-footnote label only if they share a memoization key, so each
+// footnote names one job.
+func TestJobLabelsUnique(t *testing.T) {
+	sc := tinyScale()
+	sc.Instructions = 2_000
+	sc.AttackActs = 20_000
+	rec := &recorder{Runner: runner.New(2)}
+	sc.Pool = rec
+	for _, e := range All() {
+		rec.jobs = nil
+		run(t, e.Run, sc)
+		keys := map[string]string{}
+		for _, job := range rec.jobs {
+			label, key := jobLabel(job), job.Key()
+			if prev, ok := keys[label]; ok && prev != key {
+				t.Errorf("%s: two jobs share the label %q:\n  %s\n  %s", e.ID, label, prev, key)
+			}
+			keys[label] = key
 		}
 	}
 }
