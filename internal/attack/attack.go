@@ -6,9 +6,7 @@ import (
 	"autorfm/internal/clk"
 	"autorfm/internal/dram"
 	"autorfm/internal/mapping"
-	"autorfm/internal/mitigation"
 	"autorfm/internal/rng"
-	"autorfm/internal/tracker"
 )
 
 // Pattern yields the i-th row the attacker activates.
@@ -110,7 +108,8 @@ type Config struct {
 	Policy string
 	// Tracker selects the registered tracker by plugin spec, e.g. "mint" or
 	// "pride(fifo=8)". Empty means "mint", the paper's representative.
-	// Recursive slot reservation follows the policy automatically.
+	// The device tells the tracker whether the policy is recursive, so
+	// MINT reserves its transitive slot unless the spec says otherwise.
 	Tracker string
 	// TRHD is the double-sided threshold under audit: the ledger records a
 	// failure when any row takes 2×TRHD single-sided damage.
@@ -159,35 +158,14 @@ func Run(cfg Config, p Pattern) (Report, error) {
 	if cfg.Blocking {
 		dcfg.Mode = dram.ModeRFM
 	}
-	probe, err := mitigation.ByName(cfg.Policy, rng.New(0))
+	trk := cfg.Tracker
+	if trk == "" {
+		trk = "mint"
+	}
+	var err error
+	dcfg.NewPolicy, dcfg.NewTracker, err = dram.Resolve(cfg.Policy, trk, cfg.TH)
 	if err != nil {
 		return Report{}, err
-	}
-	recursive := probe.Recursive()
-	trkSel := cfg.Tracker
-	if trkSel == "" {
-		trkSel = "mint"
-	}
-	buildTrk, err := tracker.FromSpec(trkSel)
-	if err != nil {
-		return Report{}, err
-	}
-	if _, err := buildTrk(tracker.Env{TH: cfg.TH, Recursive: recursive, R: rng.New(0)}); err != nil {
-		return Report{}, err
-	}
-	dcfg.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy {
-		pol, err := mitigation.ByName(cfg.Policy, r)
-		if err != nil {
-			panic(err)
-		}
-		return pol
-	}
-	dcfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
-		trk, err := buildTrk(tracker.Env{Bank: bank, TH: cfg.TH, Recursive: recursive, R: r})
-		if err != nil {
-			panic(err)
-		}
-		return trk
 	}
 
 	dev := dram.NewDevice(dcfg)

@@ -198,6 +198,27 @@ func TestRecursiveChainsTieSubarray(t *testing.T) {
 	}
 }
 
+// TestRecursiveMINTSpellings: under the recursive policy the device tells
+// MINT to reserve its transitive slot, so "mint" and "mint(recursive=true)"
+// audit identically, while "mint(recursive=false)" is honoured and never
+// takes the reserved slot.
+func TestRecursiveMINTSpellings(t *testing.T) {
+	audit := func(trk string) Report {
+		return MustRun(Config{TH: 4, Policy: "recursive", Tracker: trk, TRHD: 96, Acts: 100_000, Seed: 3},
+			HalfDouble(64*1024))
+	}
+	plain, explicit := audit("mint"), audit("mint(recursive=true)")
+	if plain != explicit {
+		t.Errorf("mint %+v, mint(recursive=true) %+v; want equal", plain, explicit)
+	}
+	if plain.Transitive == 0 {
+		t.Error("mint under the recursive policy took no transitive slot")
+	}
+	if off := audit("mint(recursive=false)"); off.Transitive != 0 || off.Mitigations == 0 {
+		t.Errorf("mint(recursive=false): %+v, want mitigations but no transitive ones", off)
+	}
+}
+
 func TestUnknownPolicyErrors(t *testing.T) {
 	if _, err := Run(Config{TH: 4, Policy: "nope", TRHD: 74, Acts: 10, Seed: 1},
 		SingleSided(1000)); err == nil {

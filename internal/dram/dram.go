@@ -54,11 +54,11 @@ type Config struct {
 	// TH is the mitigation interval in activations: RFMTH for ModeRFM,
 	// AutoRFMTH for ModeAutoRFM. It sets the tracker window.
 	TH int
-	// NewTracker builds the per-bank tracker. Defaults to MINT with window
-	// TH; recursive slot reservation follows the policy's Recursive().
-	// prev is the bank's tracker before a Reset (nil in NewDevice), which
-	// the hook may rebuild in place (see tracker.Env.Prev).
-	NewTracker func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker
+	// NewTracker builds the per-bank tracker from the Env the bank fills:
+	// its ID, TH, PRNG and Arena, whether the policy just built for it is
+	// recursive, and its tracker before a Reset (Prev, nil in NewDevice),
+	// which the hook may rebuild in place. Defaults to MINT with window TH.
+	NewTracker func(env tracker.Env) tracker.Tracker
 	// NewPolicy builds the per-bank victim-refresh policy. Defaults to
 	// Fractal Mitigation. prev is the bank's policy before a Reset (nil in
 	// NewDevice), which the hook may rebuild in place (see
@@ -97,13 +97,49 @@ func (c *Config) fillDefaults() {
 		}
 	}
 	if c.NewTracker == nil {
-		th := c.TH
-		c.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
-			// The recursive flag must match the policy; resolved in
-			// buildPipeline.
-			return tracker.NewMINT(th, false, r)
+		c.NewTracker = func(env tracker.Env) tracker.Tracker {
+			return tracker.NewMINT(env.TH, env.Recursive, env.R)
 		}
 	}
+}
+
+// Resolve turns a policy and a tracker selector into validated per-bank
+// hooks for Config.NewPolicy and Config.NewTracker. Unknown names, unknown
+// parameters and out-of-range values are errors here, at config time, not
+// panics in a bank's build: each selector gets one probe build at interval
+// th. The hooks rebuild a bank's previous policy and tracker in place (see
+// the Env.Prev fields). They are not safe for concurrent use; every device
+// config resolves its own.
+func Resolve(policy, trk string, th int) (
+	newPolicy func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy,
+	newTracker func(env tracker.Env) tracker.Tracker, err error) {
+	buildPol, err := mitigation.FromSpecEnv(policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := buildPol(mitigation.Env{R: rng.New(0)}); err != nil {
+		return nil, nil, err
+	}
+	buildTrk, err := tracker.FromSpec(trk)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := buildTrk(tracker.Env{TH: th, R: rng.New(0)}); err != nil {
+		return nil, nil, err
+	}
+	newPolicy = func(_ int, r *rng.Source, prev mitigation.Policy) mitigation.Policy {
+		return must(buildPol(mitigation.Env{R: r, Prev: prev}))
+	}
+	newTracker = func(env tracker.Env) tracker.Tracker { return must(buildTrk(env)) }
+	return newPolicy, newTracker, nil
+}
+
+// must unwraps a bank's build of a selector whose probe build succeeded.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err) // unreachable: Resolve's probe accepted the spec
+	}
+	return v
 }
 
 // BankStats counts device-side events in one bank.
@@ -252,19 +288,15 @@ func (b *Bank) clearPRAC() {
 
 // buildPipeline constructs the bank's fresh-state device pipeline — PRNG,
 // policy, tracker — and zeroes the per-run scalar state. It is the shared
-// core of NewDevice and Reset: both produce bit-identical bank state. The
-// hooks get the bank's previous policy and tracker, which the built-in
-// ones rebuild in place.
+// core of NewDevice and Reset: both produce bit-identical bank state. It is
+// the one place a bank's tracker.Env is filled: the tracker learns from it
+// whether the policy just built is recursive. The hooks get the bank's
+// previous policy and tracker, which the built-in ones rebuild in place.
 func (b *Bank) buildPipeline(cfg *Config) {
 	r := arena.Source(cfg.Arena, cfg.Seed^(0xb1a5ed<<16+uint64(b.ID)*0x9e37))
 	pol := cfg.NewPolicy(b.ID, r, b.policy)
-	trk := cfg.NewTracker(b.ID, r, b.trk)
-	// If the policy is recursive and the default MINT tracker is in
-	// use, it must reserve the transitive slot (W+1 selection). The
-	// rebuild draws the slot a second time, as a second NewMINT did.
-	if m, ok := trk.(*tracker.MINT); ok && pol.Recursive() && m.Window() == cfg.TH {
-		trk = tracker.ReuseMINT(m, cfg.TH, true, r)
-	}
+	trk := cfg.NewTracker(tracker.Env{Bank: b.ID, TH: cfg.TH, Recursive: pol.Recursive(),
+		R: r, Arena: cfg.Arena, Prev: b.trk})
 	b.trk, b.policy, b.r = trk, pol, r
 	b.va, b.victimBuf = nil, nil
 	if va, ok := pol.(mitigation.VictimAppender); ok {
@@ -317,9 +349,6 @@ func (d *Device) Reset(cfg Config) bool {
 
 // Tracker exposes the bank's tracker (used by attack harnesses).
 func (b *Bank) Tracker() tracker.Tracker { return b.trk }
-
-// Policy exposes the bank's mitigation policy.
-func (b *Bank) Policy() mitigation.Policy { return b.policy }
 
 // SAUMActive reports whether a subarray is under mitigation at time now.
 func (b *Bank) SAUMActive(now clk.Tick) bool {

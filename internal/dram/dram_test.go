@@ -299,9 +299,7 @@ func TestMaxDamagePanicsWithoutAudit(t *testing.T) {
 // every REF command the bank executes.
 func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
 	cfg := autoCfg(4)
-	cfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
-		return tracker.NewTWiCe(1000)
-	}
+	cfg.NewTracker = func(tracker.Env) tracker.Tracker { return tracker.NewTWiCe(1000) }
 	d := NewDevice(cfg)
 	b := d.Banks[0]
 	tw := b.Tracker().(*tracker.TWiCe)
@@ -460,36 +458,20 @@ func BenchmarkBankActivate(b *testing.B) {
 
 // TestDeviceWarmResetAllocs pins what a warm Reset allocates: with an arena
 // sized by an earlier Reset, the PRNGs, tracker tables and victim buffers
-// are re-carved from its slabs, and registry-built hooks rebuild each bank's
-// previous tracker and policy in place, so nothing is allocated. Hooks that
-// ignore prev still allocate one tracker and one policy per bank.
+// are re-carved from its slabs, and the hooks Resolve builds from the
+// registry rebuild each bank's previous tracker and policy in place, so
+// nothing is allocated. Hooks that ignore prev still allocate one tracker
+// and one policy per bank.
 func TestDeviceWarmResetAllocs(t *testing.T) {
-	buildTrk, err := tracker.FromSpec("mint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildPol, err := mitigation.FromSpecEnv("fractal")
-	if err != nil {
-		t.Fatal(err)
-	}
 	registry := autoCfg(4)
 	registry.Arena = &arena.Arena{}
-	registry.NewTracker = func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker {
-		trk, err := buildTrk(tracker.Env{Bank: bank, TH: 4, R: r, Arena: registry.Arena, Prev: prev})
-		if err != nil {
-			panic(err)
-		}
-		return trk
-	}
-	registry.NewPolicy = func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy {
-		pol, err := buildPol(mitigation.Env{R: r, Prev: prev})
-		if err != nil {
-			panic(err)
-		}
-		return pol
+	var err error
+	registry.NewPolicy, registry.NewTracker, err = Resolve("fractal", "mint", 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	fresh := registry
-	fresh.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker { return tracker.NewMINT(4, false, r) }
+	fresh.NewTracker = func(env tracker.Env) tracker.Tracker { return tracker.NewMINT(4, false, env.R) }
 	fresh.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return mitigation.NewFractal(r) }
 	for _, tc := range []struct {
 		name string

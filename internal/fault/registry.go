@@ -42,8 +42,7 @@ func ApplySpec(selector string, c *Config) error {
 		if err != nil {
 			return fmt.Errorf("fault: %w", err)
 		}
-		s := spec.Clone()
-		if err := f(&s, c); err != nil {
+		if err := f(&spec, c); err != nil {
 			return fmt.Errorf("fault injector %q: %w", spec.Name, err)
 		}
 	}

@@ -9,7 +9,8 @@ import (
 
 // FuzzPolicySpec asserts the policy Factory contract for any selector:
 // FromSpec and the builder it returns either succeed or return an error,
-// never panic. A built policy then answers one mitigation, standing in for
+// never panic, and two builds of one selector agree on the error outcome
+// and the Name. A built policy then answers one mitigation, standing in for
 // the tracker a TH-sized window would nominate: TH picks the aggressor row
 // inside the bank, and Recursive makes it a transitive (level 2)
 // re-mitigation. Its victims must stay inside the bank and within
@@ -31,8 +32,15 @@ func FuzzPolicySpec(f *testing.F) {
 			return
 		}
 		p, err := build(rng.New(1))
+		again, errAgain := build(rng.New(1))
+		if (err == nil) != (errAgain == nil) {
+			t.Fatalf("%q: first build err %v, second %v", selector, err, errAgain)
+		}
 		if err != nil {
 			return
+		}
+		if p.Name() != again.Name() {
+			t.Fatalf("%q: first build %s, second %s", selector, p.Name(), again.Name())
 		}
 		level := 1
 		if recursive {

@@ -2,7 +2,6 @@ package mitigation
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"autorfm/internal/rng"
@@ -248,55 +247,5 @@ func TestAppendVictimsZeroAllocs(t *testing.T) {
 		if len(buf) == 0 {
 			t.Errorf("%s: AppendVictims returned no victims", name)
 		}
-	}
-}
-
-// TestFromSpecEnvReusesPrev pins mitigation.Env.Prev: each built-in policy
-// rebuilt over a used policy of its own type is exactly a fresh one (same
-// victims and PRNG draws, Fractal's distance counts cleared) and builds
-// without allocating; a used policy of another type is left alone.
-func TestFromSpecEnvReusesPrev(t *testing.T) {
-	for _, name := range Names() {
-		build, err := FromSpecEnv(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		used, err := build(Env{R: rng.New(1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			used.Victims(sel(5000, 1+i%3), rows)
-		}
-		reusedR, freshR := rng.New(2), rng.New(2)
-		reused, err := build(Env{R: reusedR, Prev: used})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := build(Env{R: freshR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f, ok := reused.(*Fractal); ok && (f != used || f.DistanceCounts != [19]uint64{}) {
-			t.Errorf("%s: not rebuilt in place, or its distance counts survived", name)
-		}
-		for i := 0; i < 100; i++ {
-			s := sel(uint32(i), 1+i%3)
-			if got, want := reused.Victims(s, rows), fresh.Victims(s, rows); !slices.Equal(got, want) {
-				t.Fatalf("%s: rebuilt policy refreshes %v, fresh %v", name, got, want)
-			}
-		}
-		if reusedR.Uint64() != freshR.Uint64() {
-			t.Errorf("%s: rebuilt and fresh policies drew differently", name)
-		}
-		env := Env{R: rng.New(3), Prev: used}
-		if allocs := testing.AllocsPerRun(10, func() { used, _ = build(env); env.Prev = used }); allocs != 0 {
-			t.Errorf("%s: rebuilding over Prev allocates %.1f objects, want 0", name, allocs)
-		}
-	}
-	frac, _ := ByName("fractal", rng.New(4))
-	build, _ := FromSpecEnv("baseline")
-	if p, _ := build(Env{R: rng.New(4), Prev: frac}); p == frac {
-		t.Error("the baseline factory rebuilt a fractal policy")
 	}
 }

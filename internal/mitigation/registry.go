@@ -60,6 +60,9 @@ func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
 
 // FromSpecEnv is FromSpec with a constructor that takes the whole Env, so a
 // device Reset can hand each bank's previous policy to a built-in factory.
+// Every call rebuilds from the one parsed spec after a Reset, so each runs
+// the full Finish check. Not safe for concurrent use: every caller resolves
+// its own.
 func FromSpecEnv(selector string) (func(env Env) (Policy, error), error) {
 	spec, err := plugin.ParseSpec(selector)
 	if err != nil {
@@ -69,29 +72,11 @@ func FromSpecEnv(selector string) (func(env Env) (Policy, error), error) {
 	if err != nil {
 		return nil, fmt.Errorf("mitigation: %w", err)
 	}
-	// First build: tracked clone, full Finish check. Later builds (one per
-	// bank, every device reset) reuse a single trusted clone with no
-	// consumed-key bookkeeping, so the per-bank rebuild is allocation-free
-	// beyond the policy itself. Not safe for concurrent use; callers
-	// resolve their own builder and drive it from one goroutine.
-	var reuse struct {
-		spec  plugin.Spec
-		ready bool
-	}
 	return func(env Env) (Policy, error) {
-		sp := &reuse.spec
-		if !reuse.ready {
-			s := spec.Clone()
-			sp = &s
-		}
-		p, err := f(sp, env)
+		spec.Reset()
+		p, err := f(&spec, env)
 		if err != nil {
 			return nil, fmt.Errorf("mitigation policy %q: %w", spec.Name, err)
-		}
-		if !reuse.ready {
-			reuse.spec = spec.Clone()
-			reuse.spec.Trust()
-			reuse.ready = true
 		}
 		return p, nil
 	}, nil

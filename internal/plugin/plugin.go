@@ -2,6 +2,7 @@ package plugin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,20 +30,21 @@ type Info struct {
 	Params []ParamSpec
 }
 
-// Spec is a parsed selector: a plugin name plus its parameter map. The
-// typed getters record the first conversion error and mark keys as
-// consumed; Finish reports that error, or an unknown-parameter error for
-// any key no getter asked for. A Spec is single-use — each build should
-// work on its own copy (see Clone).
+// Spec is a parsed selector: a plugin name plus its parameters. The typed
+// getters record the first conversion error and every key they ask for;
+// Finish reports that error, or an unknown-parameter error for any key no
+// getter asked for. One parsed spec drives many builds: Reset clears what
+// the getters recorded before each one.
 type Spec struct {
 	// Name is the plugin name the spec selects.
 	Name string
 
-	params  map[string]string
-	asked   map[string]bool
-	err     error
-	trusted bool
+	params []param  // in spec order; never written after parsing
+	asked  []string // every key a getter asked for, present or not
+	err    error
 }
+
+type param struct{ key, val string }
 
 // ParseSpec parses "name" or "name(key=value, key=value)". Names and keys
 // are lowercase identifiers (letters, digits, '-', '_', '.'); values run to
@@ -64,7 +66,6 @@ func ParseSpec(s string) (Spec, error) {
 	if strings.TrimSpace(params) == "" {
 		return sp, nil
 	}
-	sp.params = make(map[string]string)
 	for _, kv := range strings.Split(params, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
@@ -74,10 +75,10 @@ func ParseSpec(s string) (Spec, error) {
 		if !validName(key) {
 			return Spec{}, fmt.Errorf("plugin spec %q: invalid parameter name %q", s, key)
 		}
-		if _, dup := sp.params[key]; dup {
+		if _, dup := sp.lookup(key); dup {
 			return Spec{}, fmt.Errorf("plugin spec %q: duplicate parameter %q", s, key)
 		}
-		sp.params[key] = val
+		sp.params = append(sp.params, param{key, val})
 	}
 	return sp, nil
 }
@@ -135,20 +136,12 @@ func validName(s string) bool {
 	return true
 }
 
-// Clone returns an independent copy of the spec with no keys consumed and
-// no recorded error, so one parsed spec can drive many builds.
-func (s *Spec) Clone() Spec {
-	return Spec{Name: s.Name, params: s.params}
-}
-
-// Trust marks the spec pre-validated: getters stop recording which keys
-// they consumed (skipping the lazily allocated bookkeeping map) and Finish
-// reports only conversion errors, not unknown parameters. A trusted spec is
-// for repeat builds of a selector whose first build already passed the full
-// Finish check — per-bank tracker and policy construction rebuilds the same
-// plugin dozens of times per device reset, and the trusted path makes every
-// rebuild after the first allocation-free.
-func (s *Spec) Trust() { s.trusted = true }
+// Reset clears what the getters recorded — the keys they asked for and the
+// first conversion error — so the spec can drive another build, which then
+// runs the full Finish check. It keeps the bookkeeping's storage, so a
+// factory that asks for the same keys every build allocates nothing after
+// the first.
+func (s *Spec) Reset() { s.asked, s.err = s.asked[:0], nil }
 
 func (s *Spec) fail(err error) {
 	if s.err == nil {
@@ -156,15 +149,22 @@ func (s *Spec) fail(err error) {
 	}
 }
 
+// raw looks key up and records that a getter asked for it. A spec without
+// parameters records nothing: it has no key to leave unread.
 func (s *Spec) raw(key string) (string, bool) {
-	if !s.trusted {
-		if s.asked == nil {
-			s.asked = make(map[string]bool)
-		}
-		s.asked[key] = true
+	if len(s.params) > 0 {
+		s.asked = append(s.asked, key)
 	}
-	v, ok := s.params[key]
-	return v, ok
+	return s.lookup(key)
+}
+
+func (s *Spec) lookup(key string) (string, bool) {
+	for _, p := range s.params {
+		if p.key == key {
+			return p.val, true
+		}
+	}
+	return "", false
 }
 
 // Int consumes an integer parameter, returning def when absent.
@@ -235,28 +235,22 @@ func (s *Spec) Finish() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.trusted {
-		return nil
-	}
-	unknown := make([]string, 0, len(s.params))
-	for k := range s.params {
-		if !s.asked[k] {
-			unknown = append(unknown, k)
+	var unknown []string
+	for _, p := range s.params {
+		if !slices.Contains(s.asked, p.key) {
+			unknown = append(unknown, p.key)
 		}
 	}
 	if len(unknown) == 0 {
 		return nil
 	}
-	sort.Strings(unknown)
-	accepted := make([]string, 0, len(s.asked))
-	for k := range s.asked {
-		accepted = append(accepted, k)
+	if len(s.asked) == 0 {
+		return fmt.Errorf("unknown parameter %q (takes no parameters)", slices.Min(unknown))
 	}
-	sort.Strings(accepted)
-	if len(accepted) == 0 {
-		return fmt.Errorf("unknown parameter %q (takes no parameters)", unknown[0])
-	}
-	return fmt.Errorf("unknown parameter %q (accepted: %s)", unknown[0], strings.Join(accepted, ", "))
+	accepted := slices.Clone(s.asked)
+	slices.Sort(accepted)
+	accepted = slices.Compact(accepted)
+	return fmt.Errorf("unknown parameter %q (accepted: %s)", slices.Min(unknown), strings.Join(accepted, ", "))
 }
 
 // Registry is a name-indexed set of implementations of one plugin kind.

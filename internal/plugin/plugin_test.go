@@ -137,19 +137,41 @@ func TestFinishUnknownParameter(t *testing.T) {
 	}
 }
 
-func TestCloneResetsConsumption(t *testing.T) {
-	sp, _ := ParseSpec("x(a=1)")
-	c1 := sp.Clone()
-	if got := c1.Int("a", 0); got != 1 {
-		t.Fatalf("clone 1: %d", got)
+func TestResetClearsConsumption(t *testing.T) {
+	sp, _ := ParseSpec("x(a=1, b=x)")
+	if got := sp.Int("a", 0); got != 1 {
+		t.Fatalf("build 1: %d", got)
 	}
-	if err := c1.Finish(); err != nil {
-		t.Fatal(err)
+	sp.Int("b", 0)
+	if err := sp.Finish(); err == nil {
+		t.Fatal("build 1 Finish: want the conversion error of b, got nil")
 	}
-	// A second clone starts fresh: nothing consumed, no recorded error.
-	c2 := sp.Clone()
-	if err := c2.Finish(); err == nil {
-		t.Error("clone 2 Finish: want unknown-parameter error (nothing consumed), got nil")
+	// After a Reset the next build starts fresh: nothing consumed, no
+	// recorded error.
+	sp.Reset()
+	if err := sp.Finish(); err == nil || !strings.Contains(err.Error(), "takes no parameters") {
+		t.Errorf("build 2 Finish = %v, want an unknown-parameter error (nothing consumed)", err)
+	}
+	sp.Reset()
+	sp.Int("a", 0)
+	sp.Float("b", 0)
+	sp.Reset()
+	sp.Int("a", 0)
+	if err := sp.Finish(); err == nil || !strings.Contains(err.Error(), `"b" (accepted: a)`) {
+		t.Errorf("build 4 Finish = %v, want b unknown with only a accepted", err)
+	}
+	// Builds after the first reuse the bookkeeping's storage.
+	ok, _ := ParseSpec("x(a=1, b=2)")
+	if allocs := testing.AllocsPerRun(10, func() {
+		ok.Reset()
+		ok.Int("a", 0)
+		ok.Int("b", 0)
+		ok.Bool("c", false)
+		if ok.Finish() != nil {
+			t.Fatal("a well-formed build failed Finish")
+		}
+	}); allocs != 0 {
+		t.Errorf("a repeated build allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -25,9 +25,10 @@ func diffProfile(name string) workload.Profile {
 }
 
 // diffConfigs is the mode/feature matrix the golden digests cover: every
-// mitigation mode, fault injection, and both default and non-default
-// trackers — small but representative runs that exercise prefetch streams,
-// window mitigations, REFs and writebacks.
+// mitigation mode, fault injection, both default and non-default trackers,
+// and MINT's reserved transitive slot under the recursive policy — small
+// but representative runs that exercise prefetch streams, window
+// mitigations, REFs and writebacks.
 func diffConfigs() []Config {
 	return []Config{
 		{Workload: diffProfile("bwaves"), InstructionsPerCore: 12_000, Mode: dram.ModeAutoRFM, TH: 4},
@@ -38,6 +39,8 @@ func diffConfigs() []Config {
 			Tracker: "graphene", Policy: "recursive"},
 		{Workload: diffProfile("lbm"), InstructionsPerCore: 8_000, Mode: dram.ModeAutoRFM, TH: 4,
 			Fault: fault.Config{Seed: 7, TrackerBitFlipProb: 0.01, DropMitigationProb: 0.05}},
+		{Workload: diffProfile("lbm"), InstructionsPerCore: 8_000, Mode: dram.ModeAutoRFM, TH: 4,
+			Policy: "recursive"},
 	}
 }
 

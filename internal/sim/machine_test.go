@@ -288,7 +288,7 @@ func warmStart(t *testing.T, m *Machine, cfg Config) *runState {
 		t.Fatal(err)
 	}
 	cfg.fillDefaults()
-	pl, err := resolvePlugins(&cfg, &m.arena)
+	pl, err := resolvePlugins(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,3 +229,35 @@ func TestHookConfigsNotMemoizable(t *testing.T) {
 		t.Error("config with NewPolicy hook must have no cache key")
 	}
 }
+
+// TestRecursiveMINTSpellings pins how MINT learns its transitive slot:
+// under a recursive policy the device tells the tracker, so "mint" and
+// "mint(recursive=true)" are one simulation, while "mint(recursive=false)"
+// is honoured and never takes the reserved slot.
+func TestRecursiveMINTSpellings(t *testing.T) {
+	prof, err := workload.ByName("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Workload: prof, Mode: dram.ModeAutoRFM, TH: 4, Policy: "recursive",
+		InstructionsPerCore: 20_000, Seed: 1}
+	run := func(trk string) Result {
+		cfg := base
+		cfg.Tracker = trk
+		return MustRun(cfg)
+	}
+	plain, explicit := run("mint"), run("mint(recursive=true)")
+	if plain.Dev.TransitiveMits == 0 {
+		t.Fatal("mint under the recursive policy took no transitive slot")
+	}
+	plain.Config, explicit.Config = Config{}, Config{}
+	got, _ := json.Marshal(plain)
+	want, _ := json.Marshal(explicit)
+	if !bytes.Equal(got, want) {
+		t.Errorf("mint and mint(recursive=true) differ under the recursive policy:\n%s\n%s", got, want)
+	}
+	if off := run("mint(recursive=false)"); off.Dev.TransitiveMits != 0 || off.Dev.Mitigations == 0 {
+		t.Errorf("mint(recursive=false): %d transitive of %d mitigations, want 0 of some",
+			off.Dev.TransitiveMits, off.Dev.Mitigations)
+	}
+}

@@ -86,12 +86,12 @@ type Config struct {
 	// NewTracker, when set, overrides the Tracker selector with a caller-
 	// supplied per-bank constructor — the programmatic equivalent of a
 	// registered plugin, for trackers that take values a spec string cannot
-	// express. Like NewStream it makes the config non-memoizable (Key
-	// returns "") and is excluded from JSON.
+	// express. Its tracker runs as built: under a recursive policy the hook
+	// decides MINT's transitive slot itself. Like NewStream it makes the
+	// config non-memoizable (Key returns "") and is excluded from JSON.
 	NewTracker func(bank int, r *rng.Source) tracker.Tracker `json:"-"`
 	// NewPolicy likewise overrides the Policy selector with a per-bank
-	// constructor. It is probed once per Run (bank -1, throwaway PRNG) to
-	// learn whether the policy is recursive. Non-memoizable, like NewTracker.
+	// constructor. Non-memoizable, like NewTracker.
 	NewPolicy func(bank int, r *rng.Source) mitigation.Policy `json:"-"`
 }
 
@@ -353,73 +353,39 @@ type Machine struct {
 	dirty bool
 }
 
-// plugins is a config's policy and tracker, resolved against their
-// registries and probed once per run, and bound into the device's per-bank
-// hooks. The registry-built hooks rebuild the bank's previous tracker and
-// policy in place; caller hooks (Config.NewPolicy, NewTracker) allocate.
-type plugins struct {
-	recursive  bool // the policy relies on recursive re-mitigation
-	newPolicy  func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy
-	newTracker func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker
-}
-
-// resolvePlugins resolves cfg's policy and tracker selectors against their
-// plugin registries, with a probe build each, so unknown names, unknown
-// parameters, and out-of-range parameter values are all config-time errors
-// with the offending key in the message. Caller-supplied NewTracker and
-// NewPolicy hooks are exempt, like NewStream: programmatic construction
-// validates itself. (Unknown mapping names still error in start, where the
-// mapper is built.) Registry-built trackers carve their tables from a.
-func resolvePlugins(cfg *Config, a *arena.Arena) (*plugins, error) {
-	p := &plugins{}
-	if cfg.NewPolicy == nil {
-		build, err := mitigation.FromSpecEnv(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := build(mitigation.Env{R: rng.New(0)})
-		if err != nil {
-			return nil, err
-		}
-		p.recursive = probe.Recursive()
-		p.newPolicy = func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy {
-			pol, perr := build(mitigation.Env{R: r, Prev: prev})
-			if perr != nil {
-				panic(perr) // unreachable: the probe accepted the spec
-			}
-			return pol
+// resolvePlugins returns the device config's policy and tracker hooks for
+// cfg: its selectors resolved by dram.Resolve, whose probe builds make
+// unknown names, unknown parameters and out-of-range values config-time
+// errors with the offending key in the message; then the caller's
+// NewPolicy and NewTracker hooks in their place, and the fault injectors
+// between the device and its trackers. (Unknown mapping names still error
+// in start, where the mapper is built.)
+func resolvePlugins(cfg *Config) (dram.Config, error) {
+	var d dram.Config
+	var err error
+	d.NewPolicy, d.NewTracker, err = dram.Resolve(cfg.Policy, cfg.Tracker, cfg.TH)
+	if err != nil {
+		return d, err
+	}
+	if hook := cfg.NewPolicy; hook != nil {
+		d.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return hook(bank, r) }
+	}
+	if hook := cfg.NewTracker; hook != nil {
+		d.NewTracker = func(env tracker.Env) tracker.Tracker { return hook(env.Bank, env.R) }
+	}
+	if cfg.Fault.Active() {
+		// Each bank's injector has its own PRNG off Fault.Seed so the fault
+		// pattern is independent of the simulation's randomness. The
+		// wrapper hides the inner tracker, so a faulty run builds its
+		// trackers afresh.
+		inner := d.NewTracker
+		fcfg, seed := cfg.Fault, cfg.Seed
+		d.NewTracker = func(env tracker.Env) tracker.Tracker {
+			fr := rng.New(fcfg.Seed ^ seed ^ (0xfa017<<20 | uint64(env.Bank)*0x9e3779b9))
+			return fault.WrapTracker(inner(env), fcfg, fr)
 		}
 	}
-	if cfg.NewTracker == nil {
-		build, err := tracker.FromSpec(cfg.Tracker)
-		if err != nil {
-			return nil, err
-		}
-		// Recursive is irrelevant to parameter validity, so the probe may
-		// run before the policy's recursive flag is known.
-		th := cfg.TH
-		if _, err := build(tracker.Env{TH: th, R: rng.New(0)}); err != nil {
-			return nil, err
-		}
-		p.newTracker = func(bank int, r *rng.Source, prev tracker.Tracker) tracker.Tracker {
-			t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: p.recursive, R: r, Arena: a, Prev: prev})
-			if terr != nil {
-				panic(terr) // unreachable: the probe accepted the spec
-			}
-			return t
-		}
-	} else {
-		hook := cfg.NewTracker
-		p.newTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker { return hook(bank, r) }
-	}
-	if cfg.NewPolicy != nil {
-		// The hook is probed (bank -1, throwaway PRNG) to learn whether the
-		// policy is recursive.
-		hook := cfg.NewPolicy
-		p.recursive = hook(-1, rng.New(0)).Recursive()
-		p.newPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return hook(bank, r) }
-	}
-	return p, nil
+	return d, nil
 }
 
 // prepared is the configuration-level part of a run's construction:
@@ -479,10 +445,11 @@ type runState struct {
 }
 
 // start builds everything a run needs — mapper, device, controller, LLC,
-// pre-warm, cores — on the machine's warm state, with pl's plugins, leaving
-// the run ready to dispatch. cfg must already be filled and validated. The
-// machine is marked dirty until finish completes.
-func (m *Machine) start(cfg Config, pl *plugins) (*runState, error) {
+// pre-warm, cores — on the machine's warm state, with the policy and
+// tracker hooks of pl, leaving the run ready to dispatch. cfg must already
+// be filled and validated. The machine is marked dirty until finish
+// completes.
+func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 	pre, err := prepare(&cfg)
 	if err != nil {
 		return nil, err
@@ -499,25 +466,10 @@ func (m *Machine) start(cfg Config, pl *plugins) (*runState, error) {
 		PRACETh:    cfg.PRACETh,
 		Seed:       cfg.Seed,
 		Trace:      pre.trace,
-		NewPolicy:  pl.newPolicy,
-		NewTracker: pl.newTracker,
+		NewPolicy:  pl.NewPolicy,
+		NewTracker: pl.NewTracker,
 		Arena:      &m.arena,
 	}
-	if cfg.Fault.Active() {
-		// Interpose the fault injectors between the device and its trackers.
-		// Each bank's injector has its own PRNG off Fault.Seed so the fault
-		// pattern is independent of the simulation's randomness. The
-		// wrapper hides the inner tracker, so a faulty run builds its
-		// trackers afresh.
-		inner := dcfg.NewTracker
-		fcfg := cfg.Fault
-		seed := cfg.Seed
-		dcfg.NewTracker = func(bank int, r *rng.Source, _ tracker.Tracker) tracker.Tracker {
-			fr := rng.New(fcfg.Seed ^ seed ^ (0xfa017<<20 | uint64(bank)*0x9e3779b9))
-			return fault.WrapTracker(inner(bank, r, nil), fcfg, fr)
-		}
-	}
-
 	// From here on the machine's warm state is mutated: mark the run in
 	// flight so a panicking or cancelled run poisons the reuse path, and
 	// drop state a previous failed run left behind.
@@ -646,7 +598,7 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	pl, err := resolvePlugins(&cfg, &m.arena)
+	pl, err := resolvePlugins(&cfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -9,8 +9,9 @@ import (
 // FuzzTrackerSpec asserts the Factory contract for any selector, TH and
 // Recursive flag: FromSpec and the builder it returns either succeed or
 // return an error, never panic. Building is where parameter values meet
-// allocations, so the builder is called whenever FromSpec succeeds, and a
-// built tracker is driven through one short window. The seeds include
+// allocations, so the builder is called whenever FromSpec succeeds, twice:
+// both builds of one selector must agree on the error outcome and the
+// Name. A built tracker is driven through one short window. The seeds include
 // table sizes that once panicked in makeslice or died out of memory.
 //
 // CI runs this for a short wall-clock smoke (-fuzz=FuzzTrackerSpec
@@ -33,8 +34,15 @@ func FuzzTrackerSpec(f *testing.F) {
 			return
 		}
 		trk, err := build(Env{TH: th, Recursive: recursive, R: rng.New(1)})
+		again, errAgain := build(Env{TH: th, Recursive: recursive, R: rng.New(1)})
+		if (err == nil) != (errAgain == nil) {
+			t.Fatalf("%q: first build err %v, second %v", selector, err, errAgain)
+		}
 		if err != nil {
 			return
+		}
+		if trk.Name() != again.Name() {
+			t.Fatalf("%q: first build %s, second %s", selector, trk.Name(), again.Name())
 		}
 		for row := uint32(0); row < 8; row++ {
 			trk.OnActivation(row % 3)

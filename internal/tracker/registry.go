@@ -17,9 +17,10 @@ type Env struct {
 	// TH is the configured mitigation interval (RFMTH / AutoRFMTH), the
 	// natural default for window-sized parameters.
 	TH int
-	// Recursive reports whether the selected mitigation policy relies on
+	// Recursive reports whether the bank's mitigation policy relies on
 	// recursive (transitive) re-mitigation, which window trackers honour by
-	// reserving a transitive selection slot (MINT's W+1 mode).
+	// reserving a transitive selection slot (MINT's W+1 mode). The device
+	// sets it from the policy it built for the bank.
 	Recursive bool
 	// R is the bank's device-side PRNG. Trackers must draw all randomness
 	// from it — never from package state — to keep runs deterministic.
@@ -81,9 +82,12 @@ func Catalog() plugin.Section {
 // FromSpec resolves a selector — "name" or "name(key=value, ...)" — into a
 // bound constructor. Parse and lookup errors are reported here, at config
 // time; parameter errors are reported by the returned constructor's first
-// call (sim.Config validation performs a probe build for exactly that
-// reason). The resolution happens once per run, so per-bank construction is
-// a direct factory call with no registry lookup.
+// call (dram.Resolve performs a probe build for exactly that reason). The
+// resolution happens once per run, so per-bank construction is a direct
+// factory call with no registry lookup. Every call rebuilds from the one
+// parsed spec after a Reset, so each runs the full Finish check and, after
+// the first, allocates nothing for it. The constructor is not safe for
+// concurrent use: every caller resolves its own.
 func FromSpec(selector string) (func(env Env) (Tracker, error), error) {
 	spec, err := plugin.ParseSpec(selector)
 	if err != nil {
@@ -93,31 +97,11 @@ func FromSpec(selector string) (func(env Env) (Tracker, error), error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracker: %w", err)
 	}
-	// The first build works on a tracked clone and runs the full Finish
-	// check (unknown keys, conversion errors). Once it succeeds, later
-	// builds — 31 more banks per device reset, every reset — reuse a single
-	// trusted clone whose getters skip consumed-key bookkeeping, so the
-	// per-bank rebuild is allocation-free. The returned builder is not safe
-	// for concurrent use; every caller resolves its own via FromSpec and
-	// drives it from one goroutine.
-	var reuse struct {
-		spec  plugin.Spec
-		ready bool
-	}
 	return func(env Env) (Tracker, error) {
-		sp := &reuse.spec
-		if !reuse.ready {
-			s := spec.Clone()
-			sp = &s
-		}
-		trk, err := f(sp, env)
+		spec.Reset()
+		trk, err := f(&spec, env)
 		if err != nil {
 			return nil, fmt.Errorf("tracker %q: %w", spec.Name, err)
-		}
-		if !reuse.ready {
-			reuse.spec = spec.Clone()
-			reuse.spec.Trust()
-			reuse.ready = true
 		}
 		return trk, nil
 	}, nil
@@ -144,7 +128,7 @@ func init() {
 		if window < 1 {
 			return nil, fmt.Errorf("window %d < 1", window)
 		}
-		return ReuseMINT(env.Prev, window, recursive, env.R), nil
+		return reuseMINT(env.Prev, window, recursive, env.R), nil
 	})
 
 	Register(plugin.Info{

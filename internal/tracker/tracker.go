@@ -62,13 +62,13 @@ type MINT struct {
 // (selection probability 1/(W+1) per activation); otherwise it selects over
 // exactly W slots (probability 1/W), as in MINT+FM.
 func NewMINT(window int, recursive bool, r *rng.Source) *MINT {
-	return ReuseMINT(nil, window, recursive, r)
+	return reuseMINT(nil, window, recursive, r)
 }
 
-// ReuseMINT is NewMINT reinitialising prev in place when prev is a *MINT,
+// reuseMINT is NewMINT reinitialising prev in place when prev is a *MINT,
 // and allocating otherwise. Either way the tracker's state and its PRNG
 // draw are exactly NewMINT's.
-func ReuseMINT(prev Tracker, window int, recursive bool, r *rng.Source) *MINT {
+func reuseMINT(prev Tracker, window int, recursive bool, r *rng.Source) *MINT {
 	if window < 1 {
 		panic(fmt.Sprintf("tracker: MINT window %d < 1", window))
 	}
@@ -98,9 +98,6 @@ func (m *MINT) Name() string {
 	}
 	return fmt.Sprintf("mint-%d", m.window)
 }
-
-// Window returns the tracker's window size.
-func (m *MINT) Window() int { return m.window }
 
 func (m *MINT) pickSlot() {
 	n := m.window

@@ -131,12 +131,6 @@ func TestMINTShortWindow(t *testing.T) {
 	}
 }
 
-func TestMINTWindowAccessor(t *testing.T) {
-	if NewMINT(6, false, rng.New(0)).Window() != 6 {
-		t.Fatal("Window() wrong")
-	}
-}
-
 func TestMINTPanicsOnBadWindow(t *testing.T) {
 	defer func() {
 		if recover() == nil {
