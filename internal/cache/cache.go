@@ -25,7 +25,8 @@ type Config struct {
 	// lines of the same 4KB page are fetched. Stream prefetching is what
 	// makes page-buddy lines arrive at DRAM close together in time — the
 	// mechanism behind the Zen-mapping subarray conflicts of Fig 8.
-	// 0 disables.
+	// 0 disables. The degree changes behaviour, not the way arrays:
+	// SetPrefetchDegree changes it between runs of one cache.
 	PrefetchDegree int
 }
 
@@ -256,6 +257,11 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 	c.wipeArrays()
 	return c
 }
+
+// SetPrefetchDegree sets the stream prefetcher's depth for the runs that
+// follow (0 disables), so a reused cache need not be rebuilt for another
+// degree. It takes effect at the next demand miss.
+func (c *Cache) SetPrefetchDegree(d int) { c.cfg.PrefetchDegree = d }
 
 // LineSpace returns how many line addresses a cache of this geometry can
 // hold: lines 0 to LineSpace()-1 fit the 32-bit tag array, and a higher

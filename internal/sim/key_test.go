@@ -88,6 +88,26 @@ func TestKeyMatchesFmtReference(t *testing.T) {
 	}
 }
 
+// TestConfigKeyAllocs pins Key at one allocation, its string, for every
+// key case and every Table V profile with long selectors, a 64-bit seed and
+// every option set: the buffer it builds the key in must hold them all.
+func TestConfigKeyAllocs(t *testing.T) {
+	cases := keyCases()
+	for _, p := range workload.Profiles() {
+		cases = append(cases, Config{Workload: p, Mapping: "page-in-row", Policy: "recursive",
+			Tracker: "mithril(entries=2048)", InstructionsPerCore: 1_000_000_000, RetryWaitNS: 1000,
+			RAAMaxFactor: 4, PrefetchDegree: -1, Seed: 1<<64 - 1})
+	}
+	for i, c := range cases {
+		if n := len(c.Key()); n > keyBytes {
+			t.Errorf("case %d: key is %d bytes, buffer %d", i, n, keyBytes)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = c.Key() }); allocs != 1 {
+			t.Errorf("case %d: Key allocates %.1f objects, want 1", i, allocs)
+		}
+	}
+}
+
 // BenchmarkConfigKey measures the strconv-based Key against the fmt-based
 // reference it replaced: one of these runs per runner lookup and per
 // checkpoint-line verification.

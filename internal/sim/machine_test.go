@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		{run("bwaves", dram.ModeNone, 14), false},
 		{run("bwaves", dram.ModeAutoRFM, 15), false},
 		{run("bwaves", dram.ModeNone, 16), false},
-		// Prefetch change: the LLC is rebuilt, then reused again.
+		// Prefetch change: the LLC is kept, and only its degree set.
 		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 6, PrefetchDegree: 8}, false},
 		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 7, Tracker: "mithril"}, false},
 		// A key revisited after other keys, under another mechanism.
@@ -77,7 +78,7 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		{run("fotonik3d", dram.ModeAutoRFM, 1), true},
 		// lbm shares the footprint but not the write fraction: a miss.
 		{run("lbm", dram.ModeAutoRFM, 1), false},
-		// A hit onto an LLC rebuilt for another prefetch degree.
+		// A hit under another prefetch degree.
 		{Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 5, PrefetchDegree: 16}, true},
 	}
 	// warmMemoCap+1 new keys evict the first of them; the last stays.
@@ -126,6 +127,44 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		}
 		if len(m.memo) > warmMemoCap {
 			t.Fatalf("step %d: memo holds %d pre-warms, cap %d", i, len(m.memo), warmMemoCap)
+		}
+	}
+
+	// Prefetch degrees and mappings in alternation at two seeds: the LLC
+	// survives every degree, and the mapper is rebuilt only for another
+	// mapping or seed. Only the first run of each seed pre-warms.
+	llc := m.llc
+	var prevMap string
+	var prevSeed uint64
+	for _, mapName := range []string{"amd-zen", "rubix", "page-in-row"} {
+		for _, pf := range []int{-1, 0, 8} {
+			for _, seed := range []uint64{31, 32} {
+				cfg := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
+					Mode: dram.ModeAutoRFM, TH: 4, Seed: seed, Mapping: mapName, PrefetchDegree: pf}
+				wantHit := mapName != "amd-zen" || pf != -1
+				if hit := memoHas(&m, cfg); hit != wantHit {
+					t.Fatalf("%s pf %d seed %d: pre-warm memo hit = %v, want %v", mapName, pf, seed, hit, wantHit)
+				}
+				mapper := m.mapper
+				fresh, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused, err := m.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(resultJSON(t, reused)) != string(resultJSON(t, fresh)) {
+					t.Fatalf("%s pf %d seed %d: machine-reuse Result diverges from fresh", mapName, pf, seed)
+				}
+				if m.llc != llc {
+					t.Fatalf("%s pf %d seed %d: the LLC was rebuilt", mapName, pf, seed)
+				}
+				if kept := mapName == prevMap && seed == prevSeed; kept != (m.mapper == mapper) {
+					t.Fatalf("%s pf %d seed %d: mapper kept = %v, want %v", mapName, pf, seed, !kept, kept)
+				}
+				prevMap, prevSeed = mapName, seed
+			}
 		}
 	}
 }
@@ -240,6 +279,56 @@ func TestMachineCyclesEveryPlugin(t *testing.T) {
 	}
 }
 
+// TestMachineSelectorMemo pins the machine's memo of resolved selectors.
+// It is keyed by TH as well: parfm's buffer is TH entries, so the same
+// selectors at TH 2^40 are an error, not a hit. Errors are never kept, the
+// memo holds at most selectorMemoCap pairs, and a run that panics drops it.
+func TestMachineSelectorMemo(t *testing.T) {
+	var m Machine
+	cfg := Config{Workload: diffProfile("mcf"), InstructionsPerCore: 2_000,
+		Mode: dram.ModeAutoRFM, Tracker: "parfm", TH: 4, Seed: 1}
+	if _, err := m.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	huge := cfg
+	huge.TH = 1 << 40
+	for i := 0; i < 2; i++ {
+		if _, err := m.Run(huge); err == nil || !strings.Contains(err.Error(), "table cap") {
+			t.Fatalf("run %d of parfm at TH 2^40: err = %v, want the table cap", i, err)
+		}
+	}
+	if len(m.sels) != 1 {
+		t.Fatalf("memo holds %d pairs after one resolution and two failed ones, want 1", len(m.sels))
+	}
+	for th := 1; th <= selectorMemoCap+2; th++ {
+		c := cfg
+		c.TH = th
+		if _, err := m.Run(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.sels) != selectorMemoCap || m.sels[0].key.th != selectorMemoCap+2 {
+		t.Fatalf("memo holds %d pairs, the newest at TH %d; want %d, the newest at TH %d",
+			len(m.sels), m.sels[0].key.th, selectorMemoCap, selectorMemoCap+2)
+	}
+	bad := cfg
+	bad.Fault = fault.Config{Seed: 3, PanicAfterActs: 5}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("run set to panic after 5 ACTs did not panic")
+			}
+		}()
+		_, _ = m.Run(bad)
+	}()
+	if _, err := m.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.sels) != 1 {
+		t.Fatalf("memo holds %d pairs after a panicked run and one more, want 1", len(m.sels))
+	}
+}
+
 // panicStream panics in its Next after left records, from inside the
 // core's advance pass that asked for them.
 type panicStream struct {
@@ -288,7 +377,7 @@ func warmStart(t *testing.T, m *Machine, cfg Config) *runState {
 		t.Fatal(err)
 	}
 	cfg.fillDefaults()
-	pl, err := resolvePlugins(&cfg)
+	pl, err := m.resolvePlugins(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,14 +426,15 @@ func TestMachineDispatchZeroAllocs(t *testing.T) {
 // allocates end to end: validation, plugin resolution, the per-run cores,
 // and the dispatch of a 100k-instruction AutoRFM-4 run
 // (BenchmarkSimRun's config). The device pipelines down to each bank's
-// tracker and policy, the cores and their memory ops, the memory
-// controller, LLC, event queue and pre-warm are all reused, so the count
-// is 82 on go1.24: chiefly the eight workload generators (three objects
-// each), the plugin resolution (17), the Result, and pools still growing
-// into the second run. New per-bank trackers, policies and cores every run
-// put it at ≈476, a new controller per run at ≈930, and the allocating
-// victim path and per-bank heap tables at ≈7.9k.
-const warmRunAllocCeiling = 98
+// tracker and policy, the cores and their memory ops and workload
+// generators, the memory controller, LLC, mapper, event queue, pre-warm and
+// resolved selectors are all reused, so the count is 40 on go1.24: the
+// Result and pools still growing into the second run. A new generator per
+// core and run (three objects each) and the plugin resolution (17) put it
+// at 82, new per-bank trackers, policies and cores every run at ≈476, a new
+// controller per run at ≈930, and the allocating victim path and per-bank
+// heap tables at ≈7.9k.
+const warmRunAllocCeiling = 48
 
 // TestMachineWarmRunAllocs pins the warm-start cost: a repeated Run of the
 // same config on one Machine stays under warmRunAllocCeiling objects.

@@ -154,7 +154,9 @@ func (c Config) Key() string {
 		return ""
 	}
 	n := c.Normalized()
-	b := make([]byte, 0, 352)
+	// keyBytes holds every Table V key, so the buffer stays on the stack
+	// and the string is Key's one allocation.
+	b := make([]byte, 0, keyBytes)
 	w := &n.Workload
 	b = append(b, "w={Name:"...)
 	b = append(b, w.Name...)
@@ -192,6 +194,11 @@ func (c Config) Key() string {
 	b = append(b, '}')
 	return string(b)
 }
+
+// keyBytes is Key's buffer size. A Table V key runs to about 400 bytes,
+// and to 450 with a parameterized tracker, a 64-bit seed and every option
+// set (TestConfigKeyAllocs).
+const keyBytes = 512
 
 // appendFloat appends v exactly as fmt's %v renders a float64: shortest
 // round-trip 'g' formatting, including NaN/±Inf spellings.
@@ -302,17 +309,18 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // Machine is a reusable simulation allocation: the event queue, the LLC's
-// tag and set arrays, the memory controller's bank rings and event pools,
-// the DRAM device's largest arrays (PRAC counters, audit ledgers — kept
-// across mode changes), the arena its per-bank pipelines are carved from,
-// each bank's tracker and policy structs, and the cores with their pools
-// of memory ops survive from run to run and are reset instead of
+// tag and set arrays (kept across prefetch degrees), the memory
+// controller's bank rings and event pools, the DRAM device's largest arrays
+// (PRAC counters, audit ledgers — kept across mode changes), the arena its
+// per-bank pipelines are carved from, each bank's tracker and policy
+// structs, the cores with their pools of memory ops and their workload
+// generators, the address mapper, and the resolved policy and tracker
+// selectors survive from run to run and are reset or reused instead of
 // reconstructed. Sweeps that run many seeds of one configuration
-// (fig1d-style) avoid rebuilding ~3MB of state per run, and a warm run of
-// a registry-built config allocates little
-// beyond its workload generators, the resolution of its plugins and its
-// Result; a Machine run is byte-identical to a fresh Run (pinned by
-// TestMachineReuseMatchesFresh).
+// (fig1d-style) avoid rebuilding ~3MB of state per run, and a warm run of a
+// registry-built config allocates little beyond its Result and what the
+// caller's hooks build; a Machine run is byte-identical to a fresh Run
+// (pinned by TestMachineReuseMatchesFresh).
 //
 // The machine also memoizes the LLC pre-warm: it keeps the way state of
 // its last warmMemoCap distinct pre-warms, keyed by everything the pre-warm
@@ -341,6 +349,17 @@ type Machine struct {
 	// cores are the cores of the last run, reset for the next one. Each
 	// core's OnFinish counts rs.remaining down.
 	cores []*cpu.Core
+	// gens are the cores' workload generators, reset for each run that has
+	// no NewStream hook.
+	gens []*workload.Generator
+	// mapper is the last run's address mapper, reused while the mapping
+	// name and key repeat (mappers are immutable once built).
+	mapper  mapping.Mapper
+	mapName string
+	mapKey  uint64
+	// sels is the resolved policy and tracker selectors, most recent
+	// first, at most selectorMemoCap of them.
+	sels []selectorEntry
 	// rs is the run in flight, reused from run to run.
 	rs runState
 	// memo is the saved pre-warms, most recent first. An entry is written
@@ -353,20 +372,56 @@ type Machine struct {
 	dirty bool
 }
 
+// selectorKey is what dram.Resolve reads: the two selectors and the
+// interval their probe builds run at.
+type selectorKey struct {
+	policy, tracker string
+	th              int
+}
+
+// selectorEntry is one resolved pair of selectors.
+type selectorEntry struct {
+	key        selectorKey
+	newPolicy  func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy
+	newTracker func(env tracker.Env) tracker.Tracker
+}
+
+// selectorMemoCap is how many resolved selector pairs a Machine keeps,
+// bounding what a long-lived worker holds as warmMemoCap does; the least
+// recently used pair is resolved again when it returns.
+const selectorMemoCap = 16
+
 // resolvePlugins returns the device config's policy and tracker hooks for
 // cfg: its selectors resolved by dram.Resolve, whose probe builds make
 // unknown names, unknown parameters and out-of-range values config-time
 // errors with the offending key in the message; then the caller's
 // NewPolicy and NewTracker hooks in their place, and the fault injectors
 // between the device and its trackers. (Unknown mapping names still error
-// in start, where the mapper is built.)
-func resolvePlugins(cfg *Config) (dram.Config, error) {
+// in start, where the mapper is built.) A pair of selectors resolved before
+// is taken from m.sels; an error is never kept there.
+func (m *Machine) resolvePlugins(cfg *Config) (dram.Config, error) {
 	var d dram.Config
-	var err error
-	d.NewPolicy, d.NewTracker, err = dram.Resolve(cfg.Policy, cfg.Tracker, cfg.TH)
-	if err != nil {
-		return d, err
+	k := selectorKey{cfg.Policy, cfg.Tracker, cfg.TH}
+	i := 0
+	for i < len(m.sels) && m.sels[i].key != k {
+		i++
 	}
+	if i == len(m.sels) {
+		pol, trk, err := dram.Resolve(cfg.Policy, cfg.Tracker, cfg.TH)
+		if err != nil {
+			return d, err
+		}
+		if i == selectorMemoCap {
+			i--
+		} else {
+			m.sels = append(m.sels, selectorEntry{})
+		}
+		m.sels[i] = selectorEntry{k, pol, trk}
+	}
+	e := m.sels[i]
+	copy(m.sels[1:i+1], m.sels[:i])
+	m.sels[0] = e
+	d.NewPolicy, d.NewTracker = e.newPolicy, e.newTracker
 	if hook := cfg.NewPolicy; hook != nil {
 		d.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return hook(bank, r) }
 	}
@@ -454,10 +509,15 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapper, err := mapping.ByName(cfg.Mapping, pre.geo, cfg.Seed^0xa11ce)
-	if err != nil {
-		return nil, err
+	mapKey := cfg.Seed ^ 0xa11ce
+	if m.mapper == nil || m.mapName != cfg.Mapping || m.mapKey != mapKey {
+		mapper, err := mapping.ByName(cfg.Mapping, pre.geo, mapKey)
+		if err != nil {
+			return nil, err
+		}
+		m.mapper, m.mapName, m.mapKey = mapper, cfg.Mapping, mapKey
 	}
+	mapper := m.mapper
 	dcfg := dram.Config{
 		Geo:        pre.geo,
 		Timing:     pre.timing,
@@ -471,11 +531,7 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 		Arena:      &m.arena,
 	}
 	// From here on the machine's warm state is mutated: mark the run in
-	// flight so a panicking or cancelled run poisons the reuse path, and
-	// drop state a previous failed run left behind.
-	if m.dirty {
-		m.q, m.llc, m.mc, m.dev, m.cores = nil, nil, nil, nil, nil
-	}
+	// flight so a panicking or cancelled run poisons the reuse path.
 	m.dirty = true
 	if m.dev == nil || !m.dev.Reset(dcfg) {
 		m.dev = dram.NewDevice(dcfg)
@@ -528,12 +584,17 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 		})
 		rs.samplerT.At(q.Now() + rs.epochPeriod)
 	}
+	// The prefetch degree changes what the LLC does, not its arrays: only
+	// another geometry or latency builds a new one.
 	llcCfg := cfg.llcConfig()
-	if m.llc == nil || m.llcCfg != llcCfg {
+	kept := m.llcCfg
+	kept.PrefetchDegree = llcCfg.PrefetchDegree
+	if m.llc == nil || kept != llcCfg {
 		m.llc = cache.New(llcCfg, rs.mc, q)
-		m.llcCfg = llcCfg
 	}
+	m.llcCfg = llcCfg
 	llc := m.llc
+	llc.SetPrefetchDegree(llcCfg.PrefetchDegree)
 	m.warmLLC(newWarmKey(&cfg, llcCfg), rs.mc)
 
 	rs.remaining = cfg.Cores
@@ -546,7 +607,11 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 		if cfg.NewStream != nil {
 			strm = cfg.NewStream(i)
 		} else {
-			strm = workload.NewGenerator(cfg.Workload, i, cfg.Seed^0xc0de)
+			if i == len(m.gens) {
+				m.gens = append(m.gens, &workload.Generator{})
+			}
+			m.gens[i].Reset(cfg.Workload, i, cfg.Seed^0xc0de)
+			strm = m.gens[i]
 		}
 		c.Reset(i, cpu.DefaultConfig(cfg.InstructionsPerCore), strm, llc, q)
 		c.Start()
@@ -598,7 +663,13 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	pl, err := resolvePlugins(&cfg)
+	if m.dirty {
+		// A panicking or cancelled run left the warm state mid-change: drop
+		// it and build fresh. The pre-warm memo and the mapper are kept.
+		m.q, m.llc, m.mc, m.dev, m.cores, m.gens, m.sels = nil, nil, nil, nil, nil, nil, nil
+		m.dirty = false
+	}
+	pl, err := m.resolvePlugins(&cfg)
 	if err != nil {
 		return Result{}, err
 	}

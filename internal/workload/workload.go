@@ -117,13 +117,22 @@ func Names() []string {
 
 const linesPerMB = (1 << 20) / 64
 
-// Generator produces an infinite cpu.Stream realising a Profile.
+// inlineStreams is how many stream heads a Generator holds in itself.
+// Every Table V profile has 2 to 8 streams; a profile with more keeps its
+// heads in a slice of their own.
+const inlineStreams = 8
+
+// Generator produces an infinite cpu.Stream realising a Profile. It is one
+// object: its PRNG and up to inlineStreams stream heads live inside it, so
+// NewGenerator allocates once and Reset not at all. A Generator must not be
+// copied.
 type Generator struct {
 	prof      Profile
-	r         *rng.Source
-	base      uint64 // core's first line
-	lines     uint64 // footprint in lines
-	streams   []uint64
+	r         rng.Source
+	base      uint64   // core's first line
+	lines     uint64   // footprint in lines
+	streams   []uint64 // the stream heads: inline[:n], or a slice of their own
+	inline    [inlineStreams]uint64
 	nextStr   int
 	meanGap   float64
 	burstLeft int
@@ -132,27 +141,41 @@ type Generator struct {
 // NewGenerator builds the stream for one core. Core IDs partition the
 // address space into disjoint footprints (rate mode).
 func NewGenerator(p Profile, coreID int, seed uint64) *Generator {
+	g := &Generator{}
+	g.Reset(p, coreID, seed)
+	return g
+}
+
+// Reset reinitialises g to the stream NewGenerator(p, coreID, seed)
+// returns, record for record, keeping a stream-head slice of its own when
+// it is large enough.
+func (g *Generator) Reset(p Profile, coreID int, seed uint64) {
 	if p.MemPKI <= 0 {
 		panic("workload: non-positive MemPKI")
 	}
 	lines := uint64(p.FootprintMB) * linesPerMB
-	g := &Generator{
-		prof:  p,
-		r:     rng.New(seed ^ (uint64(coreID+1) * 0x5bd1e995)),
-		base:  uint64(coreID) * lines,
-		lines: lines,
+	n := max(p.Streams, 1)
+	streams := g.streams
+	switch {
+	case n <= inlineStreams:
+		streams = g.inline[:n]
+	case cap(streams) < n:
+		streams = make([]uint64, n)
+	default:
+		streams = streams[:n]
+	}
+	*g = Generator{
+		prof:    p,
+		base:    uint64(coreID) * lines,
+		lines:   lines,
+		streams: streams,
 		// Mean instructions between accesses, excluding the access itself.
 		meanGap: 1000/p.MemPKI - 1,
 	}
-	n := p.Streams
-	if n < 1 {
-		n = 1
-	}
-	g.streams = make([]uint64, n)
+	g.r.Seed(seed ^ (uint64(coreID+1) * 0x5bd1e995))
 	for i := range g.streams {
 		g.streams[i] = uint64(g.r.Int63n(int64(lines)))
 	}
-	return g
 }
 
 // Next implements cpu.Stream. Gaps are geometrically distributed around the

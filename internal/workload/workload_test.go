@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -167,6 +168,64 @@ func TestRandomWorkloadCoversFootprint(t *testing.T) {
 		}
 		if float64(c) > maxPerBucket {
 			t.Fatalf("bucket %d = %d exceeds bound %.0f", i, c, maxPerBucket)
+		}
+	}
+}
+
+// resetProfiles is every Table V profile, then hand-built ones with no
+// stream, more streams than a Generator holds inline (twice, so the second
+// reuses the first's slice), and exactly as many as it holds.
+func resetProfiles() []Profile {
+	ps := Profiles()
+	for _, n := range []int{9, 12, 9, 0, 8} {
+		p := ps[0]
+		p.Name = fmt.Sprintf("streams%d", n)
+		p.Streams = n
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// TestGeneratorResetMatchesNew pins Reset against NewGenerator: one
+// generator reset onto each profile in turn, last used on a different
+// profile, core and seed each time, yields the records of a new generator
+// for 10k records.
+func TestGeneratorResetMatchesNew(t *testing.T) {
+	ps := resetProfiles()
+	g := NewGenerator(ps[len(ps)-1], 3, 99)
+	for i := 0; i < 100; i++ {
+		g.Next()
+	}
+	for i, p := range ps {
+		core, seed := i%8, uint64(7+i)
+		g.Reset(p, core, seed)
+		fresh := NewGenerator(p, core, seed)
+		for n := 0; n < 10_000; n++ {
+			got, _ := g.Next()
+			want, _ := fresh.Next()
+			if got != want {
+				t.Fatalf("%s (%d streams): record %d of the reset generator is %+v, a new one's %+v",
+					p.Name, p.Streams, n, got, want)
+			}
+		}
+	}
+}
+
+// TestGeneratorAllocs guards the one-object generator: NewGenerator
+// allocates the Generator alone (and a stream-head slice beyond
+// inlineStreams), and Reset nothing once the generator has room.
+func TestGeneratorAllocs(t *testing.T) {
+	for _, p := range resetProfiles() {
+		want := 1.0
+		if p.Streams > inlineStreams {
+			want = 2
+		}
+		if a := testing.AllocsPerRun(10, func() { NewGenerator(p, 1, 2) }); a != want {
+			t.Errorf("%s: NewGenerator allocates %.1f objects, want %.0f", p.Name, a, want)
+		}
+		g := NewGenerator(p, 1, 2)
+		if a := testing.AllocsPerRun(10, func() { g.Reset(p, 2, 3) }); a != 0 {
+			t.Errorf("%s: Reset allocates %.1f objects, want 0", p.Name, a)
 		}
 	}
 }
