@@ -181,18 +181,21 @@ func (w *wayArrays) rollback(tags []uint32, sets []set) {
 	clear(w.touched)
 }
 
-// mshr is one outstanding fill: the merged waiters, the DRAM request it
-// rides on, and the fill continuation. MSHRs are pooled; the request's
-// Done callback is bound once at creation and re-armed by resetting line,
-// so a steady-state miss allocates nothing.
+// mshr is one outstanding fill: the merged waiters and the DRAM request it
+// rides on. It is its request's Done handler, so the controller dispatches
+// the fill to it directly. MSHRs are pooled and re-armed by resetting
+// line, so a steady-state miss allocates nothing.
 type mshr struct {
 	c       *Cache
 	line    uint64
 	dirty   bool // a write was merged while the fill was outstanding
-	waiters []func(clk.Tick)
+	waiters []event.Handler
 	req     memctrl.Request
 	next    *mshr // free-list link
 }
+
+// OnEvent fills the line when its DRAM read returns.
+func (m *mshr) OnEvent(now clk.Tick) { m.c.fill(m, now) }
 
 // Cache is a shared, single-ported (contention-free) LLC model with exact
 // LRU replacement.
@@ -294,13 +297,13 @@ const (
 	recentCap    = 512
 )
 
-// getMSHR takes an MSHR from the free list, binding its fill callback on
-// first creation.
+// getMSHR takes an MSHR from the free list, making it its request's Done
+// handler on first creation.
 func (c *Cache) getMSHR(line uint64, dirty bool) *mshr {
 	m := c.freeM
 	if m == nil {
 		m = &mshr{c: c}
-		m.req.Done = func(now clk.Tick) { m.c.fill(m, now) }
+		m.req.Done = m
 	} else {
 		c.freeM = m.next
 		m.next = nil
@@ -503,9 +506,9 @@ func (c *Cache) Occupancy() int {
 }
 
 // Access performs one 64B access at the current simulation time. For loads,
-// done is invoked when the data is available (hit latency or DRAM fill);
-// stores may pass nil (they retire from a store buffer).
-func (c *Cache) Access(line uint64, write bool, done func(clk.Tick)) {
+// done is dispatched once when the data is available (hit latency or DRAM
+// fill); stores may pass nil (they retire from a store buffer).
+func (c *Cache) Access(line uint64, write bool, done event.Handler) {
 	t := c.tag(line)
 	s := line & c.setMask
 	base := int(s) * c.ways
@@ -519,7 +522,7 @@ func (c *Cache) Access(line uint64, write bool, done func(clk.Tick)) {
 				st.dirty |= 1 << w
 			}
 			if done != nil {
-				c.q.After(c.cfg.HitLatency, done)
+				c.q.Schedule(c.q.Now()+c.cfg.HitLatency, done)
 			}
 			return
 		}
@@ -569,9 +572,9 @@ func (c *Cache) fill(m *mshr, now clk.Tick) {
 
 	for _, w := range m.waiters {
 		if c.cfg.MissExtra > 0 {
-			c.q.After(c.cfg.MissExtra, w)
+			c.q.Schedule(now+c.cfg.MissExtra, w)
 		} else {
-			w(now)
+			w.OnEvent(now)
 		}
 	}
 	m.waiters = m.waiters[:0]

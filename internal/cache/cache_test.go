@@ -41,9 +41,9 @@ func drain(q *event.Queue, mc *memctrl.Controller) {
 func TestMissThenHit(t *testing.T) {
 	c, mc, q := newRig(t, smallCfg())
 	var missDone, hitDone clk.Tick = -1, -1
-	c.Access(100, false, func(now clk.Tick) { missDone = now })
+	c.Access(100, false, event.Func(func(now clk.Tick) { missDone = now }))
 	drain(q, mc)
-	c.Access(100, false, func(now clk.Tick) { hitDone = now })
+	c.Access(100, false, event.Func(func(now clk.Tick) { hitDone = now }))
 	start := q.Now()
 	drain(q, mc)
 	if c.Stats.Misses != 1 || c.Stats.Hits != 1 {
@@ -60,9 +60,9 @@ func TestMissThenHit(t *testing.T) {
 func TestMissMerging(t *testing.T) {
 	c, mc, q := newRig(t, smallCfg())
 	done := 0
-	c.Access(55, false, func(clk.Tick) { done++ })
-	c.Access(55, false, func(clk.Tick) { done++ })
-	c.Access(55, false, func(clk.Tick) { done++ })
+	c.Access(55, false, event.Func(func(clk.Tick) { done++ }))
+	c.Access(55, false, event.Func(func(clk.Tick) { done++ }))
+	c.Access(55, false, event.Func(func(clk.Tick) { done++ }))
 	drain(q, mc)
 	if done != 3 {
 		t.Fatalf("waiters completed = %d, want 3", done)
@@ -73,6 +73,35 @@ func TestMissMerging(t *testing.T) {
 	// Only one DRAM read despite three misses.
 	if mc.Stats.Reads != 1 {
 		t.Fatalf("DRAM reads = %d, want 1", mc.Stats.Reads)
+	}
+}
+
+// TestMSHRReuseWakesOwnWaiters guards the pooled MSHR, which is its DRAM
+// request's Done handler: reused for another line after its fill, it wakes
+// only the waiters merged into the fill it now serves, each exactly once.
+func TestMSHRReuseWakesOwnWaiters(t *testing.T) {
+	c, mc, q := newRig(t, smallCfg())
+	woke := map[string]int{}
+	waiter := func(name string) event.Handler {
+		return event.Func(func(clk.Tick) { woke[name]++ })
+	}
+	c.Access(100, false, waiter("a1"))
+	c.Access(100, false, waiter("a2"))
+	first := c.out.get(100)
+	drain(q, mc)
+	if woke["a1"] != 1 || woke["a2"] != 1 || len(woke) != 2 {
+		t.Fatalf("after the first fill: woke %v", woke)
+	}
+	c.Access(300, false, waiter("b"))
+	if c.out.get(300) != first {
+		t.Fatal("the second miss did not reuse the first fill's MSHR; the test does not reach reuse")
+	}
+	drain(q, mc)
+	if woke["a1"] != 1 || woke["a2"] != 1 || woke["b"] != 1 || len(woke) != 3 {
+		t.Fatalf("after the reused MSHR's fill: woke %v, want a1, a2 and b once each", woke)
+	}
+	if mc.Stats.Reads != 2 {
+		t.Fatalf("DRAM reads = %d, want 2", mc.Stats.Reads)
 	}
 }
 
@@ -282,7 +311,7 @@ func TestMissExtraDelaysFillOnly(t *testing.T) {
 	cfg.MissExtra = clk.NS(50)
 	c, mc, q := newRig(t, cfg)
 	var missDone clk.Tick
-	c.Access(42, false, func(now clk.Tick) { missDone = now })
+	c.Access(42, false, event.Func(func(now clk.Tick) { missDone = now }))
 	drain(q, mc)
 	tm := clk.DDR5()
 	minDRAM := tm.TRCD + tm.TCL + tm.TBURST
@@ -291,7 +320,7 @@ func TestMissExtraDelaysFillOnly(t *testing.T) {
 	}
 	start := q.Now()
 	var hitDone clk.Tick
-	c.Access(42, false, func(now clk.Tick) { hitDone = now })
+	c.Access(42, false, event.Func(func(now clk.Tick) { hitDone = now }))
 	drain(q, mc)
 	if hitDone-start != cfg.HitLatency {
 		t.Fatalf("hit paid %v, want bare hit latency", hitDone-start)

@@ -6,8 +6,10 @@
 // count toward Rowhammer pressure and RFM accounting, which is why the
 // cache is modelled rather than approximated with a flat miss rate.
 //
-// The miss path is allocation-free at steady state: MSHRs are pooled and
-// carry their DRAM request and its fill callback pre-bound, writebacks
-// draw pooled requests from the controller (SubmitWrite), and the stream
-// detector's recency window is a fixed ring.
+// The miss path is allocation-free at steady state: MSHRs are pooled,
+// carry their DRAM request, and are that request's Done handler, so the
+// controller dispatches each fill to its MSHR directly; a load's waiter is
+// the core's own handler, scheduled at hit latency or after the fill.
+// Writebacks draw pooled requests from the controller (SubmitWrite), and
+// the stream detector's recency window is a fixed ring.
 package cache

@@ -16,7 +16,7 @@ type fixedPort struct {
 	accesses    int
 }
 
-func (p *fixedPort) Access(line uint64, write bool, done func(clk.Tick)) {
+func (p *fixedPort) Access(line uint64, write bool, done event.Handler) {
 	p.accesses++
 	if done == nil {
 		return
@@ -27,7 +27,7 @@ func (p *fixedPort) Access(line uint64, write bool, done func(clk.Tick)) {
 	}
 	p.q.After(p.latency, func(now clk.Tick) {
 		p.inFlight--
-		done(now)
+		done.OnEvent(now)
 	})
 }
 
@@ -233,17 +233,17 @@ type pooledPort struct {
 
 type completion struct {
 	p    *pooledPort
-	done func(clk.Tick)
+	done event.Handler
 }
 
 func (c *completion) OnEvent(now clk.Tick) {
 	done := c.done
 	c.done = nil
 	c.p.free = append(c.p.free, c)
-	done(now)
+	done.OnEvent(now)
 }
 
-func (p *pooledPort) Access(line uint64, write bool, done func(clk.Tick)) {
+func (p *pooledPort) Access(line uint64, write bool, done event.Handler) {
 	if done == nil {
 		return
 	}
@@ -307,5 +307,72 @@ func TestCoreResetZeroAllocs(t *testing.T) {
 	}
 	if finished != 7 || c.FinishTime != fresh.FinishTime {
 		t.Fatalf("OnFinish fired %d times over 7 runs, last finish %d (want %d)", finished, c.FinishTime, fresh.FinishTime)
+	}
+}
+
+// checkPort completes every load after latency ticks, or inside Access when
+// latency is 0, and checks that a load handler never reaches it while it
+// is still outstanding.
+type checkPort struct {
+	t        *testing.T
+	q        *event.Queue
+	latency  clk.Tick
+	loads    uint64
+	inFlight map[event.Handler]bool
+	issues   map[event.Handler]int
+}
+
+func (p *checkPort) Access(line uint64, write bool, done event.Handler) {
+	if done == nil {
+		return
+	}
+	if p.inFlight[done] {
+		p.t.Fatalf("load of line %d reached the port on a handler still outstanding", line)
+	}
+	p.loads++
+	p.inFlight[done] = true
+	p.issues[done]++
+	complete := func(now clk.Tick) {
+		delete(p.inFlight, done)
+		done.OnEvent(now)
+	}
+	if p.latency == 0 {
+		complete(p.q.Now())
+		return
+	}
+	p.q.After(p.latency, complete)
+}
+
+// TestMemOpReuseIssuesBeforeCompleting guards the pooled memOp's two
+// dispatches: an op reused after its load completed must issue again before
+// it completes, so every load the core counts reaches the port exactly once,
+// whether the port completes it inside Access or later.
+func TestMemOpReuseIssuesBeforeCompleting(t *testing.T) {
+	for _, latency := range []clk.Tick{0, 90} {
+		q := &event.Queue{}
+		p := &checkPort{t: t, q: q, latency: latency,
+			inFlight: map[event.Handler]bool{}, issues: map[event.Handler]int{}}
+		c := New(0, DefaultConfig(20_000), &mixedStream{}, p, q)
+		c.Start()
+		run(q)
+		if !c.Finished {
+			t.Fatalf("latency %d: core did not finish", latency)
+		}
+		if p.loads != c.Loads {
+			t.Fatalf("latency %d: %d loads reached the port, the core counted %d", latency, p.loads, c.Loads)
+		}
+		if len(p.inFlight) != 0 {
+			t.Fatalf("latency %d: %d loads never completed", latency, len(p.inFlight))
+		}
+		reused := 0
+		for _, n := range p.issues {
+			if n > 1 {
+				reused++
+			}
+		}
+		if reused == 0 || len(p.issues) >= int(c.Loads) {
+			t.Fatalf("latency %d: %d ops for %d loads, %d reused; the test does not reach reuse",
+				latency, len(p.issues), c.Loads, reused)
+		}
 	}
 }

@@ -14,8 +14,8 @@
 // ROB-window MLP limit.
 //
 // The core's event traffic is allocation-free at steady state: every
-// in-flight memory operation is a pooled memOp scheduled directly as an
-// event.Handler with a completion callback pre-bound at pool-insertion
-// time, the outstanding-load window is a ring buffer sized to the ROB, and
-// the dispatch-resume timer is bound once per core.
+// in-flight memory operation is a pooled memOp and its own event.Handler,
+// dispatched once to issue the access and, for a load, once more by the
+// memory port to complete it; the outstanding-load window is a ring buffer
+// sized to the ROB, and the dispatch-resume timer is bound once per core.
 package cpu

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"autorfm/internal/arena"
 	"autorfm/internal/clk"
@@ -65,7 +66,8 @@ type Config struct {
 	// mitigation.Env.Prev).
 	NewPolicy func(bank int, r *rng.Source, prev mitigation.Policy) mitigation.Policy
 	// PRACETh is the per-row counter value at which a PRAC device raises
-	// ABO. Required for ModePRAC.
+	// ABO. Required for ModePRAC, and at most PRACMaxETh: the counters
+	// saturate there.
 	PRACETh int
 	// Audit enables the per-row activation ledger on every bank (used by
 	// the security harness; costs time and memory, off for perf runs).
@@ -194,11 +196,13 @@ type Bank struct {
 
 	// PRAC per-row counters: a flat per-bank slice indexed by row, the
 	// dense counter-per-row array the PRAC DDR5 extension actually adds.
-	// The device allocates them on its first PRAC run and keeps them across
+	// They are 16 bits wide and saturate at PRACMaxETh, which is exact for
+	// every ETh up to it and halves the array the ACT path misses in. The
+	// device allocates them on its first PRAC run and keeps them across
 	// Resets to any mode. pracRaised lists the rows whose counter left zero
 	// since the last Reset, the only counters that Reset has to clear; once
 	// the list is full, pracWipe makes it clear the whole array instead.
-	pracCounts []uint32
+	pracCounts []uint16
 	pracRaised []uint32
 	pracWipe   bool
 	aboRow     uint32
@@ -236,6 +240,11 @@ func NewDevice(cfg Config) *Device {
 	return d
 }
 
+// PRACMaxETh is the largest PRAC alert threshold a device supports: the
+// per-row counters stop counting there, so a count at or above any ETh up
+// to it compares exactly as an unbounded count would.
+const PRACMaxETh = math.MaxUint16
+
 // pracListDiv sizes each bank's raised-row list at RowsPerBank/pracListDiv
 // entries, below where scattered stores stop beating one sequential clear:
 // on a 2-vCPU host, clearing 2,048 random rows in each of 64 banks of 128K
@@ -250,7 +259,7 @@ func (d *Device) allocPRAC() {
 	}
 	rows := d.Cfg.Geo.RowsPerBank
 	listCap := rows / pracListDiv
-	counts := make([]uint32, len(d.Banks)*rows)
+	counts := make([]uint16, len(d.Banks)*rows)
 	lists := make([]uint32, len(d.Banks)*listCap)
 	for i, b := range d.Banks {
 		b.pracCounts = counts[i*rows : (i+1)*rows : (i+1)*rows]
@@ -258,9 +267,10 @@ func (d *Device) allocPRAC() {
 	}
 }
 
-// raisePRAC counts one activation of row and returns the new count,
-// listing the row for the next Reset when its counter leaves zero.
-func (b *Bank) raisePRAC(row uint32) uint32 {
+// raisePRAC counts one activation of row and returns the new count, which
+// saturates at PRACMaxETh, listing the row for the next Reset when its
+// counter leaves zero.
+func (b *Bank) raisePRAC(row uint32) uint16 {
 	n := b.pracCounts[row]
 	if n == 0 {
 		if len(b.pracRaised) < cap(b.pracRaised) {
@@ -269,7 +279,9 @@ func (b *Bank) raisePRAC(row uint32) uint32 {
 			b.pracWipe = true
 		}
 	}
-	n++
+	if n < PRACMaxETh {
+		n++
+	}
 	b.pracCounts[row] = n
 	return n
 }

@@ -178,6 +178,27 @@ func TestREFMitigatesInRFMMode(t *testing.T) {
 	}
 }
 
+// TestPRACCounterSaturates pins the 16-bit counters: at the largest ETh
+// they reach, ABO fires on the ETh-th activation as with an unbounded
+// count, and a row activated past it stays at PRACMaxETh instead of
+// wrapping to zero.
+func TestPRACCounterSaturates(t *testing.T) {
+	cfg := autoCfg(0)
+	cfg.Mode = ModePRAC
+	cfg.PRACETh = PRACMaxETh
+	b := NewDevice(cfg).Banks[0]
+	for i := 1; i <= PRACMaxETh+1000; i++ {
+		res := b.Activate(clk.Tick(i), 500)
+		if res.ABO != (i == PRACMaxETh) {
+			t.Fatalf("activation %d: ABO = %v, want it on activation %d only", i, res.ABO, PRACMaxETh)
+		}
+	}
+	if b.pracCounts[500] != PRACMaxETh || b.Stats.ABOAlerts != 1 {
+		t.Fatalf("counter %d with %d alerts after %d activations; want %d and 1",
+			b.pracCounts[500], b.Stats.ABOAlerts, PRACMaxETh+1000, PRACMaxETh)
+	}
+}
+
 func TestPRACCountersAndABO(t *testing.T) {
 	cfg := autoCfg(0)
 	cfg.Mode = ModePRAC

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"testing"
 
 	"autorfm/internal/clk"
@@ -18,11 +19,18 @@ type dispatchHandler struct {
 func (d *dispatchHandler) OnEvent(now clk.Tick) { d.q.Schedule(now+d.period, d) }
 
 // BenchmarkEventDispatch measures one schedule+dispatch cycle at a queue
-// depth of 1024 pooled handlers. This is the engine's hot loop: ns/op here
-// bounds events/sec for every simulation, and allocs/op must be 0.
+// depth of 1024 pooled handlers, and at 78, the mean number of events in
+// flight on perfbench's steady jobs. This is the engine's hot loop: ns/op
+// here bounds events/sec for every simulation, and allocs/op must be 0.
 func BenchmarkEventDispatch(b *testing.B) {
+	for _, depth := range []int{1024, 78} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchDispatch(b, depth) })
+	}
+}
+
+// benchDispatch is BenchmarkEventDispatch at one queue depth.
+func benchDispatch(b *testing.B, depth int) {
 	q := &Queue{}
-	const depth = 1024
 	for i := 0; i < depth; i++ {
 		h := &dispatchHandler{q: q, period: clk.Tick(1 + i%7)}
 		q.Schedule(clk.Tick(i%13), h)

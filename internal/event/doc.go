@@ -10,11 +10,16 @@
 // an intrusive per-bucket FIFO and a two-level bitmap scan — instead of a
 // heap sift. Events beyond the wheel horizon (REF timers and other
 // microsecond-scale rearms) go to a small typed 4-ary min-heap and migrate
-// into the wheel as the clock approaches them. Items carry a Handler
-// interface; both pooled event objects (pointer receivers) and plain Func
-// callbacks are pointer-shaped, so storing either in an item never
-// allocates. Components with per-event payload implement Handler on
-// free-listed structs they re-arm (see internal/cpu, internal/memctrl,
-// internal/cache); components with a single recurring callback bind it
-// once in a Timer.
+// into the wheel as the clock approaches them. When the clock reaches a
+// bucket's time the whole bucket becomes the current list, which dispatch
+// pops without touching the wheel, and events armed for the current time
+// append to it. Items carry a Handler interface. The simulator's
+// components dispatch to their own objects directly: pooled memory
+// operations, MSHRs, bank scheduling passes and mitigation events
+// implement Handler with pointer receivers, and a memory request's
+// completion is the Handler of whoever issued it (see internal/cpu,
+// internal/cache, internal/memctrl), so no event goes through a closure.
+// Storing a pointer receiver in an item never allocates. Components with a
+// single recurring callback bind it once in a Timer; Func adapts a plain
+// function, for tests and one-off uses.
 package event

@@ -9,7 +9,9 @@ import (
 // Func is a scheduled callback; it receives the current simulation time.
 // Func itself implements Handler, and func values are pointer-shaped, so
 // scheduling an existing Func value allocates nothing — only constructing
-// a new closure at the call site does.
+// a new closure at the call site does. The simulator's hot paths schedule
+// their own Handler objects instead, which spares each event the closure's
+// second indirect call.
 type Func func(now clk.Tick)
 
 // OnEvent invokes the callback, making Func a Handler.
@@ -57,9 +59,9 @@ const (
 
 // wItem is one wheel event: an intrusive singly-linked FIFO node in the
 // pooled items arena. Index 0 is a reserved sentinel so that the zero
-// values of bucket heads, tails and the free list all mean "empty".
+// values of list heads, tails and the free list all mean "empty". An item
+// needs no time: its bucket and the current time give it (see bucketTime).
 type wItem struct {
-	t    clk.Tick
 	h    Handler
 	next int32
 }
@@ -80,10 +82,11 @@ type fItem struct {
 // Near events (0 < t - Now < wheelSize) live in the timing wheel: bucket
 // t&wheelMask is a FIFO of pooled items, and a bitmap-plus-summary-word
 // index finds the next occupied bucket in a handful of word operations.
-// A bucket only ever holds one live time value — anything at the same
-// residue one revolution later is, by construction, beyond the horizon and
-// therefore in the far heap — so per-bucket FIFO order is exactly global
-// arming order.
+// Every wheel event lies in (Now, Now+wheelSize), so a bucket only ever
+// holds one live time value, the one its index names within that span —
+// anything at the same residue one revolution later is, by construction,
+// beyond the horizon and therefore in the far heap — and per-bucket FIFO
+// order is exactly global arming order.
 //
 // Far events (t - Now >= wheelSize) wait in a typed 4-ary min-heap ordered
 // by (t, seq) and migrate into the wheel whenever the clock advances to
@@ -93,30 +96,33 @@ type fItem struct {
 // far event bound for t has already migrated — bucket append order remains
 // global arming order across both lanes.
 //
-// Events scheduled for the current time (t == Now, e.g. a controller
-// scheduling a pass for a request that just arrived) bypass the wheel into
-// a FIFO lane. This is order-exact: every wheel entry with t == Now was
-// necessarily armed before the clock reached Now, so it precedes anything
-// armed at Now; "drain same-time bucket entries, then the lane, then
-// advance the clock" reproduces the (t, seq) total order.
+// Events at the current time form one FIFO list, the current list. When
+// the clock advances to t, bucket t&wheelMask is detached whole and becomes
+// that list, and an event armed for the current time (t == Now, e.g. a
+// controller scheduling a pass for a request that just arrived) is appended
+// to it. This is order-exact: every bucket entry was armed before the
+// clock reached Now, so it precedes anything armed at Now, and appending
+// keeps arming order among the rest. Dispatch pops the list's head and
+// touches no bucket until the list is empty and the clock advances again.
 type Queue struct {
 	now clk.Tick
 
-	// Timing wheel. items[0] is a sentinel; head/tail/free value 0 = empty.
-	items  []wItem
-	free   int32
+	// The current list, and the item arena every list draws from. items[0]
+	// is a sentinel; head, tail and free value 0 = empty.
+	cur, curTail int32
+	items        []wItem
+	free         int32
+	n            int // events pending in the wheel and the current list
+
+	// Timing wheel.
 	head   [wheelSize]int32
 	tail   [wheelSize]int32
 	bitmap [numWords]uint64
 	summry uint64 // bit w set iff bitmap[w] != 0 (numWords <= 64)
-	wheelN int
 
 	// Far lane: events at or beyond the wheel horizon.
 	far []fItem
 	seq uint64
-
-	nowQ    []Handler // events armed at the current time, FIFO
-	nowHead int
 }
 
 // Now returns the current simulation time (the time of the last dispatched
@@ -124,108 +130,96 @@ type Queue struct {
 func (q *Queue) Now() clk.Tick { return q.now }
 
 // Reset returns the queue to its zero state — time 0, nothing scheduled —
-// while keeping its allocations (the items arena, far-lane heap, and
-// now-lane backing arrays), so a reused machine schedules its first events
-// without re-growing anything. Pending handlers are dropped and their
-// references cleared so an abandoned run's components can be collected.
+// while keeping its allocations (the items arena and the far-lane heap),
+// so a reused machine schedules its first events without re-growing
+// anything. Pending handlers are dropped, and every handler reference the
+// arrays hold is cleared, so an abandoned run's components can be
+// collected: dispatch leaves a popped item's handler in place until the
+// slot is reused, which spares the hot path a store.
 func (q *Queue) Reset() {
 	q.now = 0
-	for i := range q.items {
-		q.items[i] = wItem{}
-	}
+	clear(q.items)
 	if len(q.items) > 1 {
 		q.items = q.items[:1] // keep the index-0 sentinel
 	}
-	q.free = 0
+	q.cur, q.curTail, q.free, q.n = 0, 0, 0, 0
 	q.head = [wheelSize]int32{}
 	q.tail = [wheelSize]int32{}
 	q.bitmap = [numWords]uint64{}
 	q.summry = 0
-	q.wheelN = 0
-	for i := range q.far {
-		q.far[i] = fItem{}
-	}
+	clear(q.far)
 	q.far = q.far[:0]
 	q.seq = 0
-	for i := range q.nowQ {
-		q.nowQ[i] = nil
-	}
-	q.nowQ = q.nowQ[:0]
-	q.nowHead = 0
 }
 
 // Schedule schedules h to run at time t. Scheduling in the past (t < Now)
 // is a programming error and panics, since it would silently corrupt
-// causality. Steady-state scheduling is allocation-free (the items arena,
-// bucket lists and far heap all retain their backing arrays).
+// causality. Steady-state scheduling is allocation-free (the items arena
+// and far heap retain their backing arrays).
 func (q *Queue) Schedule(t clk.Tick, h Handler) {
 	d := t - q.now
-	if d <= 0 {
-		if d == 0 {
-			q.nowQ = append(q.nowQ, h)
-			return
-		}
-		panic("event: scheduling in the past")
-	}
-	if d < wheelSize {
-		q.push(int(t)&wheelMask, t, h)
+	if d <= 0 || d >= wheelSize {
+		q.scheduleOther(t, h)
 		return
+	}
+	// Append to wheel bucket b.
+	b := int(t) & wheelMask
+	idx := q.alloc(h)
+	if tl := q.tail[b]; tl == 0 {
+		q.head[b] = idx
+		q.bitmap[b>>6] |= 1 << (b & 63)
+		q.summry |= 1 << (b >> 6)
+	} else {
+		q.items[tl].next = idx
+	}
+	q.tail[b] = idx
+}
+
+// scheduleOther is Schedule off the wheel: onto the current list, into
+// the far lane, or a panic for a time in the past.
+func (q *Queue) scheduleOther(t clk.Tick, h Handler) {
+	d := t - q.now
+	if d == 0 {
+		idx := q.alloc(h)
+		if q.curTail == 0 {
+			q.cur = idx
+		} else {
+			q.items[q.curTail].next = idx
+		}
+		q.curTail = idx
+		return
+	}
+	if d < 0 {
+		panic("event: scheduling in the past")
 	}
 	q.seq++
 	q.far = append(q.far, fItem{t: t, seq: q.seq, h: h})
 	q.siftUp(len(q.far) - 1)
 }
 
-// push appends an event to wheel bucket b.
-func (q *Queue) push(b int, t clk.Tick, h Handler) {
+// alloc takes an item for h from the free list, growing the arena when
+// the list is empty, and counts it pending.
+func (q *Queue) alloc(h Handler) int32 {
+	q.n++
 	idx := q.free
 	if idx == 0 {
 		if len(q.items) == 0 {
 			q.items = append(q.items, wItem{}) // index-0 sentinel
 		}
-		q.items = append(q.items, wItem{t: t, h: h})
-		idx = int32(len(q.items) - 1)
-	} else {
-		q.free = q.items[idx].next
-		q.items[idx] = wItem{t: t, h: h}
+		q.items = append(q.items, wItem{h: h})
+		return int32(len(q.items) - 1)
 	}
-	if q.tail[b] == 0 {
-		q.head[b] = idx
-		q.bitmap[b>>6] |= 1 << (b & 63)
-		q.summry |= 1 << (b >> 6)
-	} else {
-		q.items[q.tail[b]].next = idx
-	}
-	q.tail[b] = idx
-	q.wheelN++
-}
-
-// popBucket removes and returns the head event of bucket b, which must be
-// non-empty, recycling its item into the free list.
-func (q *Queue) popBucket(b int) (clk.Tick, Handler) {
-	idx := q.head[b]
 	it := &q.items[idx]
-	t, h := it.t, it.h
-	q.head[b] = it.next
-	if it.next == 0 {
-		q.tail[b] = 0
-		if q.bitmap[b>>6] &^= 1 << (b & 63); q.bitmap[b>>6] == 0 {
-			q.summry &^= 1 << (b >> 6)
-		}
-	}
-	it.h = nil // drop the Handler reference for the GC
-	it.next = q.free
-	q.free = idx
-	q.wheelN--
-	return t, h
+	q.free = it.next
+	*it = wItem{h: h}
+	return idx
 }
 
-// nextBucket returns the bucket of the earliest wheel event strictly after
-// now, or -1 if there is none. Events at t > now all lie in (now, now+W),
-// so circular bucket order starting just after now is exactly time order.
-// The bucket at now's own residue can additionally hold remaining events at
-// t == now (a slow-path dispatch pops only the bucket head); this scan would
-// see those as circularly last, so nextTime checks that bucket first.
+// nextBucket returns the bucket of the earliest wheel event, or -1 if there
+// is none. Wheel events all lie in (now, now+W), so circular bucket order
+// starting just after now is exactly time order. The bucket at now's own
+// residue is always empty: it was detached as the current list when the
+// clock reached now, and nothing armed since can land there.
 func (q *Queue) nextBucket() int {
 	start := (int(q.now) + 1) & wheelMask
 	w0, off := start>>6, uint(start&63)
@@ -248,9 +242,10 @@ func (q *Queue) nextBucket() int {
 }
 
 // migrate moves far events now within the wheel horizon into their
-// buckets. It must run on every clock advance before dispatching at the
-// new time, so that near-lane arrivals (only possible from now on) always
-// append after same-time far events, keeping arming order.
+// buckets, or onto the current list when they are due now. It must run on
+// every clock advance before dispatching at the new time, so that
+// near-lane arrivals (only possible from now on) always append after
+// same-time far events, keeping arming order.
 func (q *Queue) migrate() {
 	for len(q.far) > 0 && q.far[0].t-q.now < wheelSize {
 		it := q.far[0]
@@ -262,7 +257,7 @@ func (q *Queue) migrate() {
 			q.far[0] = last
 			q.siftDown()
 		}
-		q.push(int(it.t)&wheelMask, it.t, it.h)
+		q.Schedule(it.t, it.h) // onto the wheel, or the current list when due now
 	}
 }
 
@@ -273,9 +268,7 @@ func (q *Queue) At(t clk.Tick, fn Func) { q.Schedule(t, fn) }
 func (q *Queue) After(d clk.Tick, fn Func) { q.Schedule(q.now+d, fn) }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int {
-	return q.wheelN + len(q.far) + len(q.nowQ) - q.nowHead
-}
+func (q *Queue) Len() int { return q.n + len(q.far) }
 
 // less orders far items by (time, arming sequence).
 func less(a, b *fItem) bool {
@@ -330,20 +323,23 @@ func (q *Queue) siftDown() {
 	h[i] = it
 }
 
-// nextTime returns the time of the earliest pending event that is not in
-// the now-lane, or (0, false) when none is pending. Wheel events always
-// precede far events: migration keeps every far event at least a horizon
-// away.
+// bucketTime returns the time of the events in wheel bucket b, which must
+// not be the bucket of now itself: the one time in (now, now+wheelSize)
+// with b's residue.
+func (q *Queue) bucketTime(b int) clk.Tick {
+	return q.now + clk.Tick((b-int(q.now))&wheelMask)
+}
+
+// nextTime returns the time of the earliest pending event, or (0, false)
+// when none is pending. The current list precedes the wheel, and wheel
+// events precede far events: migration keeps every far event at least a
+// horizon away.
 func (q *Queue) nextTime() (clk.Tick, bool) {
-	// Same-tick events can remain in the current-residue bucket after a
-	// slow-path dispatch popped only its head; they precede everything
-	// nextBucket can see (its circular scan starts after now and would
-	// order them a full revolution late).
-	if b := int(q.now) & wheelMask; q.head[b] != 0 && q.items[q.head[b]].t == q.now {
+	if q.cur != 0 {
 		return q.now, true
 	}
 	if b := q.nextBucket(); b >= 0 {
-		return q.items[q.head[b]].t, true
+		return q.bucketTime(b), true
 	}
 	if len(q.far) > 0 {
 		return q.far[0].t, true
@@ -353,35 +349,53 @@ func (q *Queue) nextTime() (clk.Tick, bool) {
 
 // Step dispatches the next event. It reports false when the queue is empty.
 func (q *Queue) Step() bool {
-	// Wheel entries at the current time dispatch before the now-lane (they
-	// were armed earlier); then the lane drains; only then may the clock
-	// advance.
-	b := int(q.now) & wheelMask
-	if q.head[b] != 0 && q.items[q.head[b]].t == q.now {
-		t, h := q.popBucket(b)
-		h.OnEvent(t)
-		return true
-	}
-	if q.nowHead < len(q.nowQ) {
-		h := q.nowQ[q.nowHead]
-		q.nowQ[q.nowHead] = nil // drop the Handler reference for the GC
-		q.nowHead++
-		if q.nowHead == len(q.nowQ) {
-			q.nowQ = q.nowQ[:0] // drained: reuse the backing array
-			q.nowHead = 0
+	idx := q.cur
+	if idx == 0 {
+		if idx = q.advance(); idx == 0 {
+			return false
 		}
-		h.OnEvent(q.now)
-		return true
 	}
-	t, ok := q.nextTime()
-	if !ok {
-		return false
+	// Pop the current list's head, recycling its item into the free list.
+	// The item keeps its handler reference until alloc reuses it or Reset
+	// clears it.
+	it := &q.items[idx]
+	h := it.h
+	if q.cur = it.next; q.cur == 0 {
+		q.curTail = 0
 	}
-	q.now = t
-	q.migrate() // a far event may be the one dispatching at t
-	t2, h := q.popBucket(int(t) & wheelMask)
-	h.OnEvent(t2)
+	it.next = q.free
+	q.free = idx
+	q.n--
+	h.OnEvent(q.now)
 	return true
+}
+
+// advance moves the clock to the earliest pending event and makes the
+// events at that time the current list, returning its head, or 0 when
+// nothing is pending; the current list must be empty. It scans for the
+// next bucket once and detaches it whole. Far events migrate on every
+// advance: those at the new time join the current list in (t, seq) order,
+// and the rest land in buckets other than the detached one, since they
+// stay a horizon beyond the old time.
+func (q *Queue) advance() int32 {
+	if b := q.nextBucket(); b >= 0 {
+		q.now = q.bucketTime(b)
+		q.cur, q.curTail = q.head[b], q.tail[b]
+		q.head[b], q.tail[b] = 0, 0
+		if q.bitmap[b>>6] &^= 1 << (b & 63); q.bitmap[b>>6] == 0 {
+			q.summry &^= 1 << (b >> 6)
+		}
+		if len(q.far) > 0 && q.far[0].t-q.now < wheelSize {
+			q.migrate()
+		}
+		return q.cur
+	}
+	if len(q.far) == 0 {
+		return 0
+	}
+	q.now = q.far[0].t
+	q.migrate()
+	return q.cur
 }
 
 // RunUntil dispatches events until the queue is empty or the next event is
@@ -389,11 +403,8 @@ func (q *Queue) Step() bool {
 func (q *Queue) RunUntil(deadline clk.Tick) int {
 	n := 0
 	for q.Len() > 0 {
-		if q.nowHead == len(q.nowQ) {
-			// The now-lane is never past the deadline (now <= deadline).
-			if t, ok := q.nextTime(); ok && t > deadline {
-				break
-			}
+		if t, ok := q.nextTime(); ok && t > deadline {
+			break
 		}
 		q.Step()
 		n++

@@ -5,6 +5,7 @@ import (
 
 	"autorfm/internal/clk"
 	"autorfm/internal/dram"
+	"autorfm/internal/event"
 	"autorfm/internal/rng"
 )
 
@@ -35,12 +36,12 @@ func propHarness(t *testing.T, mode dram.Mode, th int, seed uint64) {
 			write := src.Bernoulli(0.25)
 			req := &Request{Line: r.lineFor(bank, row, col), Write: write}
 			if !write {
-				req.Done = func(now clk.Tick) {
+				req.Done = event.Func(func(now clk.Tick) {
 					if prev, dup := completions[id]; dup {
 						t.Fatalf("request %d completed twice (%v, %v)", id, prev, now)
 					}
 					completions[id] = now
-				}
+				})
 			} else {
 				completions[id] = -1 // writes are posted
 			}

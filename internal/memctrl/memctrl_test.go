@@ -66,7 +66,7 @@ func (r *rig) drain() {
 func TestReadCompletesWithActLatency(t *testing.T) {
 	r := newRig(dram.ModeNone, 0, "")
 	var done clk.Tick = -1
-	r.c.Submit(&Request{Line: r.lineFor(0, 100, 0), Done: func(now clk.Tick) { done = now }})
+	r.c.Submit(&Request{Line: r.lineFor(0, 100, 0), Done: event.Func(func(now clk.Tick) { done = now })})
 	r.drain()
 	tm := clk.DDR5()
 	want := tm.TRCD + tm.TCL + tm.TBURST
@@ -83,9 +83,9 @@ func TestSameBankActsRespectTRC(t *testing.T) {
 	var times []clk.Tick
 	for i := 0; i < 4; i++ {
 		row := uint32(1000 * (i + 1)) // distinct rows, same bank
-		r.c.Submit(&Request{Line: r.lineFor(3, row, 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(3, row, 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	if len(times) != 4 {
@@ -104,8 +104,8 @@ func TestRowHitWithinTRAS(t *testing.T) {
 	var first, second clk.Tick
 	// Two columns of the same row, submitted together: the second should be
 	// a row hit, far faster than tRC.
-	r.c.Submit(&Request{Line: r.lineFor(0, 42, 0), Done: func(now clk.Tick) { first = now }})
-	r.c.Submit(&Request{Line: r.lineFor(0, 42, 1), Done: func(now clk.Tick) { second = now }})
+	r.c.Submit(&Request{Line: r.lineFor(0, 42, 0), Done: event.Func(func(now clk.Tick) { first = now })})
+	r.c.Submit(&Request{Line: r.lineFor(0, 42, 1), Done: event.Func(func(now clk.Tick) { second = now })})
 	r.drain()
 	if r.c.Stats.RowHits != 1 {
 		t.Fatalf("RowHits = %d, want 1", r.c.Stats.RowHits)
@@ -134,9 +134,9 @@ func TestBankParallelism(t *testing.T) {
 	r := newRig(dram.ModeNone, 0, "")
 	var times []clk.Tick
 	for b := 0; b < 8; b++ {
-		r.c.Submit(&Request{Line: r.lineFor(b, 7, 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(b, 7, 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	// Eight different banks: limited only by the data bus, so the span must
@@ -175,9 +175,9 @@ func TestRFMDeferredPastDemand(t *testing.T) {
 	r := newRig(dram.ModeRFM, 4, "")
 	var times []clk.Tick
 	for i := 0; i < 5; i++ {
-		r.c.Submit(&Request{Line: r.lineFor(0, uint32(100+10*i), 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(0, uint32(100+10*i), 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	if gap := times[4] - times[3]; gap >= clk.DDR5().TRFM {
@@ -197,9 +197,9 @@ func TestRFMBlocksBankAtRAAMax(t *testing.T) {
 
 	var times []clk.Tick
 	for i := 0; i < 5; i++ {
-		r.c.Submit(&Request{Line: r.lineFor(0, uint32(100+10*i), 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(0, uint32(100+10*i), 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	// The 5th read follows a forced RFM: its gap from the 4th includes tRFM.
@@ -247,7 +247,7 @@ func TestAutoRFMAlertAndGuaranteedRetry(t *testing.T) {
 	}
 	// Request a row in subarray 0 while the mitigation runs.
 	var done clk.Tick = -1
-	r.c.Submit(&Request{Line: r.lineFor(0, 200, 0), Done: func(now clk.Tick) { done = now }})
+	r.c.Submit(&Request{Line: r.lineFor(0, 200, 0), Done: event.Func(func(now clk.Tick) { done = now })})
 	r.drain()
 	if r.c.Stats.Alerts == 0 {
 		t.Fatal("no ALERT despite targeting the SAUM")
@@ -286,7 +286,7 @@ func TestAutoRFMNonConflictingProceeds(t *testing.T) {
 	r.drain()
 	start := r.q.Now()
 	var done clk.Tick
-	r.c.Submit(&Request{Line: r.lineFor(0, 5*512+7, 0), Done: func(now clk.Tick) { done = now }})
+	r.c.Submit(&Request{Line: r.lineFor(0, 5*512+7, 0), Done: event.Func(func(now clk.Tick) { done = now })})
 	r.drain()
 	if r.c.Stats.Alerts != 0 {
 		t.Fatal("non-conflicting access alerted")
@@ -348,9 +348,9 @@ func TestTFAWLimitsActivationBursts(t *testing.T) {
 	r := newRig(dram.ModeNone, 0, "")
 	var times []clk.Tick
 	for b := 0; b < 16; b++ { // 16 banks, all subchannel 0
-		r.c.Submit(&Request{Line: r.lineFor(b, 7, 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(b, 7, 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	if len(times) != 16 {
@@ -373,9 +373,9 @@ func TestTRRDSpacesActs(t *testing.T) {
 	r := newRig(dram.ModeNone, 0, "")
 	var times []clk.Tick
 	for b := 0; b < 2; b++ {
-		r.c.Submit(&Request{Line: r.lineFor(b, 9, 0), Done: func(now clk.Tick) {
+		r.c.Submit(&Request{Line: r.lineFor(b, 9, 0), Done: event.Func(func(now clk.Tick) {
 			times = append(times, now)
-		}})
+		})})
 	}
 	r.drain()
 	if gap := times[1] - times[0]; gap < clk.DDR5().TRRD {

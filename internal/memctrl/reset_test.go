@@ -38,7 +38,7 @@ func (r *rig) script(seed uint64) []clk.Tick {
 				r.c.SubmitWrite(line)
 				return
 			}
-			r.c.Submit(&Request{Line: line, Done: func(now clk.Tick) { done[i] = now }})
+			r.c.Submit(&Request{Line: line, Done: event.Func(func(now clk.Tick) { done[i] = now })})
 		})
 	}
 	for submitted < n || r.c.Pending() > 0 {
@@ -83,7 +83,7 @@ func TestResetMatchesNew(t *testing.T) {
 				if i%3 == 0 {
 					used.c.SubmitWrite(line)
 				} else {
-					used.c.Submit(&Request{Line: line, Done: func(clk.Tick) {}})
+					used.c.Submit(&Request{Line: line, Done: event.Func(func(clk.Tick) {})})
 				}
 			}
 			for used.q.Now() < clk.DDR5().TREFI+clk.US(1) {
@@ -93,7 +93,7 @@ func TestResetMatchesNew(t *testing.T) {
 			for _, b := range used.c.banks {
 				queued += b.qn
 				for k := 0; k < b.qn; k++ {
-					if b.queue[(b.qhead+k)&(len(b.queue)-1)].pooled {
+					if b.queue[(b.qhead+k)&(len(b.queue)-1)].req.pooled {
 						pooled++
 					}
 				}

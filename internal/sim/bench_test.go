@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"autorfm/internal/dram"
 	"autorfm/internal/workload"
 )
 
@@ -65,4 +66,46 @@ func BenchmarkSimRunReuse(b *testing.B) {
 		events += res.Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// steadyConfigs is perfbench's steady job set: {lbm, mcf, conncomp, add} ×
+// {RFM-4, AutoRFM-4, PRAC} at 250k instructions per core, seed 1. The
+// event loop and the cpu, cache, memctrl and dram hot paths dominate it.
+func steadyConfigs(b *testing.B) []Config {
+	b.Helper()
+	var cfgs []Config
+	for _, name := range []string{"lbm", "mcf", "conncomp", "add"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []dram.Mode{dram.ModeRFM, dram.ModeAutoRFM, dram.ModePRAC} {
+			cfgs = append(cfgs, Config{Workload: p, Mode: mode, TH: 4,
+				InstructionsPerCore: 250_000, Seed: 1})
+		}
+	}
+	return cfgs
+}
+
+// BenchmarkSteadyJobs runs the 12 steady jobs on one warm Machine per
+// iteration and reports the host cost of one dispatched event (ns/event)
+// and the dispatch rate (events/s) from Result.Events, which no engine
+// change may move. It is the in-module check for a hot-path change:
+// compare runs with benchstat (docs/PERF.md, "Per-event cost").
+func BenchmarkSteadyJobs(b *testing.B) {
+	cfgs := steadyConfigs(b)
+	var m Machine
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			res, err := m.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += res.Events
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -32,6 +32,12 @@ func FuzzConfigValidate(f *testing.F) {
 		2000.0, 0.0, 1<<30, 0.9, 70000, 1.0, 1<<21, 8, 0.5, 0.5, 2)
 	f.Add("lbm", int64(5000), 4, "amd-zen", "fractal", "mint", uint64(2), 4096,
 		25.0, 0.3, 1<<20, 0.5, 2, 0.1, 1, 64, 0.0, 0.0, 0)
+	// PRAC mode (seed % 5 == 3) at the largest ETh the 16-bit counters
+	// hold, and one past it.
+	f.Add("lbm", int64(3000), 4, "amd-zen", "fractal", "mint", uint64(3), 1,
+		25.0, 0.3, 128, 0.5, 2, 0.1, 1, 65535, 0.0, 0.0, 0)
+	f.Add("lbm", int64(3000), 4, "amd-zen", "fractal", "mint", uint64(3), 1,
+		25.0, 0.3, 128, 0.5, 2, 0.1, 1, 65536, 0.0, 0.0, 0)
 
 	f.Fuzz(func(t *testing.T, name string, instr int64, th int,
 		mapping, policy, trk string, seed uint64, cores int,

@@ -51,7 +51,8 @@ type Config struct {
 	// `autorfm-sim -list-plugins` for the catalog and docs/PLUGINS.md for
 	// how to register new implementations.
 	Tracker string
-	// PRACETh is the ABO threshold for ModePRAC.
+	// PRACETh is the ABO threshold for ModePRAC, 1 to dram.PRACMaxETh
+	// (65535, where the per-row counters saturate).
 	PRACETh int
 	// RetryWaitNS overrides the ALERT retry wait in nanoseconds (0 = the
 	// default mitigation time of ≈200ns). Used by ablation studies.
@@ -238,6 +239,9 @@ func (c *Config) validate() error {
 	}
 	if c.PRACETh < 1 {
 		return fmt.Errorf("sim: non-positive PRAC alert threshold %d", c.PRACETh)
+	}
+	if c.PRACETh > dram.PRACMaxETh {
+		return fmt.Errorf("sim: PRAC alert threshold %d above the counters' %d", c.PRACETh, dram.PRACMaxETh)
 	}
 	if c.RetryWaitNS < 0 {
 		return fmt.Errorf("sim: negative retry wait %dns", c.RetryWaitNS)

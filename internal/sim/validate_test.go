@@ -35,6 +35,7 @@ func TestRejectedConfigs(t *testing.T) {
 		{"negative cores", func(c *Config) { c.Cores = -1 }, "core count"},
 		{"negative instructions", func(c *Config) { c.InstructionsPerCore = -5 }, "instruction"},
 		{"negative PRAC ETh", func(c *Config) { c.PRACETh = -2 }, "PRAC"},
+		{"PRAC ETh past the 16-bit counters", func(c *Config) { c.PRACETh = dram.PRACMaxETh + 1 }, "PRAC"},
 		{"negative retry wait", func(c *Config) { c.RetryWaitNS = -1 }, "retry"},
 		{"negative RAA factor", func(c *Config) { c.RAAMaxFactor = -1 }, "RAA"},
 		{"zero MemPKI", func(c *Config) { c.Workload.MemPKI = 0 }, "MemPKI"},
