@@ -9,9 +9,10 @@ import (
 )
 
 // refQueue is the pre-rewrite event queue — container/heap over
-// interface{}-boxed items — kept verbatim as the reference model: the typed
-// 4-ary heap must dispatch any schedule, including same-tick ties and
-// re-arms from inside callbacks, in exactly the order this does.
+// interface{}-boxed items — kept as the reference model: Queue must
+// dispatch any schedule, including same-tick ties, re-arms from inside
+// callbacks and events beyond the wheel's span, in exactly the order this
+// does.
 type refItem struct {
 	t   clk.Tick
 	seq uint64
@@ -61,66 +62,128 @@ func (q *refQueue) step() bool {
 	return true
 }
 
+// runUntil is RunUntil on the reference: dispatch every event due by
+// deadline, then move the clock to deadline if it is still earlier.
+func (q *refQueue) runUntil(deadline clk.Tick) int {
+	n := 0
+	for len(q.h) > 0 && q.h[0].t <= deadline {
+		q.step()
+		n++
+	}
+	if q.now < deadline {
+		q.now = deadline
+	}
+	return n
+}
+
 // scheduler abstracts the two queues so one fuzzed schedule can drive both.
 type scheduler interface {
 	schedule(t clk.Tick, fn Func)
 	now() clk.Tick
 	step() bool
+	runUntil(deadline clk.Tick) int
 }
 
 type newSched struct{ q Queue }
 
-func (s *newSched) schedule(t clk.Tick, fn Func) { s.q.At(t, fn) }
-func (s *newSched) now() clk.Tick                { return s.q.Now() }
-func (s *newSched) step() bool                   { return s.q.Step() }
+func (s *newSched) schedule(t clk.Tick, fn Func)   { s.q.At(t, fn) }
+func (s *newSched) now() clk.Tick                  { return s.q.Now() }
+func (s *newSched) step() bool                     { return s.q.Step() }
+func (s *newSched) runUntil(deadline clk.Tick) int { return s.q.RunUntil(deadline) }
 
 type oldSched struct{ q refQueue }
 
-func (s *oldSched) schedule(t clk.Tick, fn Func) { s.q.at(t, fn) }
-func (s *oldSched) now() clk.Tick                { return s.q.now }
-func (s *oldSched) step() bool                   { return s.q.step() }
+func (s *oldSched) schedule(t clk.Tick, fn Func)   { s.q.at(t, fn) }
+func (s *oldSched) now() clk.Tick                  { return s.q.now }
+func (s *oldSched) step() bool                     { return s.q.step() }
+func (s *oldSched) runUntil(deadline clk.Tick) int { return s.q.runUntil(deadline) }
 
-// drive runs one fuzzed schedule on s and returns the dispatch order as
-// event ids. The schedule is a pure function of seed: an initial burst of
-// events with deliberately colliding times, each of which may re-arm
-// follow-ups from inside its callback (same-tick re-arms included), so the
-// FIFO tie-break and causality rules are exercised from both outside and
-// inside dispatch.
-func drive(s scheduler, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	var order []int
+// fuzzDelay draws the delay of a fuzzed arm: mostly 0–2 ticks (delay 0 is a
+// same-tick tie with events already pending), and otherwise one of the
+// wheel's edges: its last bucket, exactly its span (the first far-lane
+// time), or just past it. Far arms a few ticks apart collide with each
+// other and with near events armed later for the same tick, so both lanes
+// and the current list meet at one time.
+func fuzzDelay(rng *rand.Rand) clk.Tick {
+	switch rng.Intn(8) {
+	case 5:
+		return wheelSize - 1
+	case 6:
+		return wheelSize
+	case 7:
+		return wheelSize + clk.Tick(rng.Intn(3))
+	default:
+		return clk.Tick(rng.Intn(3))
+	}
+}
+
+// fuzzArm returns an arm function for s that records dispatch order into
+// *order: each armed event may re-arm 0–2 follow-ups from inside its
+// callback, up to depth 4, at fuzzDelay delays.
+func fuzzArm(s scheduler, rng *rand.Rand, order *[]int) func(t clk.Tick, depth int) {
 	nextID := 0
 	var arm func(t clk.Tick, depth int)
 	arm = func(t clk.Tick, depth int) {
 		id := nextID
 		nextID++
 		s.schedule(t, func(now clk.Tick) {
-			order = append(order, id)
+			*order = append(*order, id)
 			if depth < 4 {
-				// Re-arm 0–2 follow-ups from inside the callback; delay 0
-				// creates same-tick ties with events already pending.
 				for k := rng.Intn(3); k > 0; k-- {
-					arm(now+clk.Tick(rng.Intn(3)), depth+1)
+					arm(now+fuzzDelay(rng), depth+1)
 				}
 			}
 		})
 	}
+	return arm
+}
+
+// drive runs one fuzzed schedule on s and returns the dispatch order as
+// event ids, what its RunUntil reported, and the clock after it. The
+// schedule is a pure function of seed. A first burst arms events with
+// deliberately colliding times near the start and at and just past the
+// wheel's span, plus a few spread over four spans; each may re-arm
+// follow-ups from inside its callback (same-tick and far-lane re-arms
+// included), so the FIFO tie-break and causality rules are exercised from
+// both outside and inside dispatch, across the wheel, the far lane and the
+// current list. RunUntil then jumps the clock one to three spans ahead
+// while far events are still pending beyond the deadline, and a second
+// burst is armed relative to the new time before everything drains.
+func drive(s scheduler, seed int64) (order []int, ran int, at clk.Tick) {
+	rng := rand.New(rand.NewSource(seed))
+	arm := fuzzArm(s, rng, &order)
 	for i := 0; i < 64; i++ {
-		// 16 distinct ticks over 64 events forces plenty of ties.
-		arm(clk.Tick(rng.Intn(16)), 0)
+		// 16 distinct ticks per group over 64 events forces plenty of ties.
+		t := clk.Tick(rng.Intn(16))
+		switch rng.Intn(8) {
+		case 0, 1:
+			t += wheelSize
+		case 2:
+			t = clk.Tick(rng.Intn(4 * wheelSize))
+		}
+		arm(t, 0)
+	}
+	ran = s.runUntil(clk.Tick(wheelSize + rng.Intn(2*wheelSize)))
+	at = s.now()
+	for i := 0; i < 32; i++ {
+		arm(at+fuzzDelay(rng)+clk.Tick(rng.Intn(4)), 0)
 	}
 	for s.step() {
 	}
-	return order
+	return order, ran, at
 }
 
 // TestDispatchOrderMatchesReference drives the old container/heap queue
-// and the new typed 4-ary heap with identical fuzzed schedules and
-// requires identical dispatch order, seed by seed.
+// and the timing wheel with identical fuzzed schedules and requires the
+// same RunUntil outcome and identical dispatch order, seed by seed.
 func TestDispatchOrderMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		gotNew := drive(&newSched{}, seed)
-		gotOld := drive(&oldSched{}, seed)
+		gotNew, ranNew, atNew := drive(&newSched{}, seed)
+		gotOld, ranOld, atOld := drive(&oldSched{}, seed)
+		if ranNew != ranOld || atNew != atOld {
+			t.Fatalf("seed %d: RunUntil ran %d events to %v, reference %d to %v",
+				seed, ranNew, atNew, ranOld, atOld)
+		}
 		if len(gotNew) != len(gotOld) {
 			t.Fatalf("seed %d: dispatched %d events, reference dispatched %d",
 				seed, len(gotNew), len(gotOld))
