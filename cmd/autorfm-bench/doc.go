@@ -17,9 +17,9 @@
 // autorfm-sim -store.
 //
 // -report writes just the deterministic table bytes (no timing lines), so
-// two runs of one sweep can be compared with cmp. -http serves live sweep
-// introspection (expvar, /metrics, pprof) and -metrics streams per-epoch
-// telemetry of every simulated job.
+// two runs of one sweep can be compared with cmp. -metrics streams
+// per-epoch telemetry of every simulated job, and -cpuprofile/-memprofile
+// write pprof profiles.
 //
 // Examples:
 //

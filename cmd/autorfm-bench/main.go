@@ -4,9 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -http
 	"os"
 	"os/signal"
 	"runtime"
@@ -50,9 +47,8 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 
-		metrics  = flag.String("metrics", "", "stream per-epoch telemetry of every simulated job to this JSON-lines file (schema "+telemetry.MetricsSchema+"; records carry the job's config key as run)")
-		epochNS  = flag.Int64("epoch-ns", 0, "telemetry epoch length in simulated ns (0 = one tREFI window, 3900ns)")
-		httpAddr = flag.String("http", "", "serve live sweep introspection on this address (expvar autorfm.sweep + net/http/pprof), e.g. :6060")
+		metrics = flag.String("metrics", "", "stream per-epoch telemetry of every simulated job to this JSON-lines file (schema "+telemetry.MetricsSchema+"; records carry the job's config key as run)")
+		epochNS = flag.Int64("epoch-ns", 0, "telemetry epoch length in simulated ns (0 = one tREFI window, 3900ns)")
 	)
 	flag.Parse()
 
@@ -162,32 +158,8 @@ func run() int {
 	pool := runner.New(*jobs)
 	pool.JobTimeout = *timeout
 
-	// Live introspection: -http serves expvar (the autorfm.sweep snapshot
-	// below) and net/http/pprof for the lifetime of the sweep.
-	var sweep *telemetry.SweepStatus
-	if *httpAddr != "" {
-		sweep = telemetry.NewSweepStatus()
-		telemetry.PublishSweep(sweep.Snapshot)
-		// Prometheus text-format mirror of the expvar snapshot, on the same
-		// DefaultServeMux ServeIntrospection serves.
-		http.Handle("/metrics", telemetry.MetricsHandler(func(w io.Writer) error {
-			return telemetry.WriteSweepProm(w, sweep.Snapshot())
-		}))
-		addr, err := telemetry.ServeIntrospection(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "introspection: http://%s/debug/vars http://%s/metrics http://%s/debug/pprof/\n", addr, addr, addr)
-	}
-	if !*quiet || sweep != nil {
+	if !*quiet {
 		pool.OnProgress = func(p runner.Progress) {
-			if sweep != nil {
-				sweep.Update(p.Done, p.Total, p.CacheHits, p.Failed, p.Events, p.Elapsed, p.SimElapsed, p.ETA)
-			}
-			if *quiet {
-				return
-			}
 			eta := ""
 			if p.ETA > 0 {
 				eta = fmt.Sprintf("  eta %v", p.ETA.Round(time.Second))
@@ -265,6 +237,9 @@ func run() int {
 		} else {
 			fmt.Fprintf(os.Stderr, "metrics: %d records to %s\n", msink.Records(), *metrics)
 		}
+	}
+	if n := pool.StoreFailures(); n > 0 {
+		fmt.Fprintf(os.Stderr, "store: %d result(s) could not be written to %s\n", n, *storeP)
 	}
 	if hits, misses := pool.CacheStats(); hits > 0 {
 		fmt.Fprintf(os.Stderr, "%d simulations run, %d served from cache (-j %d)\n",

@@ -251,6 +251,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	results, errs := pool.RunAll(ctx, todo)
+	if n := pool.StoreFailures(); n > 0 {
+		fmt.Fprintf(os.Stderr, "store: %d result(s) could not be written to %s\n", n, *storeP)
+	}
 	if err := runner.FirstError(errs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

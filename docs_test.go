@@ -7,6 +7,9 @@ package autorfm
 // out of scope — CI must not depend on the network.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -174,6 +177,90 @@ func TestDocsIndexed(t *testing.T) {
 	for _, d := range docs {
 		if !strings.Contains(readme, d) {
 			t.Errorf("README.md does not link %s; add it to the documentation index", d)
+		}
+	}
+}
+
+// definedFlags returns the flag names cmd/<command>/main.go defines: the
+// name argument of every flag.String, flag.Int64, flag.BoolVar, ... call.
+func definedFlags(t *testing.T, command string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", command, "main.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		arg := 0 // flag.String(name, ...), flag.Func(name, ...)
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1 // flag.StringVar(&v, name, ...), flag.Var(v, name, ...)
+		}
+		if len(call.Args) <= arg {
+			return true
+		}
+		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				flags[name] = true
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatalf("found no flag definitions in cmd/%s/main.go", command)
+	}
+	return flags
+}
+
+var (
+	// commandRE finds a CLI's name; the flags of that invocation follow it.
+	commandRE = regexp.MustCompile(`autorfm-(bench|sim|attack)\b`)
+	// docFlagRE finds a -flag or --flag that starts a word.
+	docFlagRE = regexp.MustCompile("(?:^|[\\s`(\\[])--?([A-Za-z][\\w-]*)")
+)
+
+// TestDocFlags: every -flag a document writes after autorfm-bench,
+// autorfm-sim or autorfm-attack on the same line — up to a |, ;, & or #,
+// where the command line ends — must be a flag that command's main.go
+// defines, so a deleted or renamed flag cannot linger in the docs.
+func TestDocFlags(t *testing.T) {
+	defined := make(map[string]map[string]bool)
+	for _, file := range docFiles(t) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			cmds := commandRE.FindAllStringSubmatchIndex(line, -1)
+			for j, m := range cmds {
+				command := "autorfm-" + line[m[2]:m[3]]
+				end := len(line)
+				if j+1 < len(cmds) {
+					end = cmds[j+1][0]
+				}
+				args := line[m[1]:end]
+				if k := strings.IndexAny(args, "|;&#"); k >= 0 {
+					args = args[:k]
+				}
+				if defined[command] == nil {
+					defined[command] = definedFlags(t, command)
+				}
+				for _, f := range docFlagRE.FindAllStringSubmatch(args, -1) {
+					if !defined[command][f[1]] {
+						t.Errorf("%s:%d: %s has no flag -%s", file, i+1, command, f[1])
+					}
+				}
+			}
 		}
 	}
 }

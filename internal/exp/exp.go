@@ -22,7 +22,8 @@ import (
 type Scale struct {
 	// Instructions per core per simulation run.
 	Instructions int64
-	// Workloads to include ("" entries are ignored); nil means all 21.
+	// Workloads to include, each once ("" entries are ignored); nil means
+	// all 21.
 	Workloads []string
 	// AttackActs is the attacker activation budget for security audits.
 	AttackActs uint64
@@ -71,35 +72,41 @@ func Full() Scale {
 	return Scale{Instructions: 1_000_000, AttackActs: 20_000_000, Seed: 1}
 }
 
-// Validate checks that every requested workload exists, returning an error
-// that lists the valid names otherwise.
+// Validate checks that the workload subset names each workload once and
+// at least one, and that every name exists (listing the valid names
+// otherwise).
 func (sc Scale) Validate() error {
 	_, err := sc.profiles()
 	return err
 }
 
-// profiles resolves the scale's workload subset (all 21 when unset). An
-// unknown name yields an error naming the valid workloads.
+// profiles resolves the scale's workload subset (all 21 when nil). Empty
+// names are skipped; an unknown name yields an error naming the valid
+// workloads, and a repeated name or a subset naming no workload is an
+// error too, since either would skew every AVERAGE row.
 func (sc Scale) profiles() ([]workload.Profile, error) {
 	if sc.Workloads == nil {
 		return workload.Profiles(), nil
 	}
 	var out []workload.Profile
+	seen := make(map[string]bool, len(sc.Workloads))
 	for _, name := range sc.Workloads {
 		if name == "" {
 			continue
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("exp: workload %q named twice", name)
+		}
+		seen[name] = true
 		p, err := workload.ByName(name)
 		if err != nil {
-			all := workload.Profiles()
-			names := make([]string, len(all))
-			for i, q := range all {
-				names[i] = q.Name
-			}
 			return nil, fmt.Errorf("exp: unknown workload %q (valid: %s)",
-				name, strings.Join(names, ", "))
+				name, strings.Join(workload.Names(), ", "))
 		}
 		out = append(out, p)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("exp: workload list %q names no workload", strings.Join(sc.Workloads, ","))
 	}
 	return out, nil
 }

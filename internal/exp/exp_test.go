@@ -309,6 +309,36 @@ func TestUnknownWorkloadIsError(t *testing.T) {
 	}
 }
 
+// TestBadWorkloadListIsError: a repeated workload would print twice and
+// count twice in every AVERAGE row, and a list of only empty names
+// (-workloads ,) would render a lone AVERAGE row of ERR cells, so Validate
+// rejects both, naming the problem. A nil list still means every workload.
+func TestBadWorkloadListIsError(t *testing.T) {
+	for _, tc := range []struct {
+		workloads []string
+		want      string
+	}{
+		{append(tinyScale().Workloads, "mcf"), `workload "mcf" named twice`},
+		{[]string{}, "names no workload"},
+		{[]string{""}, "names no workload"},
+		{[]string{"", ""}, "names no workload"},
+	} {
+		sc := tinyScale()
+		sc.Workloads = tc.workloads
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%q) = %v, want an error containing %q", tc.workloads, err, tc.want)
+		}
+		if _, err := Fig3(sc); err == nil {
+			t.Errorf("Fig3 accepted workloads %q", tc.workloads)
+		}
+	}
+	sc := tinyScale()
+	sc.Workloads = nil
+	if ps, err := sc.profiles(); err != nil || len(ps) != 21 {
+		t.Fatalf("nil Workloads resolved to %d profiles (err %v), want all 21", len(ps), err)
+	}
+}
+
 // TestSerialParallelIdentical is the engine's determinism gate: the same
 // experiment run through a pool of one worker (serial) and one of eight
 // must render byte-identical tables and summaries. CI runs this under

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"os"
 	"runtime"
@@ -66,13 +65,6 @@ type Progress struct {
 	// CacheHits is how many of the Done jobs were served from the cache
 	// or coalesced onto an in-flight simulation.
 	CacheHits int
-	// Failed is how many of the Done jobs returned an error (including
-	// recovered panics, timeouts and cancellations).
-	Failed int
-	// Events is the total number of discrete events dispatched by the jobs
-	// actually simulated so far (cache hits re-deliver a result without
-	// re-dispatching its events).
-	Events int64
 	// Elapsed is the time since the pool ran its first job.
 	Elapsed time.Duration
 	// SimElapsed is the time since the pool started its first actual
@@ -137,9 +129,9 @@ type Pool struct {
 	// result is Put into it before Run returns. Failed jobs are not stored
 	// (errors are cheap to reproduce and must re-run on resume). Writes are
 	// best-effort: a failing store degrades persistence, never the sweep —
-	// the first failure warns on stderr, every failure increments
-	// StoreFailures and the process-wide expvar
-	// "autorfm.checkpoint_write_failures". Set it before submitting jobs.
+	// the first failure warns on stderr and every failure increments
+	// StoreFailures, which the CLIs report at exit. Set it before
+	// submitting jobs.
 	Store *Store
 
 	sem chan struct{} // bounds concurrent simulations
@@ -167,7 +159,6 @@ type Pool struct {
 	done       int
 	submitted  int
 	hits       int
-	failed     int
 	events     int64
 	started    time.Time
 	simStarted time.Time // when the first actual simulation began
@@ -225,13 +216,13 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 	if key == "" {
 		// Uncacheable (caller-supplied stream): run directly.
 		res, err := p.simulate(ctx, cfg, key)
-		p.jobDone(false, err != nil)
+		p.jobDone(false)
 		return res, err
 	}
 
 	if p.Store != nil {
 		if res, ok := p.Store.Get(key); ok {
-			p.jobDone(true, false)
+			p.jobDone(true)
 			return res, nil
 		}
 	}
@@ -240,10 +231,10 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 		p.mu.Unlock()
 		select {
 		case <-e.ready:
-			p.jobDone(true, e.err != nil)
+			p.jobDone(true)
 			return e.res, e.err
 		case <-ctx.Done():
-			p.jobDone(false, true)
+			p.jobDone(false)
 			return sim.Result{}, ctx.Err()
 		}
 	}
@@ -260,7 +251,7 @@ func (p *Pool) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 		p.mu.Unlock()
 	}
 	close(e.ready)
-	p.jobDone(false, e.err != nil)
+	p.jobDone(false)
 	return e.res, e.err
 }
 
@@ -325,16 +316,10 @@ func (p *Pool) simulate(ctx context.Context, cfg sim.Config, key string) (res si
 	return res, err
 }
 
-// storeFailures is the process-wide count of results that failed to reach
-// a pool's Store (disk full, closed file, ...), across every pool. It is
-// exported as the expvar "autorfm.checkpoint_write_failures" so a sweep's
-// introspection endpoint (-http) shows silently degraded persistence before
-// a resume discovers the hole.
-var storeFailures = expvar.NewInt("autorfm.checkpoint_write_failures")
-
 // StoreFailures returns how many results this pool failed to write to its
-// Store. A non-zero count means a later run on the same store file will
-// re-simulate the lost jobs — correct, just slower.
+// Store (disk full, closed file, ...). A non-zero count means a later run
+// on the same store file will re-simulate the lost jobs — correct, just
+// slower.
 func (p *Pool) StoreFailures() uint64 { return p.sfails.Load() }
 
 func (p *Pool) store(key string, res sim.Result) {
@@ -343,7 +328,6 @@ func (p *Pool) store(key string, res sim.Result) {
 	}
 	if _, err := p.Store.Put(key, res); err != nil {
 		p.sfails.Add(1)
-		storeFailures.Add(1)
 		p.swarn.Do(func() {
 			fmt.Fprintf(os.Stderr,
 				"runner: store write failed (sweep continues; further failures are counted, not logged): %v\n", err)
@@ -422,14 +406,11 @@ func (p *Pool) markSimStarted() {
 	p.pmu.Unlock()
 }
 
-func (p *Pool) jobDone(cached, failed bool) {
+func (p *Pool) jobDone(cached bool) {
 	p.pmu.Lock()
 	p.done++
 	if cached {
 		p.hits++
-	}
-	if failed {
-		p.failed++
 	}
 	cb := p.OnProgress
 	if cb != nil {
@@ -438,8 +419,6 @@ func (p *Pool) jobDone(cached, failed bool) {
 			Done:      p.done,
 			Total:     p.submitted,
 			CacheHits: p.hits,
-			Failed:    p.failed,
-			Events:    p.events,
 			Elapsed:   now.Sub(p.started),
 		}
 		if !p.simStarted.IsZero() {

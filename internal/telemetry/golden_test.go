@@ -1,19 +1,16 @@
 package telemetry_test
 
 // Golden-byte tests for every observability artifact whose bytes are a
-// wire format: the Chrome command-trace export, the metrics JSON-lines
-// log, the Prometheus exposition and the expvar JSON document. Each
-// producer renders a fixed input; the test compares its output byte for
-// byte against testdata/golden_<name>. The goldens are never rewritten by the test —
-// a mismatch means a wire format changed.
+// wire format: the Chrome command-trace export and the metrics JSON-lines
+// log. Each producer renders a fixed input; the test compares its output
+// byte for byte against testdata/golden_<name>. The goldens are never
+// rewritten by the test — a mismatch means a wire format changed.
 
 import (
 	"bytes"
-	"expvar"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"autorfm/internal/clk"
 	"autorfm/internal/stats"
@@ -36,13 +33,6 @@ func goldenCommandTrace() *telemetry.CommandTrace {
 	tr.Record(clk.NS(4300), tm.TBURST, telemetry.KindWR, telemetry.CauseDemand, 0, 9)
 	return tr
 }
-
-var goldenSweep = telemetry.SweepSnapshot{
-	JobsDone: 12, JobsTotal: 40, CacheHits: 3, Failed: 1, Events: 9_876_543,
-	EventsPerSec: 1_234_567.5, ElapsedMS: 8000, SimElapsedMS: 7500, ETAMS: 19_000,
-}
-
-func expvarJSON(name string) []byte { return []byte(expvar.Get(name).String()) }
 
 func TestGoldenBytes(t *testing.T) {
 	producers := []struct {
@@ -67,18 +57,6 @@ func TestGoldenBytes(t *testing.T) {
 			}
 			s.Summary(clk.NS(5000), h)
 			return buf.Bytes(), nil
-		}},
-		{"sweep.prom", func() ([]byte, error) {
-			var buf bytes.Buffer
-			err := telemetry.WriteSweepProm(&buf, goldenSweep)
-			return buf.Bytes(), err
-		}},
-		{"expvar_sweep.json", func() ([]byte, error) {
-			st := telemetry.NewSweepStatus()
-			st.Update(goldenSweep.JobsDone, goldenSweep.JobsTotal, goldenSweep.CacheHits, goldenSweep.Failed,
-				goldenSweep.Events, 8*time.Second, 2*time.Second, 19*time.Second)
-			telemetry.PublishSweep(st.Snapshot)
-			return expvarJSON("autorfm.sweep"), nil
 		}},
 	}
 	for _, p := range producers {

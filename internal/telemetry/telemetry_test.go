@@ -5,17 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"go/parser"
 	"go/token"
-	"io"
 	"io/fs"
-	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"autorfm/internal/clk"
 	"autorfm/internal/stats"
@@ -322,91 +319,31 @@ func TestKindAndCauseNames(t *testing.T) {
 	}
 }
 
-func TestSweepStatus(t *testing.T) {
-	st := NewSweepStatus()
-	if snap := st.Snapshot(); snap.JobsTotal != 0 {
-		t.Fatalf("fresh status = %+v", snap)
-	}
-	st.Update(3, 10, 1, 0, 4_000_000, 3*time.Second, 2*time.Second, 5*time.Second)
-	snap := st.Snapshot()
-	if snap.JobsDone != 3 || snap.JobsTotal != 10 || snap.CacheHits != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.EventsPerSec != 2_000_000 {
-		t.Fatalf("events/sec = %v, want 2e6", snap.EventsPerSec)
-	}
-	if snap.ElapsedMS != 3000 || snap.SimElapsedMS != 2000 || snap.ETAMS != 5000 {
-		t.Fatalf("elapsed/sim/eta = %d/%d/%d ms", snap.ElapsedMS, snap.SimElapsedMS, snap.ETAMS)
-	}
-	PublishSweep(st.Snapshot)
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(expvar.Get("autorfm.sweep").String()), &m); err != nil {
-		t.Fatalf("autorfm.sweep is not JSON: %v", err)
-	}
-	if m["jobs_done"].(float64) != 3 {
-		t.Fatalf("autorfm.sweep = %s", expvar.Get("autorfm.sweep"))
-	}
-}
-
-// TestPublishSweepRepointable checks that publishing twice does not panic
-// (expvar forbids duplicate names) and that the expvar reads the most
-// recently published status.
-func TestPublishSweepRepointable(t *testing.T) {
-	a, b := NewSweepStatus(), NewSweepStatus()
-	PublishSweep(a.Snapshot)
-	PublishSweep(b.Snapshot)
-	b.Update(7, 9, 0, 0, 0, time.Second, time.Second, 0)
-	var snap SweepSnapshot
-	if err := json.Unmarshal([]byte(expvar.Get("autorfm.sweep").String()), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.JobsDone != 7 {
-		t.Fatalf("published snapshot = %+v, want the latest status", snap)
-	}
-}
-
-// TestMetricsHandlers: the /metrics handler serves the sweep snapshot as
-// Prometheus text with the exposition-format content type.
-func TestMetricsHandlers(t *testing.T) {
-	st := NewSweepStatus()
-	st.Update(3, 10, 1, 0, 42, time.Second, time.Second, 2*time.Second)
-	rr := httptest.NewRecorder()
-	MetricsHandler(func(w io.Writer) error { return WriteSweepProm(w, st.Snapshot()) }).
-		ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("sweep /metrics content type %q", ct)
-	}
-	body := rr.Body.String()
-	for _, want := range []string{
-		"autorfm_sweep_jobs_done 3",
-		"autorfm_sweep_jobs_total 10",
-		"autorfm_sweep_events_total 42",
-		"autorfm_sweep_events_per_sec 42",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("sweep /metrics missing %q\n%s", want, body)
-		}
-	}
-}
-
-// TestNoPprofImport keeps net/http/pprof out of this package: the
-// simulator links telemetry, and the pprof import registers /debug/pprof
-// on DefaultServeMux as a side effect in every such binary. Commands that
-// serve pprof import it themselves.
+// TestNoPprofImport keeps a network stack out of the simulator: no
+// non-test file under internal/ may import net/http, net/http/pprof or
+// expvar. Each drags the HTTP server into every binary that links the
+// simulator (about 6 MB of autorfm-bench), and pprof and expvar register
+// handlers on DefaultServeMux as a side effect. The CLIs profile through
+// -cpuprofile and -memprofile instead.
 func TestNoPprofImport(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for name, f := range pkg.Files {
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"net/http/pprof"` {
-					t.Errorf("%s imports net/http/pprof", name)
-				}
+	banned := map[string]bool{`"net/http"`: true, `"net/http/pprof"`: true, `"expvar"`: true}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if banned[imp.Path.Value] {
+				t.Errorf("%s imports %s", path, imp.Path.Value)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
