@@ -183,6 +183,7 @@ var measured = []struct {
 		[]docCell{at("fig13", "prac_at_356"), at("fig13", "rfm_at_356"), at("fig13", "autorfm_at_356")}},
 	{"Fig 13", "| 702 | {}% | {}% | {}% |",
 		[]docCell{at("fig13", "prac_at_702"), at("fig13", "rfm_at_702"), at("fig13", "autorfm_at_702")}},
+	{"Fig 13", "all seven cells ({}%)", []docCell{at("fig13", "prac_at_74")}},
 
 	{"Fig 14 / Fig 16", "FM damage limit {} (paper 104), minimum safe TRH-D {} (paper 52), and the mixed-attack example is {}× worse",
 		[]docCell{at("fig16", "fm_damage_limit"), at("fig16", "fm_min_safe_trhd"), inverse(at("fig16", "mixed_over_direct"))}},

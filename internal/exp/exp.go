@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
@@ -29,9 +32,11 @@ type Scale struct {
 	AttackActs uint64
 	// Seed drives all randomness.
 	Seed uint64
-	// Jobs is the worker-pool size for simulations (0 = all CPUs).
-	// Parallelism never changes results: tables are byte-identical at
-	// any Jobs value for a fixed seed.
+	// Jobs is the worker-pool size for simulations (0 = all CPUs), and
+	// the bound on the goroutines that run an experiment's attack audits
+	// and selection probes, even when Pool is set. Parallelism never
+	// changes results: tables are byte-identical at any Jobs value for a
+	// fixed seed.
 	Jobs int
 	// Pool, when set, is the runner the experiment submits its jobs to,
 	// overriding Jobs. Passing one pool to several experiments shares
@@ -130,6 +135,41 @@ func (sc Scale) pool() Runner {
 		return sc.Pool
 	}
 	return runner.New(sc.Jobs)
+}
+
+// fanOut runs task(0), …, task(n-1) on at most sc.Jobs goroutines (0 = all
+// CPUs, as in runner.New) and returns their results in index order, so a
+// table assembled from them reads as if the tasks had run one after
+// another. A task's panic is raised again on the caller's goroutine once
+// every task has stopped; when several panic, the lowest index wins.
+func fanOut[T any](sc Scale, n int, task func(i int) T) []T {
+	out := make([]T, n)
+	panics := make([]interface{}, n)
+	workers := sc.Jobs
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				func() {
+					defer func() { panics[i] = recover() }()
+					out[i] = task(i)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	return out
 }
 
 // simCfg builds the simulation config for one profile at this scale, with
@@ -357,7 +397,11 @@ type grid struct {
 	variants int
 }
 
-// runGrid submits the baseline and every variant on every profile.
+// runGrid submits the baseline and every variant on every profile. Jobs
+// that differ only in PRACETh run in two rounds: each group's lowest ETh
+// goes with the rest of the grid in one RunAll, then every higher ETh
+// either reuses that Result (sim.ReusePRACRun) or is submitted. A grid with
+// no such group, or one under injected faults, is a single submission.
 func runGrid(sc Scale, profiles []workload.Profile, variants ...func(*sim.Config)) (grid, error) {
 	jobs := make([]sim.Config, 0, len(profiles)*(1+len(variants)))
 	for _, p := range profiles {
@@ -366,8 +410,90 @@ func runGrid(sc Scale, profiles []workload.Profile, variants ...func(*sim.Config
 			jobs = append(jobs, sc.simCfg(p, v))
 		}
 	}
-	js, err := submit(sc.pool(), sc, jobs)
-	return grid{jobSet: js, profiles: profiles, variants: len(variants)}, err
+	lead := pracLeads(sc, jobs)
+	var first, later []int
+	for i, l := range lead {
+		if l == i {
+			first = append(first, i)
+		} else {
+			later = append(later, i)
+		}
+	}
+	pool := sc.pool()
+	g := grid{jobSet: jobSet{jobs: jobs, res: make([]sim.Result, len(jobs)), errs: make([]error, len(jobs))},
+		profiles: profiles, variants: len(variants)}
+	if err := g.submitSome(pool, sc, first); err != nil {
+		return grid{}, err
+	}
+	var rest []int
+	for _, i := range later {
+		l := lead[i]
+		if g.ok(l) && sim.ReusePRACRun(jobs[l], g.res[l], jobs[i]) {
+			g.res[i] = g.res[l]
+			g.res[i].Config = jobs[i].Normalized()
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	if err := g.submitSome(pool, sc, rest); err != nil {
+		return grid{}, err
+	}
+	return g, nil
+}
+
+// pracLeads maps each job to the job whose Result may stand for it: a PRAC
+// job to the first job of lowest PRACETh among those equal to it apart from
+// PRACETh, every other job to itself. Under injected faults every job leads
+// itself, since a chaos kill is keyed by each job's own Key.
+func pracLeads(sc Scale, jobs []sim.Config) []int {
+	lead := make([]int, len(jobs))
+	for i := range lead {
+		lead[i] = i
+	}
+	if sc.Fault.Injects() {
+		return lead
+	}
+	keys := make([]string, len(jobs))
+	low := map[string]int{}
+	eth := func(i int) int { return jobs[i].Normalized().PRACETh }
+	for i, c := range jobs {
+		if c.Mode != dram.ModePRAC {
+			continue
+		}
+		c.PRACETh = 1
+		if keys[i] = c.Key(); keys[i] == "" {
+			continue
+		}
+		if l, ok := low[keys[i]]; !ok || eth(i) < eth(l) {
+			low[keys[i]] = i
+		}
+	}
+	for i, k := range keys {
+		if k != "" {
+			lead[i] = low[k]
+		}
+	}
+	return lead
+}
+
+// submitSome runs the jobs at the given indices in one RunAll and files
+// each result at its index. No indices submit nothing.
+func (js jobSet) submitSome(pool Runner, sc Scale, idx []int) error {
+	if len(idx) == 0 {
+		return nil
+	}
+	cfgs := make([]sim.Config, len(idx))
+	for k, i := range idx {
+		cfgs[k] = js.jobs[i]
+	}
+	sub, err := submit(pool, sc, cfgs)
+	if err != nil {
+		return err
+	}
+	for k, i := range idx {
+		js.res[i], js.errs[i] = sub.res[k], sub.errs[k]
+	}
+	return nil
 }
 
 // mech is the variant running mode at threshold th under mapping ("" keeps

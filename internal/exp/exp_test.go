@@ -2,10 +2,14 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,7 +349,7 @@ func TestBadWorkloadListIsError(t *testing.T) {
 // -race, which additionally proves no shared mutable state leaks across
 // concurrently executing simulations.
 func TestSerialParallelIdentical(t *testing.T) {
-	for _, id := range []string{"fig3", "tab6", "fig17"} {
+	for _, id := range []string{"fig3", "tab6", "fig13", "fig17", "fig18", "appb", "fault"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
@@ -558,4 +562,150 @@ func TestSharedPoolCachesAcrossExperiments(t *testing.T) {
 	if hits == 0 {
 		t.Error("shared pool recorded no cache hits")
 	}
+}
+
+// TestRunGridPRACRounds drives both rounds of runGrid: a low ETh that raises
+// ABOs makes its group's higher ETh run in round 2, a quiet one lets them
+// reuse its Result, and every cell still equals a direct sim.Run.
+func TestRunGridPRACRounds(t *testing.T) {
+	sc := microScale()
+	sc.Instructions = 20_000
+	profiles, err := sc.profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prac := func(eth int, mapping string) func(*sim.Config) {
+		return func(c *sim.Config) { c.Mode, c.PRACETh, c.Mapping = dram.ModePRAC, eth, mapping }
+	}
+	// Column 1 (ETh 1) leads 0 and 2, and raises an ABO at its first ACT;
+	// column 3 (ETh 300) leads 4 and should raise none at this scale.
+	variants := []func(*sim.Config){prac(2, ""), prac(1, ""), prac(400, ""),
+		prac(300, "rubix"), prac(2000, "rubix"), mech(dram.ModeRFM, 4, "")}
+	rec := &recorder{Runner: runner.New(2)}
+	sc.Pool = rec
+	g, err := runGrid(sc, profiles, variants...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.batches) != 2 {
+		t.Fatalf("runGrid made %d submissions, want 2", len(rec.batches))
+	}
+	var second []string
+	for _, c := range rec.batches[1] {
+		second = append(second, fmt.Sprintf("%s/%s/eth=%d", c.Workload.Name, c.Mapping, c.PRACETh))
+	}
+	if want := "[lbm//eth=2 lbm//eth=400 bfs//eth=2 bfs//eth=400]"; fmt.Sprint(second) != want {
+		t.Errorf("round 2 submitted %v, want %s", second, want)
+	}
+	// Round 1: the baseline, ETh 1, ETh 300 and RFM-4 of each profile.
+	if n := len(rec.batches[0]); n != len(profiles)*4 {
+		t.Errorf("round 1 submitted %d jobs, want %d", n, len(profiles)*4)
+	}
+	for wi := range profiles {
+		if r, _ := g.result(wi, 1); r.Dev.ABOAlerts == 0 {
+			t.Fatalf("%s: ETh 1 raised no ABO", profiles[wi].Name)
+		}
+		if r, _ := g.result(wi, 3); r.Dev.ABOAlerts != 0 {
+			t.Fatalf("%s: ETh 300 raised %d ABOs, so nothing is reused", profiles[wi].Name, r.Dev.ABOAlerts)
+		}
+		for v := base; v < len(variants); v++ {
+			i := wi*(1+len(variants)) + 1 + v
+			got, ok := g.result(wi, v)
+			if !ok {
+				t.Fatalf("job %s failed: %v", jobLabel(g.jobs[i]), g.errs[i])
+			}
+			want, err := sim.Run(g.jobs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
+				t.Errorf("%s: grid cell differs from sim.Run:\n got %s\nwant %s", jobLabel(g.jobs[i]), a, b)
+			}
+		}
+	}
+
+	// Under injected faults, and with no PRAC group, the grid is one
+	// submission.
+	faulty := sc
+	faulty.Fault = fault.Config{Seed: 1, ActMissProb: 0.01}
+	for _, tc := range []struct {
+		name     string
+		sc       Scale
+		variants []func(*sim.Config)
+	}{{"faults", faulty, variants}, {"no group", sc, variants[4:]}} {
+		rec := &recorder{Runner: runner.New(2)}
+		tc.sc.Pool = rec
+		if _, err := runGrid(tc.sc, profiles, tc.variants...); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.batches) != 1 {
+			t.Errorf("%s: runGrid made %d submissions, want 1", tc.name, len(rec.batches))
+		}
+	}
+}
+
+func resultJSON(t *testing.T, r sim.Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestFanOut: results come back in index order at any bound, no more than
+// Jobs tasks run at once, one worker runs the tasks in order, and no tasks
+// start none.
+func TestFanOut(t *testing.T) {
+	fanOut(Scale{}, 0, func(int) int {
+		t.Fatal("a task ran for n = 0")
+		return 0
+	})
+	for _, jobs := range []int{1, 3, 0} {
+		var active, peak atomic.Int64
+		var order []int
+		got := fanOut(Scale{Jobs: jobs}, 40, func(i int) int {
+			n := active.Add(1)
+			defer active.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if jobs == 1 {
+				order = append(order, i)
+			}
+			time.Sleep(100 * time.Microsecond)
+			return i * i
+		})
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("Jobs=%d: result %d is %d, want %d", jobs, i, v, i*i)
+			}
+		}
+		bound := int64(jobs)
+		if jobs == 0 {
+			bound = int64(runtime.NumCPU())
+		}
+		if p := peak.Load(); p > bound {
+			t.Errorf("Jobs=%d: %d tasks ran at once", jobs, p)
+		}
+		if jobs == 1 && (len(order) != len(got) || !slices.IsSorted(order)) {
+			t.Errorf("Jobs=1 ran the tasks out of order: %v", order)
+		}
+	}
+}
+
+// TestFanOutPanicReachesCaller: a task's panic is raised on the caller's
+// goroutine, the lowest-indexed one when several tasks panic.
+func TestFanOutPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "task 7" {
+			t.Fatalf("recovered %v, want the panic of task 7", v)
+		}
+	}()
+	fanOut(Scale{Jobs: 4}, 10, func(i int) int {
+		if i == 7 || i == 9 {
+			panic(fmt.Sprintf("task %d", i))
+		}
+		return i
+	})
+	t.Fatal("fanOut returned after a task panicked")
 }

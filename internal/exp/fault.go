@@ -77,27 +77,28 @@ func Fault(sc Scale) (Result, error) {
 		return Result{}, err
 	}
 
+	// The selection probes, MINT-4 then PrIDE-4 for each scenario, run
+	// after the simulation batch so that none competes with a pool job.
+	// Each wraps its tracker the same way sim does, with a scenario-seeded
+	// injector PRNG, and re-measures the selection probability the
+	// security analysis rests on.
+	probes := fanOut(sc, 2*len(scenarios), func(i int) float64 {
+		f := scenarios[i/2].cfg
+		mk := func(r *rng.Source) tracker.Tracker { return tracker.NewMINT(th, false, r) }
+		if i%2 == 1 {
+			mk = func(r *rng.Source) tracker.Tracker { return tracker.NewPrIDE(th, 4, r) }
+		}
+		return analytic.EmpiricalSelectionProb(func(r *rng.Source) tracker.Tracker {
+			return fault.WrapTracker(mk(r), f, rng.New(f.Seed^0xfa017))
+		}, th, windows, sc.Seed)
+	})
+
 	tbl := stats.NewTable("Scenario", "MINT-4 TRH-D", "PrIDE-4 TRH-D",
 		"Sim victim refreshes", "Missed", "Dropped")
 	summary := map[string]float64{}
 	for i, sn := range scenarios {
-		sn := sn
-		// Wrap each tracker the same way sim does, with a scenario-seeded
-		// injector PRNG, and re-measure the selection probability the
-		// security analysis rests on.
-		wrap := func(mk func(r *rng.Source) tracker.Tracker) func(r *rng.Source) tracker.Tracker {
-			return func(r *rng.Source) tracker.Tracker {
-				return fault.WrapTracker(mk(r), sn.cfg, rng.New(sn.cfg.Seed^0xfa017))
-			}
-		}
-		pMINT := analytic.EmpiricalSelectionProb(wrap(func(r *rng.Source) tracker.Tracker {
-			return tracker.NewMINT(th, false, r)
-		}), th, windows, sc.Seed)
-		pPrIDE := analytic.EmpiricalSelectionProb(wrap(func(r *rng.Source) tracker.Tracker {
-			return tracker.NewPrIDE(th, 4, r)
-		}), th, windows, sc.Seed)
-		mintT := analytic.TrackerThreshold(pMINT, th, tm, analytic.MTTFTarget)
-		prideT := analytic.TrackerThreshold(pPrIDE, th, tm, analytic.MTTFTarget)
+		mintT := analytic.TrackerThreshold(probes[2*i], th, tm, analytic.MTTFTarget)
+		prideT := analytic.TrackerThreshold(probes[2*i+1], th, tm, analytic.MTTFTarget)
 
 		key := summaryKey(sn.name)
 		summary["mint_trhd_"+key] = mintT

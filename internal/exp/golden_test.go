@@ -48,14 +48,17 @@ func checkGoldens(t *testing.T, sc Scale, prefix string) {
 	}
 }
 
-// recorder is a Runner that keeps every job submitted through it.
+// recorder is a Runner that keeps every job submitted through it, batch by
+// batch.
 type recorder struct {
 	Runner
-	jobs []sim.Config
+	jobs    []sim.Config
+	batches [][]sim.Config
 }
 
 func (r *recorder) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, []error) {
 	r.jobs = append(r.jobs, cfgs...)
+	r.batches = append(r.batches, cfgs)
 	return r.Runner.RunAll(ctx, cfgs)
 }
 

@@ -73,21 +73,31 @@ func Fig18(sc Scale) (Result, error) {
 	tm := clk.DDR5()
 	tbl := stats.NewTable("AutoRFMTH", "PrIDE TRH-D", "MINT TRH-D", "Mithril maxActs (audit)")
 	summary := map[string]float64{}
-	for _, th := range []int{4, 8} {
-		th := th
-		pMINT := analytic.EmpiricalSelectionProb(func(r *rng.Source) tracker.Tracker {
-			return tracker.NewMINT(th, false, r)
-		}, th, 300_000, sc.Seed)
-		pPrIDE := analytic.EmpiricalSelectionProb(func(r *rng.Source) tracker.Tracker {
-			return tracker.NewPrIDE(th, 4, r)
-		}, th, 300_000, sc.Seed)
-		mintT := analytic.TrackerThreshold(pMINT, th, tm, analytic.MTTFTarget)
-		prideT := analytic.TrackerThreshold(pPrIDE, th, tm, analytic.MTTFTarget)
-
-		// Mithril: measure the worst single-sided damage under the circular
+	ths := []int{4, 8}
+	// Three independent measurements per threshold: the MINT and PrIDE
+	// selection probabilities, and the Mithril audit.
+	m := fanOut(sc, 3*len(ths), func(i int) float64 {
+		th := ths[i/3]
+		switch i % 3 {
+		case 0:
+			return analytic.EmpiricalSelectionProb(func(r *rng.Source) tracker.Tracker {
+				return tracker.NewMINT(th, false, r)
+			}, th, 300_000, sc.Seed)
+		case 1:
+			return analytic.EmpiricalSelectionProb(func(r *rng.Source) tracker.Tracker {
+				return tracker.NewPrIDE(th, 4, r)
+			}, th, 300_000, sc.Seed)
+		default:
+			return float64(mithrilAudit(th, sc))
+		}
+	})
+	for k, th := range ths {
+		mintT := analytic.TrackerThreshold(m[3*k], th, tm, analytic.MTTFTarget)
+		prideT := analytic.TrackerThreshold(m[3*k+1], th, tm, analytic.MTTFTarget)
+		// Mithril: the worst single-sided damage under the circular
 		// best-case pattern; its tolerated TRH-D is half that (deterministic
 		// bound, no exponential tail).
-		mith := mithrilAudit(th, sc)
+		mith := uint32(m[3*k+2])
 		tbl.Add(th, prideT, mintT, mith)
 		summary[fmt.Sprintf("pride_th%d", th)] = prideT
 		summary[fmt.Sprintf("mint_th%d", th)] = mintT
@@ -147,10 +157,14 @@ func AppB(sc Scale) (Result, error) {
 		{"fractal", attack.Circular(100_000, 4), 74},
 	}
 	summary := map[string]float64{}
-	for _, cs := range cases {
-		rep := attack.MustRun(attack.Config{
+	reps := fanOut(sc, len(cases), func(i int) attack.Report {
+		cs := cases[i]
+		return attack.MustRun(attack.Config{
 			TH: 4, Policy: cs.policy, TRHD: cs.trhd, Acts: sc.AttackActs, Seed: sc.Seed,
 		}, cs.pattern)
+	})
+	for i, cs := range cases {
+		rep := reps[i]
 		tbl.Add(cs.policy, cs.pattern.Name, cs.trhd, rep.Failures, rep.MaxDamage)
 		summary[cs.policy+"_"+cs.pattern.Name+"_failures"] = float64(rep.Failures)
 	}

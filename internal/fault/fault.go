@@ -50,6 +50,12 @@ func (c Config) Active() bool {
 		c.PanicAfterActs > 0
 }
 
+// Injects reports whether the config does anything to a run: a tracker or
+// mitigation fault, a panic, or a chaos kill. A Seed alone injects nothing.
+func (c Config) Injects() bool {
+	return c.Active() || c.ChaosProb > 0
+}
+
 // Validate rejects probabilities outside [0, 1] (or NaN) and negative
 // panic counts.
 func (c Config) Validate() error {

@@ -7,6 +7,8 @@ import (
 
 	"autorfm/internal/dram"
 	"autorfm/internal/fault"
+	"autorfm/internal/mitigation"
+	"autorfm/internal/rng"
 	"autorfm/internal/workload"
 )
 
@@ -125,4 +127,87 @@ func BenchmarkConfigKey(b *testing.B) {
 			_ = keyRef(cfg)
 		}
 	})
+}
+
+// TestReusePRACRunRule: a run stands for another only when both are PRAC
+// runs injecting no fault, equal apart from a PRACETh at or above the one
+// that ran (and within the counters), and the run raised no ABO.
+func TestReusePRACRunRule(t *testing.T) {
+	mcf, _ := workload.ByName("mcf")
+	ran := Config{Workload: mcf, Mode: dram.ModePRAC, PRACETh: 50, InstructionsPerCore: 20_000, Seed: 3}
+	quiet, loud := Result{}, Result{}
+	loud.Dev.ABOAlerts = 1
+	with := func(mut func(*Config)) Config {
+		c := ran
+		mut(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		ran  Config
+		res  Result
+		at   Config
+		want bool
+	}{
+		{"higher ETh", ran, quiet, with(func(c *Config) { c.PRACETh = 351 }), true},
+		{"same ETh", ran, quiet, ran, true},
+		{"highest ETh", ran, quiet, with(func(c *Config) { c.PRACETh = dram.PRACMaxETh }), true},
+		{"default ETh 64 spelled as 0", ran, quiet, with(func(c *Config) { c.PRACETh = 0 }), true},
+		{"fault seed alone", with(func(c *Config) { c.Fault.Seed = 7 }), quiet,
+			with(func(c *Config) { c.Fault.Seed = 7; c.PRACETh = 80 }), true},
+		{"ABO raised", ran, loud, with(func(c *Config) { c.PRACETh = 351 }), false},
+		{"lower ETh", ran, quiet, with(func(c *Config) { c.PRACETh = 49 }), false},
+		{"ETh above the counters", ran, quiet, with(func(c *Config) { c.PRACETh = dram.PRACMaxETh + 1 }), false},
+		{"not PRAC", with(func(c *Config) { c.Mode = dram.ModeRFM }), quiet,
+			with(func(c *Config) { c.Mode = dram.ModeRFM; c.PRACETh = 351 }), false},
+		{"other field differs", ran, quiet, with(func(c *Config) { c.PRACETh = 351; c.Seed = 4 }), false},
+		{"other mode", ran, quiet, with(func(c *Config) { c.Mode = dram.ModeAutoRFM; c.PRACETh = 351 }), false},
+		{"chaos", with(func(c *Config) { c.Fault.ChaosProb = 0.1 }), quiet,
+			with(func(c *Config) { c.Fault.ChaosProb = 0.1; c.PRACETh = 351 }), false},
+		{"injected fault", with(func(c *Config) { c.Fault.ActMissProb = 0.01 }), quiet,
+			with(func(c *Config) { c.Fault.ActMissProb = 0.01; c.PRACETh = 351 }), false},
+		{"unkeyable", with(func(c *Config) { c.NewPolicy = func(int, *rng.Source) mitigation.Policy { return nil } }), quiet,
+			with(func(c *Config) {
+				c.NewPolicy = func(int, *rng.Source) mitigation.Policy { return nil }
+				c.PRACETh = 351
+			}), false},
+	} {
+		if got := ReusePRACRun(tc.ran, tc.res, tc.at); got != tc.want {
+			t.Errorf("%s: ReusePRACRun = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestReusePRACRunMatchesRun is the rule's differential check: wherever it
+// holds, a run at the higher ETh is the reused Result, byte for byte.
+func TestReusePRACRunMatchesRun(t *testing.T) {
+	var reused int
+	for _, name := range []string{"mcf", "lbm", "copy"} {
+		p, _ := workload.ByName(name)
+		ran := Config{Workload: p, Mode: dram.ModePRAC, PRACETh: 20, InstructionsPerCore: 30_000, Seed: 1}
+		res, err := Run(ran)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eth := range []int{20, 37, 351, dram.PRACMaxETh} {
+			at := ran
+			at.PRACETh = eth
+			if !ReusePRACRun(ran, res, at) {
+				continue
+			}
+			reused++
+			want, err := Run(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res
+			got.Config = at.Normalized()
+			if g, w := resultJSON(t, got), resultJSON(t, want); string(g) != string(w) {
+				t.Errorf("%s at ETh %d: reused Result differs from a run:\n got %s\nwant %s", name, eth, g, w)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("the rule held for no run; the check compared nothing")
+	}
 }

@@ -216,6 +216,31 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
+// ReusePRACRun reports whether res, the Result of a completed run of ran,
+// is also the Result of at, so that at need not run. It holds when both are
+// PRAC runs that injected no fault, at equals ran apart from a PRACETh at or
+// above ran's (and within the counters' range), and ran raised no ABO.
+//
+// The proof: PRACETh enters a run only where a PRAC bank compares a row's
+// raised counter with it (dram.Bank.Activate), and raising an ABO is the
+// only thing that comparison can do. A run that raised no ABO kept every
+// counter below its ETh, so below any higher one, and a run at the higher
+// ETh takes the same branch at every ACT. A chaos kill is decided from the
+// job's own Key, hence the fault condition.
+//
+// The caller sets the reused Result's Config to at.Normalized(). Like a
+// cache hit, a reused Result emits no telemetry of its own.
+func ReusePRACRun(ran Config, res Result, at Config) bool {
+	r, a := ran.Normalized(), at.Normalized()
+	if r.Mode != dram.ModePRAC || r.Fault.Injects() || res.Dev.ABOAlerts != 0 ||
+		a.PRACETh < r.PRACETh || a.PRACETh > dram.PRACMaxETh {
+		return false
+	}
+	r.PRACETh = a.PRACETh
+	k := r.Key()
+	return k != "" && k == a.Key()
+}
+
 // validate rejects every user-reachable misconfiguration of c's values as
 // an error; resolvePlugins does the same for its policy and tracker
 // selectors. Together they keep Run from panicking on bad input (enforced
