@@ -13,13 +13,17 @@
 // into the wheel as the clock approaches them. When the clock reaches a
 // bucket's time the whole bucket becomes the current list, which dispatch
 // pops without touching the wheel, and events armed for the current time
-// append to it. Items carry a Handler interface. The simulator's
+// append to it. Items carry a Handler interface and a 32-bit argument
+// (ScheduleArg), which the handler reads with Arg. The simulator's
 // components dispatch to their own objects directly: pooled memory
-// operations, MSHRs, bank scheduling passes and mitigation events
-// implement Handler with pointer receivers, and a memory request's
-// completion is the Handler of whoever issued it (see internal/cpu,
-// internal/cache, internal/memctrl), so no event goes through a closure.
-// Storing a pointer receiver in an item never allocates. Components with a
-// single recurring callback bind it once in a Timer; Func adapts a plain
-// function, for tests and one-off uses.
+// operations and MSHRs implement Handler with pointer receivers, a memory
+// request's completion is the Handler of whoever issued it, and a memory
+// controller bank is the Handler of its own scheduling passes, with its
+// wake generation as the argument (see internal/cpu, internal/cache,
+// internal/memctrl), so no event goes through a closure. Storing a
+// pointer receiver in an item never allocates. Components with a single
+// recurring callback bind it once in a Timer; Func adapts a plain
+// function, for tests and one-off uses. The dispatch loop is the engine's
+// too: Step, Run, RunUntil and the batched DispatchWhile, which the
+// simulator runs until its last core finishes, share one pop path.
 package event

@@ -20,7 +20,8 @@ func (f Func) OnEvent(now clk.Tick) { f(now) }
 // Handler receives dispatched events. Implementations that want
 // allocation-free scheduling use a pointer receiver on a pooled or
 // long-lived struct, pre-binding any per-event payload in its fields
-// before arming.
+// before arming, or in the event's 32-bit argument (ScheduleArg), which
+// the handler reads back with Queue.Arg.
 type Handler interface {
 	OnEvent(now clk.Tick)
 }
@@ -61,9 +62,12 @@ const (
 // pooled items arena. Index 0 is a reserved sentinel so that the zero
 // values of list heads, tails and the free list all mean "empty". An item
 // needs no time: its bucket and the current time give it (see bucketTime).
+// The argument fills what would otherwise be padding: the item stays 24
+// bytes.
 type wItem struct {
 	h    Handler
 	next int32
+	arg  uint32
 }
 
 // fItem is one far-lane event. The (t, seq) pair totally orders items:
@@ -74,6 +78,7 @@ type fItem struct {
 	t   clk.Tick
 	seq uint64
 	h   Handler
+	arg uint32
 }
 
 // Queue is a deterministic discrete-event queue. The zero value is ready to
@@ -106,6 +111,7 @@ type fItem struct {
 // touches no bucket until the list is empty and the clock advances again.
 type Queue struct {
 	now clk.Tick
+	arg uint32 // the argument of the event being dispatched
 
 	// The current list, and the item arena every list draws from. items[0]
 	// is a sentinel; head, tail and free value 0 = empty.
@@ -129,6 +135,10 @@ type Queue struct {
 // event).
 func (q *Queue) Now() clk.Tick { return q.now }
 
+// Arg returns the argument of the event being dispatched, as ScheduleArg
+// armed it (0 for Schedule). A handler reads it from inside OnEvent.
+func (q *Queue) Arg() uint32 { return q.arg }
+
 // Reset returns the queue to its zero state — time 0, nothing scheduled —
 // while keeping its allocations (the items arena and the far-lane heap),
 // so a reused machine schedules its first events without re-growing
@@ -137,7 +147,7 @@ func (q *Queue) Now() clk.Tick { return q.now }
 // collected: dispatch leaves a popped item's handler in place until the
 // slot is reused, which spares the hot path a store.
 func (q *Queue) Reset() {
-	q.now = 0
+	q.now, q.arg = 0, 0
 	clear(q.items)
 	if len(q.items) > 1 {
 		q.items = q.items[:1] // keep the index-0 sentinel
@@ -156,15 +166,20 @@ func (q *Queue) Reset() {
 // is a programming error and panics, since it would silently corrupt
 // causality. Steady-state scheduling is allocation-free (the items arena
 // and far heap retain their backing arrays).
-func (q *Queue) Schedule(t clk.Tick, h Handler) {
+func (q *Queue) Schedule(t clk.Tick, h Handler) { q.ScheduleArg(t, h, 0) }
+
+// ScheduleArg is Schedule with an argument that Arg returns while h's
+// OnEvent runs, so one handler object can be armed many times with a
+// different payload each time.
+func (q *Queue) ScheduleArg(t clk.Tick, h Handler, arg uint32) {
 	d := t - q.now
 	if d <= 0 || d >= wheelSize {
-		q.scheduleOther(t, h)
+		q.scheduleOther(t, h, arg)
 		return
 	}
 	// Append to wheel bucket b.
 	b := int(t) & wheelMask
-	idx := q.alloc(h)
+	idx := q.alloc(h, arg)
 	if tl := q.tail[b]; tl == 0 {
 		q.head[b] = idx
 		q.bitmap[b>>6] |= 1 << (b & 63)
@@ -177,10 +192,10 @@ func (q *Queue) Schedule(t clk.Tick, h Handler) {
 
 // scheduleOther is Schedule off the wheel: onto the current list, into
 // the far lane, or a panic for a time in the past.
-func (q *Queue) scheduleOther(t clk.Tick, h Handler) {
+func (q *Queue) scheduleOther(t clk.Tick, h Handler, arg uint32) {
 	d := t - q.now
 	if d == 0 {
-		idx := q.alloc(h)
+		idx := q.alloc(h, arg)
 		if q.curTail == 0 {
 			q.cur = idx
 		} else {
@@ -193,25 +208,25 @@ func (q *Queue) scheduleOther(t clk.Tick, h Handler) {
 		panic("event: scheduling in the past")
 	}
 	q.seq++
-	q.far = append(q.far, fItem{t: t, seq: q.seq, h: h})
+	q.far = append(q.far, fItem{t: t, seq: q.seq, h: h, arg: arg})
 	q.siftUp(len(q.far) - 1)
 }
 
-// alloc takes an item for h from the free list, growing the arena when
-// the list is empty, and counts it pending.
-func (q *Queue) alloc(h Handler) int32 {
+// alloc takes an item for h and arg from the free list, growing the arena
+// when the list is empty, and counts it pending.
+func (q *Queue) alloc(h Handler, arg uint32) int32 {
 	q.n++
 	idx := q.free
 	if idx == 0 {
 		if len(q.items) == 0 {
 			q.items = append(q.items, wItem{}) // index-0 sentinel
 		}
-		q.items = append(q.items, wItem{h: h})
+		q.items = append(q.items, wItem{h: h, arg: arg})
 		return int32(len(q.items) - 1)
 	}
 	it := &q.items[idx]
 	q.free = it.next
-	*it = wItem{h: h}
+	*it = wItem{h: h, arg: arg}
 	return idx
 }
 
@@ -257,7 +272,7 @@ func (q *Queue) migrate() {
 			q.far[0] = last
 			q.siftDown()
 		}
-		q.Schedule(it.t, it.h) // onto the wheel, or the current list when due now
+		q.ScheduleArg(it.t, it.h, it.arg) // onto the wheel, or the current list when due now
 	}
 }
 
@@ -347,27 +362,50 @@ func (q *Queue) nextTime() (clk.Tick, bool) {
 	return 0, false
 }
 
-// Step dispatches the next event. It reports false when the queue is empty.
-func (q *Queue) Step() bool {
+// pop removes the current list's head and returns its handler, with Arg
+// returning the event's argument; the current list must not be empty
+// (advance refills it). It is the one dispatch path: Step, DispatchWhile,
+// RunUntil and Run all call it, and it is small enough to inline into
+// their loops. The popped item goes to the free list and keeps its handler
+// reference until alloc reuses it or Reset clears it.
+func (q *Queue) pop() Handler {
 	idx := q.cur
-	if idx == 0 {
-		if idx = q.advance(); idx == 0 {
-			return false
-		}
-	}
-	// Pop the current list's head, recycling its item into the free list.
-	// The item keeps its handler reference until alloc reuses it or Reset
-	// clears it.
 	it := &q.items[idx]
-	h := it.h
 	if q.cur = it.next; q.cur == 0 {
 		q.curTail = 0
 	}
 	it.next = q.free
 	q.free = idx
 	q.n--
-	h.OnEvent(q.now)
+	q.arg = it.arg
+	return it.h
+}
+
+// Step dispatches the next event. It reports false when the queue is empty.
+func (q *Queue) Step() bool {
+	if q.cur == 0 && q.advance() == 0 {
+		return false
+	}
+	q.pop().OnEvent(q.now)
 	return true
+}
+
+// DispatchWhile dispatches events while *live > 0, at most max of them,
+// and returns how many it dispatched; fewer than max means *live reached 0
+// or the queue emptied. It checks *live before every event, so it stops
+// right after the event that brings *live to 0, even with more events due
+// at the same time. It dispatches exactly what as many Step calls would,
+// without a call per event.
+func (q *Queue) DispatchWhile(live *int, max int) int {
+	n := 0
+	for n < max && *live > 0 {
+		if q.cur == 0 && q.advance() == 0 {
+			break
+		}
+		q.pop().OnEvent(q.now)
+		n++
+	}
+	return n
 }
 
 // advance moves the clock to the earliest pending event and makes the
@@ -402,11 +440,14 @@ func (q *Queue) advance() int32 {
 // after deadline. It returns the number of events dispatched.
 func (q *Queue) RunUntil(deadline clk.Tick) int {
 	n := 0
-	for q.Len() > 0 {
-		if t, ok := q.nextTime(); ok && t > deadline {
+	for {
+		if t, ok := q.nextTime(); !ok || t > deadline {
 			break
 		}
-		q.Step()
+		if q.cur == 0 {
+			q.advance()
+		}
+		q.pop().OnEvent(q.now)
 		n++
 	}
 	if q.now < deadline {
@@ -424,7 +465,10 @@ func (q *Queue) Run(stop func() bool) int {
 		if stop != nil && stop() {
 			break
 		}
-		q.Step()
+		if q.cur == 0 {
+			q.advance()
+		}
+		q.pop().OnEvent(q.now)
 		n++
 	}
 	return n

@@ -152,6 +152,21 @@ func fuzzArm(s scheduler, rng *rand.Rand, order *[]int) func(t clk.Tick, depth i
 func drive(s scheduler, seed int64) (order []int, ran int, at clk.Tick) {
 	rng := rand.New(rand.NewSource(seed))
 	arm := fuzzArm(s, rng, &order)
+	armBurst(rng, arm)
+	ran = s.runUntil(clk.Tick(wheelSize + rng.Intn(2*wheelSize)))
+	at = s.now()
+	for i := 0; i < 32; i++ {
+		arm(at+fuzzDelay(rng)+clk.Tick(rng.Intn(4)), 0)
+	}
+	for s.step() {
+	}
+	return order, ran, at
+}
+
+// armBurst arms drive's first burst of 64 events: colliding times near the
+// start, times at and just past the wheel's span, and a few spread over
+// four spans.
+func armBurst(rng *rand.Rand, arm func(t clk.Tick, depth int)) {
 	for i := 0; i < 64; i++ {
 		// 16 distinct ticks per group over 64 events forces plenty of ties.
 		t := clk.Tick(rng.Intn(16))
@@ -163,35 +178,32 @@ func drive(s scheduler, seed int64) (order []int, ran int, at clk.Tick) {
 		}
 		arm(t, 0)
 	}
-	ran = s.runUntil(clk.Tick(wheelSize + rng.Intn(2*wheelSize)))
-	at = s.now()
-	for i := 0; i < 32; i++ {
-		arm(at+fuzzDelay(rng)+clk.Tick(rng.Intn(4)), 0)
-	}
-	for s.step() {
-	}
-	return order, ran, at
 }
 
 // TestDispatchOrderMatchesReference drives the old container/heap queue
 // and the timing wheel with identical fuzzed schedules and requires the
-// same RunUntil outcome and identical dispatch order, seed by seed.
+// same RunUntil outcome and identical dispatch order, seed by seed. The
+// wheel runs each schedule twice: with a closure per event, and with
+// every event carried by a shared handler and told apart by its argument
+// alone (argSched).
 func TestDispatchOrderMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		gotNew, ranNew, atNew := drive(&newSched{}, seed)
 		gotOld, ranOld, atOld := drive(&oldSched{}, seed)
-		if ranNew != ranOld || atNew != atOld {
-			t.Fatalf("seed %d: RunUntil ran %d events to %v, reference %d to %v",
-				seed, ranNew, atNew, ranOld, atOld)
-		}
-		if len(gotNew) != len(gotOld) {
-			t.Fatalf("seed %d: dispatched %d events, reference dispatched %d",
-				seed, len(gotNew), len(gotOld))
-		}
-		for i := range gotNew {
-			if gotNew[i] != gotOld[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: got %v, ref %v",
-					seed, i, gotNew[i], gotOld[i])
+		for _, s := range []scheduler{&newSched{}, newArgSched(t)} {
+			gotNew, ranNew, atNew := drive(s, seed)
+			if ranNew != ranOld || atNew != atOld {
+				t.Fatalf("seed %d, %T: RunUntil ran %d events to %v, reference %d to %v",
+					seed, s, ranNew, atNew, ranOld, atOld)
+			}
+			if len(gotNew) != len(gotOld) {
+				t.Fatalf("seed %d, %T: dispatched %d events, reference dispatched %d",
+					seed, s, len(gotNew), len(gotOld))
+			}
+			for i := range gotNew {
+				if gotNew[i] != gotOld[i] {
+					t.Fatalf("seed %d, %T: dispatch order diverges at %d: got %v, ref %v",
+						seed, s, i, gotNew[i], gotOld[i])
+				}
 			}
 		}
 	}
@@ -272,5 +284,212 @@ func TestTimerZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Timer re-arm allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// argBase offsets argSched's event arguments into the top bits, so a
+// schedule only replays correctly if all 32 bits of every argument
+// survive the wheel, the current list, the far lane and migration.
+const argBase = 0xfff0_0000
+
+// argSched is the timing wheel driven through argument events: each arm
+// goes to one of three shared handlers, with argBase plus the callback's
+// index in fns as the event's argument. A schedule dispatches in the
+// reference's order only if every event reaches its handler carrying the
+// argument it was armed with.
+type argSched struct {
+	newSched
+	t   *testing.T
+	fns []Func
+	hs  [3]argHandler
+}
+
+// argHandler is one of argSched's shared handlers.
+type argHandler struct {
+	s  *argSched
+	id int
+}
+
+func (h *argHandler) OnEvent(now clk.Tick) {
+	i := int(h.s.q.Arg() - argBase)
+	if i < 0 || i >= len(h.s.fns) || i%len(h.s.hs) != h.id {
+		h.s.t.Fatalf("handler %d dispatched with argument %#x, which was never armed on it", h.id, h.s.q.Arg())
+	}
+	h.s.fns[i](now)
+}
+
+func (s *argSched) schedule(t clk.Tick, fn Func) {
+	i := len(s.fns)
+	s.fns = append(s.fns, fn)
+	s.q.ScheduleArg(t, &s.hs[i%len(s.hs)], uint32(argBase+i))
+}
+
+func newArgSched(t *testing.T) *argSched {
+	s := &argSched{t: t}
+	for i := range s.hs {
+		s.hs[i] = argHandler{s: s, id: i}
+	}
+	return s
+}
+
+// liveSched counts a live counter down on every third dispatch, the way
+// the simulator's cores count down unfinished cores as they retire.
+type liveSched struct {
+	newSched
+	live       int
+	dispatched int
+}
+
+func (s *liveSched) schedule(t clk.Tick, fn Func) {
+	s.q.At(t, func(now clk.Tick) {
+		fn(now)
+		if s.dispatched++; s.dispatched%3 == 0 {
+			s.live--
+		}
+	})
+}
+
+// armFuzzed arms drive's first burst on s, each event re-arming
+// follow-ups from inside its callback, and returns the order dispatch
+// appends event ids to.
+func armFuzzed(s scheduler, seed int64) *[]int {
+	rng := rand.New(rand.NewSource(seed))
+	order := new([]int)
+	armBurst(rng, fuzzArm(s, rng, order))
+	return order
+}
+
+// TestDispatchWhileMatchesStep drains identical fuzzed schedules with
+// Step, checking the live counter before each event, and with
+// DispatchWhile in batches of random size, and requires the same events
+// in the same order, the same counts and the same stopping point: it
+// stops in the same place when the counter reaches 0, wherever that falls
+// (often inside a bucket), and resumes from there when it is raised.
+func TestDispatchWhileMatchesStep(t *testing.T) {
+	midBucket := 0
+	for seed := int64(0); seed < 200; seed++ {
+		batchRng := rand.New(rand.NewSource(^seed))
+		stepS, batchS := &liveSched{}, &liveSched{}
+		stepOrder, batchOrder := armFuzzed(stepS, seed), armFuzzed(batchS, seed)
+		for round, live := range []int{1 + int(seed%40), 1 << 30} {
+			stepS.live, batchS.live = live, live
+			stepN := 0
+			for stepS.live > 0 && stepS.q.Step() {
+				stepN++
+			}
+			batchN := 0
+			for {
+				max := 1 + batchRng.Intn(9)
+				n := batchS.q.DispatchWhile(&batchS.live, max)
+				batchN += n
+				if n > max {
+					t.Fatalf("seed %d: DispatchWhile(max=%d) dispatched %d", seed, max, n)
+				}
+				if n < max {
+					if batchS.live > 0 && batchS.q.Len() > 0 {
+						t.Fatalf("seed %d: DispatchWhile stopped after %d of %d with %d live and %d pending",
+							seed, n, max, batchS.live, batchS.q.Len())
+					}
+					break
+				}
+			}
+			if batchN != stepN || batchS.live != stepS.live || batchS.q.Len() != stepS.q.Len() ||
+				batchS.q.Now() != stepS.q.Now() {
+				t.Fatalf("seed %d round %d: batches dispatched %d (live %d, %d pending, now %v); Step %d (live %d, %d pending, now %v)",
+					seed, round, batchN, batchS.live, batchS.q.Len(), batchS.q.Now(),
+					stepN, stepS.live, stepS.q.Len(), stepS.q.Now())
+			}
+			if round == 0 && batchS.q.cur != 0 {
+				midBucket++ // stopped with events still due at the current time
+			}
+		}
+		if stepS.q.Len() != 0 || len(*batchOrder) != len(*stepOrder) {
+			t.Fatalf("seed %d: %d pending after the drain; dispatched %d in batches, %d by Step",
+				seed, stepS.q.Len(), len(*batchOrder), len(*stepOrder))
+		}
+		for i := range *stepOrder {
+			if (*batchOrder)[i] != (*stepOrder)[i] {
+				t.Fatalf("seed %d: batched order diverges from Step's at %d", seed, i)
+			}
+		}
+	}
+	if midBucket < 20 {
+		t.Fatalf("only %d of 200 schedules stopped inside a bucket; the test lost its point", midBucket)
+	}
+}
+
+// countdown decrements *live when dispatched.
+type countdown struct{ live *int }
+
+func (c countdown) OnEvent(clk.Tick) { *c.live-- }
+
+// TestDispatchWhileStopsMidBucket arms ten events for one tick, each
+// counting the live counter down, and requires DispatchWhile to stop right
+// after the event that reaches 0, leaving the rest of the bucket pending
+// at that tick, and to return exactly how many it dispatched.
+func TestDispatchWhileStopsMidBucket(t *testing.T) {
+	q := &Queue{}
+	live := 4
+	for i := 0; i < 10; i++ {
+		q.Schedule(5, countdown{&live})
+	}
+	q.Schedule(9, countdown{&live})
+	if n := q.DispatchWhile(&live, 100); n != 4 || live != 0 || q.Len() != 7 || q.Now() != 5 {
+		t.Fatalf("DispatchWhile = %d, live %d, %d pending, now %v; want 4, 0, 7, 5", n, live, q.Len(), q.Now())
+	}
+	if n := q.DispatchWhile(&live, 100); n != 0 {
+		t.Fatalf("DispatchWhile with nothing live dispatched %d", n)
+	}
+	live = 100
+	if n := q.DispatchWhile(&live, 3); n != 3 || q.Len() != 4 || q.Now() != 5 {
+		t.Fatalf("DispatchWhile(max=3) = %d, %d pending, now %v; want 3, 4, 5", n, q.Len(), q.Now())
+	}
+	if n := q.DispatchWhile(&live, 100); n != 4 || live != 93 || q.Len() != 0 || q.Now() != 9 {
+		t.Fatalf("draining DispatchWhile = %d, live %d, %d pending, now %v; want 4, 93, 0, 9", n, live, q.Len(), q.Now())
+	}
+}
+
+// argRearm re-arms itself with the next argument until its budget runs
+// out, checking each dispatch sees the argument it was armed with.
+type argRearm struct {
+	q    *Queue
+	next uint32
+	left int
+	bad  int
+}
+
+func (r *argRearm) OnEvent(now clk.Tick) {
+	if r.q.Arg() != r.next {
+		r.bad++
+	}
+	if r.left > 0 {
+		r.left--
+		r.next++
+		r.q.ScheduleArg(now+clk.Tick(r.left%2), r, r.next)
+	}
+}
+
+// TestArgDispatchWhileZeroAllocs pins the scheduling pass's engine path:
+// arming a handler with an argument, on the current list and the wheel,
+// and draining it with DispatchWhile allocate nothing once the arena has
+// grown.
+func TestArgDispatchWhileZeroAllocs(t *testing.T) {
+	q := &Queue{}
+	h := &argRearm{q: q}
+	live := 1
+	for i := 0; i < 64; i++ {
+		q.Schedule(q.Now(), Func(func(clk.Tick) {}))
+	}
+	q.DispatchWhile(&live, 1000)
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.left = 8
+		q.ScheduleArg(q.Now(), h, h.next)
+		q.DispatchWhile(&live, 1000)
+	})
+	if allocs != 0 {
+		t.Fatalf("argument schedule plus DispatchWhile allocates %.1f/op, want 0", allocs)
+	}
+	if h.bad != 0 {
+		t.Fatalf("%d dispatches saw another argument than they were armed with", h.bad)
 	}
 }

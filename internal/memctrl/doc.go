@@ -16,11 +16,13 @@
 // The scheduler is event-driven: each bank re-evaluates what it can issue
 // whenever a request arrives, a timing constraint expires, or a blocking
 // window (REF/RFM/ALERT-retry) ends. All of that event traffic is
-// allocation-free at steady state: scheduling passes, deferred
-// mitigations and PRAC back-offs are pooled event.Handler objects re-armed
-// from per-controller free lists, the refresh stream is a pre-bound
-// event.Timer, bank queues are ring buffers, and posted writes draw
-// their Request from a controller-owned pool (SubmitWrite). A read's
-// completion is dispatched to its Request.Done handler, the issuer's own
-// object (an LLC MSHR).
+// allocation-free at steady state, and no event needs an object of its
+// own: each bank's state is the event.Handler of its scheduling passes,
+// armed with the bank's wake generation as the event's argument so that a
+// superseded pass does nothing, and two typed views of the same state
+// handle its deferred mitigation starts and PRAC back-offs. The refresh
+// stream is a pre-bound event.Timer, bank queues are ring buffers, and
+// posted writes draw their Request from a controller-owned pool
+// (SubmitWrite). A read's completion is dispatched to its Request.Done
+// handler, the issuer's own object (an LLC MSHR).
 package memctrl

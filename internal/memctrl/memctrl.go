@@ -60,13 +60,25 @@ type Stats struct {
 	QueueOccupancySum uint64 // integral of queued requests, sampled per issue
 }
 
-// bankState is one bank's scheduling state. Its fields are ordered by
-// use: a scheduling pass that issues nothing, most of them, reads only the
-// leading ones.
+// bankState is one bank's scheduling state, and the handler of the bank's
+// scheduling passes (OnEvent); bankMit and bankPrac are views of it that
+// handle its deferred mitigation starts and PRAC back-offs. Its fields are
+// ordered by use: a scheduling pass that issues nothing, most of them,
+// reads only the leading ones.
 type bankState struct {
-	gen       uint64
-	wakeAt    clk.Tick
+	c *Controller
+	// gen numbers the bank's wakes; each pass is armed with the gen of its
+	// wake as the event argument, and a pass whose argument is no longer
+	// gen was superseded and does nothing. 32 bits cannot alias: a pending
+	// pass is never 2^32 re-arms of its bank old. Each re-arm takes a
+	// request arriving at the bank or a pass of it, a few per tick at most,
+	// and no pass is armed further ahead than a blocking window or two
+	// (tRFC, tRFM, the ALERT retry wait): thousands of ticks, not 2^32
+	// re-arms. Reset moves gen on, so no pass armed before it matches
+	// either.
+	gen       uint32
 	scheduled bool
+	wakeAt    clk.Tick
 	qn        int
 
 	openRow   int64       // -1 when no row is open
@@ -141,51 +153,30 @@ func (s *subchState) recordAct(t clk.Tick, tm *clk.Timing) {
 	s.ringHead = (s.ringHead + 1) % len(s.actRing)
 }
 
-// wakeEvent is a pooled scheduling pass for one bank. The generation
-// captured at arming time lets a superseded pass die silently, exactly as
-// the old closure-captured gen did.
-type wakeEvent struct {
-	c    *Controller
-	b    *bankState
-	gen  uint64
-	next *wakeEvent
-}
-
-func (w *wakeEvent) OnEvent(now clk.Tick) {
-	c, b, gen := w.c, w.b, w.gen
-	c.putWake(w) // consumed; safe to recycle before dispatching
-	if b.gen != gen {
+// OnEvent is the bank's scheduling pass. The event's argument is the gen
+// its wake armed it with; a pass that a later wake superseded is still
+// dispatched, but returns at once.
+func (b *bankState) OnEvent(now clk.Tick) {
+	if b.c.q.Arg() != b.gen {
 		return
 	}
 	b.scheduled = false
-	c.tryIssue(b, now)
+	b.c.tryIssue(b, now)
 }
 
-// mitEvent is a pooled deferred mitigation start (fires at the precharge
-// point of the ACT that closed a tracker window).
-type mitEvent struct {
-	c    *Controller
-	bank *dram.Bank
-	pt   clk.Tick
-	next *mitEvent
-}
+// bankMit handles a bank's deferred mitigation start, armed for the
+// precharge point of the ACT that closed a tracker window: the event's own
+// time is the precharge time.
+type bankMit bankState
 
-func (m *mitEvent) OnEvent(clk.Tick) {
-	c, bank, pt := m.c, m.bank, m.pt
-	c.putMit(m)
-	bank.StartPendingMitigation(pt)
-}
+func (m *bankMit) OnEvent(now clk.Tick) { m.bank.StartPendingMitigation(now) }
 
-// pracEvent is a pooled PRAC back-off grant for one bank.
-type pracEvent struct {
-	c    *Controller
-	b    *bankState
-	next *pracEvent
-}
+// bankPrac handles a bank's PRAC back-off grant.
+type bankPrac bankState
 
-func (p *pracEvent) OnEvent(now clk.Tick) {
-	c, b := p.c, p.b
-	c.putPrac(p)
+func (p *bankPrac) OnEvent(now clk.Tick) {
+	b := (*bankState)(p)
+	c := b.c
 	start := clk.Max(now, b.busyUntil)
 	b.busyUntil = start + c.cfg.Timing.TRFM
 	b.nextAct = clk.Max(b.nextAct, b.busyUntil)
@@ -214,9 +205,6 @@ type Controller struct {
 	modeRFM, rfmOn bool
 
 	refreshT  *event.Timer
-	freeWake  *wakeEvent
-	freeMit   *mitEvent
-	freePrac  *pracEvent
 	freeWrite *Request // pooled posted-write requests (SubmitWrite)
 
 	Stats Stats
@@ -232,9 +220,9 @@ func New(cfg Config, dev *dram.Device, q *event.Queue) *Controller {
 
 // Reset reinitialises c for cfg, dev and q exactly as New builds a
 // controller: bank and subchannel timing, RAA, the REF index and the stats
-// start over, and the REF stream is armed on q. It keeps the bank queue
-// rings and the wake, mitigation, PRAC and write pools, so a reused machine
-// starts its next run without rebuilding them; pooled writes still queued
+// start over, and the REF stream is armed on q. It keeps the bank states,
+// their queue rings and the write pool, so a reused machine starts its
+// next run without rebuilding them; pooled writes still queued
 // return to the write pool and other queued requests are dropped. Events c
 // armed before the Reset must not fire after it: q must be a reset or new
 // queue, as it is for New.
@@ -278,7 +266,7 @@ func (c *Controller) Reset(cfg Config, dev *dram.Device, q *event.Queue) {
 	for i, b := range c.banks {
 		// The generation moves on, so no wake armed before the Reset can
 		// pass for a current one.
-		*b = bankState{id: i, bank: dev.Banks[i], sub: c.subch[geo.Subchannel(i)], openRow: -1,
+		*b = bankState{c: c, id: i, bank: dev.Banks[i], sub: c.subch[geo.Subchannel(i)], openRow: -1,
 			queue: b.queue, gen: b.gen + 1}
 	}
 	if c.refreshT == nil || c.q != q {
@@ -341,52 +329,6 @@ func (c *Controller) recycleWrite(req *Request) {
 	c.freeWrite = req
 }
 
-// getWake takes a wake event from the free list.
-func (c *Controller) getWake() *wakeEvent {
-	w := c.freeWake
-	if w == nil {
-		return &wakeEvent{c: c}
-	}
-	c.freeWake = w.next
-	w.next = nil
-	return w
-}
-
-func (c *Controller) putWake(w *wakeEvent) {
-	w.next = c.freeWake
-	c.freeWake = w
-}
-
-func (c *Controller) getMit() *mitEvent {
-	m := c.freeMit
-	if m == nil {
-		return &mitEvent{c: c}
-	}
-	c.freeMit = m.next
-	m.next = nil
-	return m
-}
-
-func (c *Controller) putMit(m *mitEvent) {
-	m.next = c.freeMit
-	c.freeMit = m
-}
-
-func (c *Controller) getPrac() *pracEvent {
-	p := c.freePrac
-	if p == nil {
-		return &pracEvent{c: c}
-	}
-	c.freePrac = p.next
-	p.next = nil
-	return p
-}
-
-func (c *Controller) putPrac(p *pracEvent) {
-	p.next = c.freePrac
-	c.freePrac = p
-}
-
 // wake schedules a scheduling pass for bank b at time t, deduplicating so
 // that only the earliest pending pass survives.
 func (c *Controller) wake(b *bankState, t clk.Tick) {
@@ -396,9 +338,7 @@ func (c *Controller) wake(b *bankState, t clk.Tick) {
 	b.scheduled = true
 	b.wakeAt = t
 	b.gen++
-	w := c.getWake()
-	w.b, w.gen = b, b.gen
-	c.q.Schedule(t, w)
+	c.q.ScheduleArg(t, b, b.gen)
 }
 
 // refresh issues the periodic all-bank REF: every bank is blocked for tRFC
@@ -449,13 +389,15 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 		}
 		return
 	}
-	_, row := b.front()
 
 	// Row-buffer hit: the row is still open (closed-page with a tRAS grace
-	// window, Section III) and we are not inside a blocking window.
-	if b.openRow == int64(row) && now < b.openUntil && now >= b.actTime+tm.TRCD && now >= b.busyUntil {
-		c.serveCAS(b, now, true)
-		return
+	// window, Section III) and we are not inside a blocking window. The
+	// front row is read only once the timing allows a hit.
+	if now < b.openUntil && now >= b.actTime+tm.TRCD && now >= b.busyUntil {
+		if _, row := b.front(); b.openRow == int64(row) {
+			c.serveCAS(b, now, true)
+			return
+		}
 	}
 
 	// Everything else requires the bank to be activatable, and the
@@ -481,6 +423,7 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 	}
 
 	// Issue the ACT.
+	_, row := b.front()
 	res := b.bank.Activate(now, row)
 	if res.Alert {
 		// The ACT failed against the SAUM: mark the bank busy and retry
@@ -510,14 +453,12 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 	}
 	if res.WindowClosed {
 		// The mitigation starts at this ACT's precharge (Section IV-B).
-		m := c.getMit()
-		m.bank, m.pt = b.bank, b.openUntil
-		c.q.Schedule(b.openUntil, m)
+		c.q.Schedule(b.openUntil, (*bankMit)(b))
 	}
 	if res.ABO {
 		// Grant the PRAC back-off once the row has closed: an RFM-length
 		// stall during which the device mitigates the overflowing row.
-		c.schedulePRACBackoff(b)
+		c.q.Schedule(b.nextAct, (*bankPrac)(b))
 	}
 	c.serveCAS(b, now+tm.TRCD, false)
 }
@@ -597,14 +538,6 @@ func (c *Controller) issueRFM(b *bankState, now clk.Tick) {
 	if b.qn > 0 || b.raa >= c.cfg.RFMTH {
 		c.wake(b, b.busyUntil)
 	}
-}
-
-// schedulePRACBackoff stalls the bank for tRFM once the current row closes
-// and lets the device perform the ABO mitigation.
-func (c *Controller) schedulePRACBackoff(b *bankState) {
-	p := c.getPrac()
-	p.b = b
-	c.q.Schedule(b.nextAct, p)
 }
 
 // AvgReadLatency returns the mean read latency in nanoseconds.

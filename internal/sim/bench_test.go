@@ -92,8 +92,30 @@ func steadyConfigs(b *testing.B) []Config {
 // and the dispatch rate (events/s) from Result.Events, which no engine
 // change may move. It is the in-module check for a hot-path change:
 // compare runs with benchstat (docs/PERF.md, "Per-event cost").
-func BenchmarkSteadyJobs(b *testing.B) {
-	cfgs := steadyConfigs(b)
+func BenchmarkSteadyJobs(b *testing.B) { benchJobs(b, steadyConfigs(b)) }
+
+// shortConfigs is perfbench's short job set: all 21 workloads × {none,
+// AutoRFM-4} at 2,000 instructions per core, seed 1. Per-job start cost
+// and the memory controller's scheduling passes dominate it.
+func shortConfigs() []Config {
+	var cfgs []Config
+	for _, p := range workload.Profiles() {
+		for _, mode := range []dram.Mode{dram.ModeNone, dram.ModeAutoRFM} {
+			cfgs = append(cfgs, Config{Workload: p, Mode: mode, TH: 4,
+				InstructionsPerCore: 2_000, Seed: 1})
+		}
+	}
+	return cfgs
+}
+
+// BenchmarkShortJobs is BenchmarkSteadyJobs on the 42 short jobs. Its
+// ns/event includes each job's start, so it is the in-module proxy for
+// perfbench's short workload.
+func BenchmarkShortJobs(b *testing.B) { benchJobs(b, shortConfigs()) }
+
+// benchJobs runs cfgs on one warm Machine per iteration and reports
+// ns/event and events/s.
+func benchJobs(b *testing.B, cfgs []Config) {
 	var m Machine
 	b.ReportAllocs()
 	var events int64

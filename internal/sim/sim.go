@@ -716,18 +716,17 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// The dispatch loop, with the old stop-callback indirection hoisted
-	// into the loop itself: the common iteration is a counter compare, an
-	// event dispatch, and one predictable not-taken branch for the
-	// cancelled poll. ctx is polled only every 4096 events: ctx.Err takes
-	// a lock, and the loop dispatches tens of millions of events per
+	// The engine dispatches in batches of 4096 events while a core is
+	// still running, and ctx is polled between batches: ctx.Err takes a
+	// lock, and the loop dispatches tens of millions of events per
 	// simulated millisecond.
 	q := m.q
 	for rs.remaining > 0 {
-		if !q.Step() {
+		n := q.DispatchWhile(&rs.remaining, 4096)
+		if n == 0 {
 			break
 		}
-		rs.events++
+		rs.events += int64(n)
 		if rs.events&0xfff == 0 && ctx.Err() != nil {
 			return Result{}, fmt.Errorf("sim: run cancelled at t=%v: %w", q.Now(), ctx.Err())
 		}
