@@ -99,7 +99,6 @@ type Core struct {
 	lastLoad *memOp   // most recently dispatched load (dependence target)
 	freeOps  *memOp   // memOp free list
 	ops      []*memOp // every op the core made, for Reset to reclaim
-	adv      *event.Timer
 	rec      Record
 	haveRec  bool
 	blocked  bool // waiting for the ROB head to complete
@@ -132,19 +131,16 @@ func New(id int, cfg Config, strm Stream, port MemPort, q *event.Queue) *Core {
 
 // Reset reinitialises c exactly as New builds a core. It keeps the memOp
 // pool (every op c made goes back on its free list, including stores whose
-// issue event the previous run never reached), the pending ring, the
-// advance timer and OnFinish, so a reused machine starts its next run
-// without allocating. Nothing c armed or handed out before the Reset may
-// fire after it: q must be a reset or new queue and port must hold none of
-// c's completions, as a reset LLC does.
+// issue event the previous run never reached), the pending ring and
+// OnFinish, so a reused machine starts its next run without allocating.
+// Nothing c armed or handed out before the Reset may fire after it: q must
+// be a reset or new queue and port must hold none of c's completions, as a
+// reset LLC does.
 func (c *Core) Reset(id int, cfg Config, strm Stream, port MemPort, q *event.Queue) {
-	ops, pending, adv, onFinish := c.ops, c.pending, c.adv, c.OnFinish
-	if adv == nil || c.q != q {
-		adv = event.NewTimer(q, c.advance)
-	}
+	ops, pending, onFinish := c.ops, c.pending, c.OnFinish
 	clear(pending)
 	*c = Core{ID: id, cfg: cfg, strm: strm, port: port, q: q,
-		ops: ops, pending: pending, adv: adv, OnFinish: onFinish}
+		ops: ops, pending: pending, OnFinish: onFinish}
 	for _, m := range ops {
 		c.putOp(m)
 	}
@@ -152,7 +148,7 @@ func (c *Core) Reset(id int, cfg Config, strm Stream, port MemPort, q *event.Que
 
 // Start begins execution at the current simulation time.
 func (c *Core) Start() {
-	c.adv.At(c.q.Now())
+	c.q.Schedule(c.q.Now(), c)
 }
 
 // Retired returns the number of retired instructions (== dispatched for
@@ -223,6 +219,10 @@ func (c *Core) finish(t clk.Tick) {
 		c.OnFinish()
 	}
 }
+
+// OnEvent is the core's one recurring event, its advance: Start arms it,
+// and so does a dispatch that runs past the horizon.
+func (c *Core) OnEvent(now clk.Tick) { c.advance(now) }
 
 // advance dispatches as far as the ROB window and the horizon allow.
 func (c *Core) advance(now clk.Tick) {
@@ -301,9 +301,9 @@ func (c *Core) dispatch(now clk.Tick) {
 		}
 		c.q.Schedule(issueAt, m)
 		// Yield if the frontier has run far ahead; the queue will deliver
-		// completions and we resume from them, or from this timer.
+		// completions and we resume from them, or from this event.
 		if c.tD > now+horizon {
-			c.adv.At(c.tD)
+			c.q.Schedule(c.tD, c)
 			return
 		}
 	}

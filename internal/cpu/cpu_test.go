@@ -267,10 +267,11 @@ func (s *mixedStream) Next() (Record, bool) {
 }
 
 // TestCoreResetZeroAllocs guards warm core reuse: a core Reset onto a reset
-// queue runs its next workload on the memOp pool, pending ring and advance
-// timer of the last run, allocating nothing, and finishes exactly as a new
-// core does. Like a simulation run, each run stops when the core finishes,
-// with posted stores still queued whose ops only Reset can reclaim.
+// queue runs its next workload on the memOp pool and pending ring of the
+// last run, arming itself as its own advance event, allocating nothing,
+// and finishes exactly as a new core does. Like a simulation run, each run
+// stops when the core finishes, with posted stores still queued whose ops
+// only Reset can reclaim.
 func TestCoreResetZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(20_000)
 	s := &mixedStream{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/clk"
 	"autorfm/internal/mapping"
 	"autorfm/internal/mitigation"
@@ -56,9 +55,10 @@ type Config struct {
 	// AutoRFMTH for ModeAutoRFM. It sets the tracker window.
 	TH int
 	// NewTracker builds the per-bank tracker from the Env the bank fills:
-	// its ID, TH, PRNG and Arena, whether the policy just built for it is
+	// its ID, TH and PRNG, whether the policy just built for it is
 	// recursive, and its tracker before a Reset (Prev, nil in NewDevice),
-	// which the hook may rebuild in place. Defaults to MINT with window TH.
+	// which the hook may rebuild in place, keeping its tables. Defaults to
+	// MINT with window TH.
 	NewTracker func(env tracker.Env) tracker.Tracker
 	// NewPolicy builds the per-bank victim-refresh policy. Defaults to
 	// Fractal Mitigation. prev is the bank's policy before a Reset (nil in
@@ -80,13 +80,6 @@ type Config struct {
 	// Trace, when non-nil, receives the device-side mitigation windows
 	// (telemetry; observational only).
 	Trace *telemetry.CommandTrace
-	// Arena, when non-nil, is where buildPipeline carves its per-bank
-	// pipeline state — tracker tables, victim buffers, PRNGs — instead of
-	// the heap. The arena is reset and re-carved on every Device Reset
-	// (pipelines are rebuilt wholesale there), which lays the device's
-	// tables out contiguously; with hooks that rebuild their prev in place
-	// a repeated Reset allocates nothing.
-	Arena *arena.Arena
 }
 
 func (c *Config) fillDefaults() {
@@ -177,14 +170,20 @@ type Bank struct {
 
 	trk    tracker.Tracker
 	policy mitigation.Policy
-	r      *rng.Source
+	// r is the bank's PRNG, reseeded in place by every pipeline build, so
+	// the tracker and policy a Reset rebuilds keep drawing from &r.
+	r rng.Source
 
 	// va and victimBuf form the allocation-free victim path: va is the
 	// policy's VictimAppender when it implements one, and victimBuf is the
-	// per-bank buffer it appends into. Victim lists are consumed
-	// synchronously inside mitigate, so one buffer per bank suffices.
+	// per-bank buffer it appends into, backed by victimArr. Victim lists
+	// are consumed synchronously inside mitigate, so one buffer per bank
+	// suffices.
 	va        mitigation.VictimAppender
 	victimBuf []uint32
+	// Victim lists hold at most four rows; the cushion keeps an
+	// out-of-spec policy from spilling per mitigation.
+	victimArr [8]uint32
 
 	// AutoRFM window state.
 	actsInWindow int
@@ -221,9 +220,6 @@ type Device struct {
 // NewDevice builds the device: one tracker, policy and PRNG per bank.
 func NewDevice(cfg Config) *Device {
 	cfg.fillDefaults()
-	if cfg.Arena != nil {
-		cfg.Arena.Reset()
-	}
 	d := &Device{Cfg: cfg}
 	d.Banks = make([]*Bank, cfg.Geo.Banks)
 	for i := range d.Banks {
@@ -305,17 +301,13 @@ func (b *Bank) clearPRAC() {
 // whether the policy just built is recursive. The hooks get the bank's
 // previous policy and tracker, which the built-in ones rebuild in place.
 func (b *Bank) buildPipeline(cfg *Config) {
-	r := arena.Source(cfg.Arena, cfg.Seed^(0xb1a5ed<<16+uint64(b.ID)*0x9e37))
-	pol := cfg.NewPolicy(b.ID, r, b.policy)
-	trk := cfg.NewTracker(tracker.Env{Bank: b.ID, TH: cfg.TH, Recursive: pol.Recursive(),
-		R: r, Arena: cfg.Arena, Prev: b.trk})
-	b.trk, b.policy, b.r = trk, pol, r
+	b.r.Seed(cfg.Seed ^ (0xb1a5ed<<16 + uint64(b.ID)*0x9e37))
+	b.policy = cfg.NewPolicy(b.ID, &b.r, b.policy)
+	b.trk = cfg.NewTracker(tracker.Env{Bank: b.ID, TH: cfg.TH, Recursive: b.policy.Recursive(),
+		R: &b.r, Prev: b.trk})
 	b.va, b.victimBuf = nil, nil
-	if va, ok := pol.(mitigation.VictimAppender); ok {
-		b.va = va
-		// Victim lists hold at most four rows; the cushion keeps an
-		// out-of-spec policy from spilling per mitigation.
-		b.victimBuf = arena.Uint32s(cfg.Arena, 8)[:0]
+	if va, ok := b.policy.(mitigation.VictimAppender); ok {
+		b.va, b.victimBuf = va, b.victimArr[:0]
 	}
 	b.actsInWindow, b.pendingMit = 0, false
 	b.saum, b.saumUntil = -1, 0
@@ -340,11 +332,6 @@ func (d *Device) Reset(cfg Config) bool {
 		return false
 	}
 	d.Cfg = cfg
-	// The pipelines are rebuilt wholesale below, so every arena carving is
-	// dead; reclaim them all so the rebuild re-carves from the same slabs.
-	if cfg.Arena != nil {
-		cfg.Arena.Reset()
-	}
 	for _, b := range d.Banks {
 		b.buildPipeline(&d.Cfg)
 		b.clearPRAC()

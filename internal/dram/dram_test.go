@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/clk"
 	"autorfm/internal/mapping"
 	"autorfm/internal/mitigation"
@@ -477,38 +476,50 @@ func BenchmarkBankActivate(b *testing.B) {
 	}
 }
 
-// TestDeviceWarmResetAllocs pins what a warm Reset allocates: with an arena
-// sized by an earlier Reset, the PRNGs, tracker tables and victim buffers
-// are re-carved from its slabs, and the hooks Resolve builds from the
-// registry rebuild each bank's previous tracker and policy in place, so
-// nothing is allocated. Hooks that ignore prev still allocate one tracker
-// and one policy per bank.
+// TestDeviceWarmResetAllocs pins what a warm Reset allocates: the bank
+// reseeds its own PRNG in place, and the hooks Resolve builds from the
+// registry rebuild each bank's previous tracker and policy in place,
+// keeping every table the run before grew, so a Reset and a rerun of the
+// same activations allocate nothing for any built-in tracker. Hooks that
+// ignore prev still allocate one tracker and one policy per bank.
 func TestDeviceWarmResetAllocs(t *testing.T) {
-	registry := autoCfg(4)
-	registry.Arena = &arena.Arena{}
-	var err error
-	registry.NewPolicy, registry.NewTracker, err = Resolve("fractal", "mint", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := registry
-	fresh.NewTracker = func(env tracker.Env) tracker.Tracker { return tracker.NewMINT(4, false, env.R) }
-	fresh.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return mitigation.NewFractal(r) }
-	for _, tc := range []struct {
+	type tc struct {
 		name string
 		cfg  Config
 		want int
-	}{
-		{"registry", registry, 0},
-		{"hooks ignoring prev", fresh, 2 * registry.Geo.Banks},
-	} {
-		d := NewDevice(tc.cfg)
-		if !d.Reset(tc.cfg) {
-			t.Fatal("Reset refused its own config")
+	}
+	var cases []tc
+	for _, spec := range []string{"mint", "pride", "parfm", "para", "mithril(entries=64)",
+		"graphene(entries=64, threshold=40)", "twice(threshold=40)"} {
+		cfg := autoCfg(4)
+		var err error
+		cfg.NewPolicy, cfg.NewTracker, err = Resolve("fractal", spec, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() { d.Reset(tc.cfg) })
-		if allocs != float64(tc.want) {
-			t.Errorf("%s: warm Reset allocates %.0f objects, want %d", tc.name, allocs, tc.want)
+		cases = append(cases, tc{spec, cfg, 0})
+	}
+	fresh := autoCfg(4)
+	fresh.NewTracker = func(env tracker.Env) tracker.Tracker { return tracker.NewMINT(4, false, env.R) }
+	fresh.NewPolicy = func(bank int, r *rng.Source, _ mitigation.Policy) mitigation.Policy { return mitigation.NewFractal(r) }
+	cases = append(cases, tc{"hooks ignoring prev", fresh, 2 * fresh.Geo.Banks})
+	for _, c := range cases {
+		d := NewDevice(c.cfg)
+		// 48 distinct rows per bank grow TWiCe's and Graphene's row
+		// indexes past the size their rebuild asks for.
+		rerun := func() {
+			if !d.Reset(c.cfg) {
+				t.Fatal("Reset refused its own config")
+			}
+			for _, b := range d.Banks {
+				for row := uint32(0); row < 48; row++ {
+					b.Activate(0, 7*row)
+				}
+			}
+		}
+		rerun()
+		if allocs := testing.AllocsPerRun(10, rerun); allocs != float64(c.want) {
+			t.Errorf("%s: warm Reset and rerun allocate %.0f objects, want %d", c.name, allocs, c.want)
 		}
 	}
 }

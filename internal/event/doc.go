@@ -21,9 +21,10 @@
 // controller bank is the Handler of its own scheduling passes, with its
 // wake generation as the argument (see internal/cpu, internal/cache,
 // internal/memctrl), so no event goes through a closure. Storing a
-// pointer receiver in an item never allocates. Components with a single
-// recurring callback bind it once in a Timer; Func adapts a plain
-// function, for tests and one-off uses. The dispatch loop is the engine's
-// too: Step, Run, RunUntil and the batched DispatchWhile, which the
-// simulator runs until its last core finishes, share one pop path.
+// pointer receiver in an item never allocates. A component with a single
+// recurring callback is that event's Handler itself: a core's advance, the
+// controller's REF stream and the simulator's epoch sampler. Func adapts
+// a plain function, for tests and one-off uses. The dispatch loop is the
+// engine's too: Step and the batched DispatchWhile, which the simulator
+// runs until its last core finishes, share one pop path.
 package event

@@ -26,28 +26,6 @@ type Handler interface {
 	OnEvent(now clk.Tick)
 }
 
-// Timer is a re-armable handle for a component's recurring callback: the
-// callback is bound once at construction, so re-arming it schedules
-// without allocating. A Timer has no pending/armed state — arming it twice
-// dispatches it twice, exactly like scheduling two closures.
-type Timer struct {
-	q  *Queue
-	fn Func
-}
-
-// NewTimer binds fn to q. The one-time closure allocation happens here;
-// every later At/After is allocation-free.
-func NewTimer(q *Queue, fn Func) *Timer { return &Timer{q: q, fn: fn} }
-
-// OnEvent makes Timer a Handler.
-func (t *Timer) OnEvent(now clk.Tick) { t.fn(now) }
-
-// At arms the timer to fire at absolute time tick.
-func (t *Timer) At(tick clk.Tick) { t.q.Schedule(tick, t) }
-
-// After arms the timer to fire d ticks from now.
-func (t *Timer) After(d clk.Tick) { t.q.Schedule(t.q.now+d, t) }
-
 const (
 	// wheelBits sizes the timing wheel. 2^11 ticks = 512ns at 4GHz covers
 	// every DRAM timing except tREFI-scale rearms (measured: ~99.99% of all
@@ -345,28 +323,11 @@ func (q *Queue) bucketTime(b int) clk.Tick {
 	return q.now + clk.Tick((b-int(q.now))&wheelMask)
 }
 
-// nextTime returns the time of the earliest pending event, or (0, false)
-// when none is pending. The current list precedes the wheel, and wheel
-// events precede far events: migration keeps every far event at least a
-// horizon away.
-func (q *Queue) nextTime() (clk.Tick, bool) {
-	if q.cur != 0 {
-		return q.now, true
-	}
-	if b := q.nextBucket(); b >= 0 {
-		return q.bucketTime(b), true
-	}
-	if len(q.far) > 0 {
-		return q.far[0].t, true
-	}
-	return 0, false
-}
-
 // pop removes the current list's head and returns its handler, with Arg
 // returning the event's argument; the current list must not be empty
-// (advance refills it). It is the one dispatch path: Step, DispatchWhile,
-// RunUntil and Run all call it, and it is small enough to inline into
-// their loops. The popped item goes to the free list and keeps its handler
+// (advance refills it). It is the one dispatch path: Step and
+// DispatchWhile both call it, and it is small enough to inline into their
+// loops. The popped item goes to the free list and keeps its handler
 // reference until alloc reuses it or Reset clears it.
 func (q *Queue) pop() Handler {
 	idx := q.cur
@@ -434,42 +395,4 @@ func (q *Queue) advance() int32 {
 	q.now = q.far[0].t
 	q.migrate()
 	return q.cur
-}
-
-// RunUntil dispatches events until the queue is empty or the next event is
-// after deadline. It returns the number of events dispatched.
-func (q *Queue) RunUntil(deadline clk.Tick) int {
-	n := 0
-	for {
-		if t, ok := q.nextTime(); !ok || t > deadline {
-			break
-		}
-		if q.cur == 0 {
-			q.advance()
-		}
-		q.pop().OnEvent(q.now)
-		n++
-	}
-	if q.now < deadline {
-		q.now = deadline
-		q.migrate() // keep far events a full horizon beyond the new now
-	}
-	return n
-}
-
-// Run dispatches events until the queue is empty or stop returns true.
-// It returns the number of events dispatched.
-func (q *Queue) Run(stop func() bool) int {
-	n := 0
-	for q.Len() > 0 {
-		if stop != nil && stop() {
-			break
-		}
-		if q.cur == 0 {
-			q.advance()
-		}
-		q.pop().OnEvent(q.now)
-		n++
-	}
-	return n
 }

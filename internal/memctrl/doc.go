@@ -20,8 +20,8 @@
 // own: each bank's state is the event.Handler of its scheduling passes,
 // armed with the bank's wake generation as the event's argument so that a
 // superseded pass does nothing, and two typed views of the same state
-// handle its deferred mitigation starts and PRAC back-offs. The refresh
-// stream is a pre-bound event.Timer, bank queues are ring buffers, and
+// handle its deferred mitigation starts and PRAC back-offs. The controller
+// is the handler of its own REF stream, bank queues are ring buffers, and
 // posted writes draw their Request from a controller-owned pool
 // (SubmitWrite). A read's completion is dispatched to its Request.Done
 // handler, the issuer's own object (an LLC MSHR).

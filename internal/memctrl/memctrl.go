@@ -204,7 +204,6 @@ type Controller struct {
 	// and explicit RFM scheduling applies (ModeRFM with RFMTH > 0).
 	modeRFM, rfmOn bool
 
-	refreshT  *event.Timer
 	freeWrite *Request // pooled posted-write requests (SubmitWrite)
 
 	Stats Stats
@@ -269,15 +268,12 @@ func (c *Controller) Reset(cfg Config, dev *dram.Device, q *event.Queue) {
 		*b = bankState{c: c, id: i, bank: dev.Banks[i], sub: c.subch[geo.Subchannel(i)], openRow: -1,
 			queue: b.queue, gen: b.gen + 1}
 	}
-	if c.refreshT == nil || c.q != q {
-		c.refreshT = event.NewTimer(q, c.refresh)
-	}
 	c.cfg, c.q, c.dev = cfg, q, dev
 	c.modeRFM = dev.Cfg.Mode == dram.ModeRFM
 	c.rfmOn = c.modeRFM && cfg.RFMTH > 0
 	c.refIdx, c.pending = 0, 0
 	c.Stats = Stats{}
-	c.refreshT.At(q.Now() + cfg.Timing.TREFI)
+	q.Schedule(q.Now()+cfg.Timing.TREFI, c)
 }
 
 // Pending returns the number of requests admitted but not yet completed
@@ -341,10 +337,11 @@ func (c *Controller) wake(b *bankState, t clk.Tick) {
 	c.q.ScheduleArg(t, b, b.gen)
 }
 
-// refresh issues the periodic all-bank REF: every bank is blocked for tRFC
-// once its in-flight row has closed. REF also rolls back RAA by RFMTH
-// (Section II-E) and lets the device do its REF-time work.
-func (c *Controller) refresh(now clk.Tick) {
+// OnEvent is the controller's one recurring event, the periodic all-bank
+// REF: every bank is blocked for tRFC once its in-flight row has closed.
+// REF also rolls back RAA by RFMTH (Section II-E) and lets the device do
+// its REF-time work.
+func (c *Controller) OnEvent(now clk.Tick) {
 	c.Stats.REFs++
 	c.refIdx++
 	tm := &c.cfg.Timing
@@ -367,7 +364,7 @@ func (c *Controller) refresh(now clk.Tick) {
 			c.wake(b, b.busyUntil)
 		}
 	}
-	c.refreshT.At(now + tm.TREFI)
+	c.q.Schedule(now+tm.TREFI, c)
 }
 
 // tryIssue is the per-bank scheduler: serve a row hit if one is possible,

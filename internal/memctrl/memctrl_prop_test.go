@@ -48,12 +48,12 @@ func propHarness(t *testing.T, mode dram.Mode, th int, seed uint64) {
 			r.c.Submit(req)
 		}
 		// Let traffic interleave with REFs and mitigations.
-		r.q.RunUntil(r.q.Now() + clk.US(3))
+		r.runUntil(r.q.Now() + clk.US(3))
 	}
 	// Drain everything.
 	deadline := r.q.Now() + clk.MS(2)
 	for r.c.Pending() > 0 && r.q.Now() < deadline {
-		r.q.RunUntil(r.q.Now() + clk.US(10))
+		r.runUntil(r.q.Now() + clk.US(10))
 	}
 	if r.c.Pending() != 0 {
 		t.Fatalf("mode %v: %d requests stuck after drain", mode, r.c.Pending())
@@ -106,12 +106,12 @@ func TestPropertyNoRequestFailsTwice(t *testing.T) {
 		row := uint32(src.Intn(512)) // subarray 0
 		r.c.Submit(&Request{Line: r.lineFor(0, row, uint16(src.Intn(64)))})
 		if i%16 == 0 {
-			r.q.RunUntil(r.q.Now() + clk.NS(400))
+			r.runUntil(r.q.Now() + clk.NS(400))
 		}
 	}
 	deadline := r.q.Now() + clk.MS(4)
 	for r.c.Pending() > 0 && r.q.Now() < deadline {
-		r.q.RunUntil(r.q.Now() + clk.US(10))
+		r.runUntil(r.q.Now() + clk.US(10))
 	}
 	if r.c.Pending() != 0 {
 		t.Fatalf("%d requests stuck", r.c.Pending())

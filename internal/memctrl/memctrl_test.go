@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math"
 	"testing"
 
 	"autorfm/internal/clk"
@@ -52,6 +53,15 @@ func newRig(mode dram.Mode, th int, pol string) *rig {
 // lineFor builds a line address that maps to the given bank/row/col.
 func (r *rig) lineFor(bank int, row uint32, col uint16) uint64 {
 	return r.m.Unmap(mapping.Location{Bank: bank, Row: row, Col: col})
+}
+
+// runUntil dispatches the events due by deadline and leaves the clock
+// there: a stop event armed at the deadline ends the DispatchWhile, as the
+// REF stream re-arms forever and the queue never empties on its own.
+func (r *rig) runUntil(deadline clk.Tick) {
+	live := 1
+	r.q.Schedule(deadline, event.Func(func(clk.Tick) { live = 0 }))
+	r.q.DispatchWhile(&live, math.MaxInt)
 }
 
 func (r *rig) drain() {
@@ -119,7 +129,7 @@ func TestNoRowHitAfterTRAS(t *testing.T) {
 	r := newRig(dram.ModeNone, 0, "")
 	r.c.Submit(&Request{Line: r.lineFor(0, 42, 0)})
 	// Let the row auto-precharge, then access the same row again.
-	r.q.RunUntil(clk.NS(100))
+	r.runUntil(clk.NS(100))
 	r.c.Submit(&Request{Line: r.lineFor(0, 42, 1)})
 	r.drain()
 	if r.c.Stats.RowHits != 0 {
@@ -155,7 +165,7 @@ func TestRFMInsertedEveryTHActs(t *testing.T) {
 	}
 	r.drain()
 	// Let the idle banks drain their accumulated RAA opportunistically.
-	r.q.RunUntil(r.q.Now() + clk.NS(3000))
+	r.runUntil(r.q.Now() + clk.NS(3000))
 	// 32 ACTs at RFMTH=4 → 8 RFMs in total: deferred past demand where
 	// possible (RAAmax rule), then drained during idle time.
 	if r.c.Stats.RFMs != 8 {
@@ -222,7 +232,7 @@ func TestREFResetsRAA(t *testing.T) {
 			row := uint32(epoch*100 + i)
 			r.c.Submit(&Request{Line: r.lineFor(0, row, 0)})
 		}
-		r.q.RunUntil(r.q.Now() + tm.TREFI)
+		r.runUntil(r.q.Now() + tm.TREFI)
 	}
 	if r.c.Stats.RFMs != 0 {
 		t.Fatalf("RFMs = %d, want 0 (REF resets RAA)", r.c.Stats.RFMs)

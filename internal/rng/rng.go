@@ -20,8 +20,8 @@ func New(seed uint64) *Source {
 	return r
 }
 
-// Seed resets r to the stream New(seed) returns, in place: a Source carved
-// from a slab is reseeded without allocating a new one.
+// Seed resets r to the stream New(seed) returns, in place: a Source held
+// by value (a DRAM bank's) is reseeded without allocating a new one.
 func (r *Source) Seed(seed uint64) {
 	var state [4]uint64
 	sm := seed

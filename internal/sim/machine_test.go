@@ -426,32 +426,39 @@ func TestMachineDispatchZeroAllocs(t *testing.T) {
 // allocates end to end: validation, plugin resolution, the per-run cores,
 // and the dispatch of a 100k-instruction AutoRFM-4 run
 // (BenchmarkSimRun's config). The device pipelines down to each bank's
-// tracker and policy, the cores and their memory ops and workload
-// generators, the memory controller, LLC, mapper, event queue, pre-warm and
-// resolved selectors are all reused, so the count is 40 on go1.24: the
+// tracker and policy, the tables of every built-in tracker, the cores and
+// their memory ops and workload generators, the memory controller, LLC,
+// mapper, event queue, pre-warm and resolved selectors are all reused, so
+// the count is 29 to 41 on go1.24, whichever built-in tracker runs: the
 // Result and pools still growing into the second run. A new generator per
 // core and run (three objects each) and the plugin resolution (17) put it
 // at 82, new per-bank trackers, policies and cores every run at ≈476, a new
-// controller per run at ≈930, and the allocating victim path and per-bank
-// heap tables at ≈7.9k.
+// controller per run at ≈930, TWiCe's slot arrays and index regrown every
+// run at ≈2.1k, and the allocating victim path and per-bank heap tables at
+// ≈7.9k.
 const warmRunAllocCeiling = 48
 
 // TestMachineWarmRunAllocs pins the warm-start cost: a repeated Run of the
-// same config on one Machine stays under warmRunAllocCeiling objects.
+// same config on one Machine stays under warmRunAllocCeiling objects, for
+// every built-in tracker.
 func TestMachineWarmRunAllocs(t *testing.T) {
-	cfg := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 100_000,
-		Mode: dram.ModeAutoRFM, TH: 4, Seed: 1}
-	var m Machine
-	if _, err := m.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := m.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("warm Machine.Run allocates %.0f objects", allocs)
-	if allocs > warmRunAllocCeiling {
-		t.Fatalf("warm Machine.Run allocates %.0f objects, ceiling %d", allocs, warmRunAllocCeiling)
+	for _, trk := range []string{"mint", "pride", "parfm", "para", "mithril", "graphene", "twice"} {
+		t.Run(trk, func(t *testing.T) {
+			cfg := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 100_000,
+				Mode: dram.ModeAutoRFM, TH: 4, Seed: 1, Tracker: trk}
+			var m Machine
+			if _, err := m.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := m.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("warm Machine.Run allocates %.0f objects", allocs)
+			if allocs > warmRunAllocCeiling {
+				t.Fatalf("warm Machine.Run allocates %.0f objects, ceiling %d", allocs, warmRunAllocCeiling)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/cache"
 	"autorfm/internal/clk"
 	"autorfm/internal/cpu"
@@ -339,13 +338,13 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 
 // Machine is a reusable simulation allocation: the event queue, the LLC's
 // tag and set arrays (kept across prefetch degrees), the memory
-// controller's bank rings and event pools, the DRAM device's largest arrays
-// (PRAC counters, audit ledgers — kept across mode changes), the arena its
-// per-bank pipelines are carved from, each bank's tracker and policy
-// structs, the cores with their pools of memory ops and their workload
-// generators, the address mapper, and the resolved policy and tracker
-// selectors survive from run to run and are reset or reused instead of
-// reconstructed. Sweeps that run many seeds of one configuration
+// controller's bank rings and write pool, the DRAM device's largest arrays
+// (PRAC counters, audit ledgers — kept across mode changes), each bank's
+// PRNG, victim buffer, tracker and policy (the built-in trackers keep
+// their tables), the cores with their pools of memory ops and their
+// workload generators, the address mapper, and the resolved policy and
+// tracker selectors survive from run to run and are reset or reused
+// instead of reconstructed. Sweeps that run many seeds of one configuration
 // (fig1d-style) avoid rebuilding ~3MB of state per run, and a warm run of a
 // registry-built config allocates little beyond its Result and what the
 // caller's hooks build; a Machine run is byte-identical to a fresh Run
@@ -369,12 +368,6 @@ type Machine struct {
 	llcCfg cache.Config
 	mc     *memctrl.Controller
 	dev    *dram.Device
-	// arena is the device-state allocator: the device resets and re-carves
-	// it on every run, so the per-bank tracker tables, PRNGs, and victim
-	// buffers stay contiguous and a warm Reset carves them without
-	// allocating. It survives dirty teardowns — NewDevice resets it before
-	// carving.
-	arena arena.Arena
 	// cores are the cores of the last run, reset for the next one. Each
 	// core's OnFinish counts rs.remaining down.
 	cores []*cpu.Core
@@ -521,7 +514,6 @@ type runState struct {
 
 	// Telemetry attachment.
 	sampler     *telemetry.EpochSampler
-	samplerT    *event.Timer
 	epochStart  clk.Tick
 	epochPeriod clk.Tick
 	probeEvents int64
@@ -557,7 +549,6 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 		Trace:      pre.trace,
 		NewPolicy:  pl.NewPolicy,
 		NewTracker: pl.NewTracker,
-		Arena:      &m.arena,
 	}
 	// From here on the machine's warm state is mutated: mark the run in
 	// flight so a panicking or cancelled run poisons the reuse path.
@@ -590,28 +581,20 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 	}
 	rs.mc = m.mc
 
-	// The epoch sampler rides the event queue as a periodic timer. It is
-	// armed after the controller so that at a tied tick the REF dispatches
-	// before the sample (insertion order breaks ties), keeping each REF in
-	// the epoch that contains it. Sampler firings are dispatched events like
-	// any other, so they are counted separately and subtracted from
-	// Result.Events in finish — Results stay identical with telemetry on or
-	// off.
+	// The epoch sampler rides the event queue as a periodic event (OnEvent).
+	// It is armed after the controller so that at a tied tick the REF
+	// dispatches before the sample (insertion order breaks ties), keeping
+	// each REF in the epoch that contains it. Sampler firings are dispatched
+	// events like any other, so they are counted separately and subtracted
+	// from Result.Events in finish — Results stay identical with telemetry
+	// on or off.
 	if pre.metrics != nil {
 		rs.sampler = telemetry.NewEpochSampler(pre.metrics)
 		rs.epochPeriod = pre.timing.TREFI
 		if pre.metrics.EpochNS > 0 {
 			rs.epochPeriod = clk.NS(pre.metrics.EpochNS)
 		}
-		mc := rs.mc
-		rs.samplerT = event.NewTimer(q, func(now clk.Tick) {
-			rs.probeEvents++
-			cum, g := telemetrySnapshot(mc, dev)
-			rs.sampler.Sample(rs.epochStart, now, cum, g)
-			rs.epochStart = now
-			rs.samplerT.At(now + rs.epochPeriod)
-		})
-		rs.samplerT.At(q.Now() + rs.epochPeriod)
+		q.Schedule(q.Now()+rs.epochPeriod, rs)
 	}
 	// The prefetch degree changes what the LLC does, not its arrays: only
 	// another geometry or latency builds a new one.
@@ -646,6 +629,16 @@ func (m *Machine) start(cfg Config, pl dram.Config) (*runState, error) {
 		c.Start()
 	}
 	return rs, nil
+}
+
+// OnEvent is the run's one recurring event when telemetry is on: it closes
+// an epoch, samples it and arms the next.
+func (rs *runState) OnEvent(now clk.Tick) {
+	rs.probeEvents++
+	cum, g := telemetrySnapshot(rs.mc, rs.m.dev)
+	rs.sampler.Sample(rs.epochStart, now, cum, g)
+	rs.epochStart = now
+	rs.m.q.Schedule(now+rs.epochPeriod, rs)
 }
 
 // finish runs the post-dispatch sequence — telemetry flush, Result

@@ -1,10 +1,6 @@
 package tracker
 
-import (
-	"fmt"
-
-	"autorfm/internal/arena"
-)
+import "fmt"
 
 // REFAware is implemented by trackers that need the periodic-refresh signal
 // (e.g. TWiCe prunes its table every refresh interval). The DRAM bank model
@@ -43,20 +39,19 @@ type Graphene struct {
 // NewGraphene returns a Graphene tracker with the given entry budget that
 // nominates rows at the given estimated activation count.
 func NewGraphene(entries int, threshold int64) *Graphene {
-	return reuseGraphene(nil, nil, entries, threshold)
+	return reuseGraphene(nil, entries, threshold)
 }
 
-// reuseGraphene is NewGraphene with the tables carved from a (nil for the
-// heap), rebuilding prev in place when it is a *Graphene.
-func reuseGraphene(prev Tracker, a *arena.Arena, entries int, threshold int64) *Graphene {
+// reuseGraphene is NewGraphene rebuilding prev in place, table, queue and
+// index arrays included, when it is a *Graphene.
+func reuseGraphene(prev Tracker, entries int, threshold int64) *Graphene {
 	if entries < 1 || threshold < 1 {
 		panic("tracker: invalid Graphene parameters")
 	}
-	g := reuse[Graphene](prev)
-	g.threshold = threshold
-	g.t.a = a
+	g, old := reuse[Graphene](prev)
+	g.threshold, g.t, g.q, g.inQ = threshold, old.t, old.q, old.inQ
 	g.t.init(entries)
-	g.inQ.a = a
+	g.q.reset()
 	g.inQ.init(16)
 	return g
 }
@@ -143,21 +138,21 @@ type TWiCe struct {
 
 // NewTWiCe returns a TWiCe tracker targeting the given Rowhammer threshold.
 func NewTWiCe(threshold int64) *TWiCe {
-	return reuseTWiCe(nil, nil, threshold)
+	return reuseTWiCe(nil, threshold)
 }
 
-// reuseTWiCe is NewTWiCe with the row index carved from a (nil for the
-// heap; the slot arrays grow on demand either way, as TWiCe's table size is
-// workload-dependent by design), rebuilding prev in place when it is a
-// *TWiCe.
-func reuseTWiCe(prev Tracker, a *arena.Arena, threshold int64) *TWiCe {
+// reuseTWiCe is NewTWiCe rebuilding prev in place when it is a *TWiCe,
+// keeping the slot arrays and the row index it grew: TWiCe's table size is
+// workload-dependent by design, so they grow on demand.
+func reuseTWiCe(prev Tracker, threshold int64) *TWiCe {
 	if threshold < 2 {
 		panic("tracker: invalid TWiCe threshold")
 	}
-	t := reuse[TWiCe](prev)
+	t, old := reuse[TWiCe](prev)
 	t.threshold = threshold
 	t.lifeEpochs = 8192 // REF commands per tREFW in DDR5
-	t.idx.a = a
+	t.rows, t.counts, t.life, t.free = old.rows[:0], old.counts[:0], old.life[:0], old.free[:0]
+	t.idx = old.idx
 	t.idx.init(16)
 	return t
 }

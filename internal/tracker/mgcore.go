@@ -3,8 +3,6 @@ package tracker
 import (
 	"math"
 	"math/bits"
-
-	"autorfm/internal/arena"
 )
 
 // This file holds the flat storage shared by the counter-based trackers:
@@ -44,11 +42,6 @@ type mgTable struct {
 	budget int   // logical entry budget (the modelled SRAM table size)
 	spill  int64 // Misra-Gries spillover floor
 
-	// a, when non-nil, is where init carves the slot arrays and the index
-	// (set before the first init; see tracker.Env.Arena). Growth beyond the
-	// carved capacity falls back to the heap.
-	a *arena.Arena
-
 	rows   []uint32
 	counts []int64 // -1 marks a free slot; live entries hold count >= spill
 	next   []int32 // intrusive doubly-linked list, -1 terminated
@@ -75,24 +68,12 @@ const (
 func (t *mgTable) init(budget int) {
 	t.budget = budget
 	t.spill = 0
-	if t.a != nil && cap(t.rows) < budget+1 {
-		// Carve the slot arrays up front at their steady-state size (the
-		// logical budget plus Graphene's re-insertion headroom slot), so
-		// the append-driven growth below never runs and the whole table
-		// sits in contiguous arena slabs.
-		t.rows = t.a.U32.Take(budget + 1)[:0]
-		t.counts = t.a.I64.Take(budget + 1)[:0]
-		t.next = t.a.I32.Take(budget + 1)[:0]
-		t.prev = t.a.I32.Take(budget + 1)[:0]
-		t.free = t.a.I32.Take(budget + 1)[:0]
-	}
 	t.rows = t.rows[:0]
 	t.counts = t.counts[:0]
 	t.next = t.next[:0]
 	t.prev = t.prev[:0]
 	t.free = t.free[:0]
 	t.n = 0
-	t.idx.a = t.a
 	t.idx.init(budget)
 	for i := range t.ring {
 		t.ring[i] = -1
@@ -390,27 +371,21 @@ type rowMap struct {
 	keys []uint32
 	vals []int32 // -1 marks an empty cell
 	n    int
-
-	// a, when non-nil, is where init carves the arrays (growth falls back
-	// to the heap); set by the owning table before the first init.
-	a *arena.Arena
 }
 
+// init empties the map, sizing it for capHint entries. It keeps arrays of
+// at least that size, grown ones included: a lookup's result does not
+// depend on the table size, only its probe sequence does.
 func (m *rowMap) init(capHint int) {
 	size := 16
 	for size < 4*capHint {
 		size <<= 1
 	}
-	if len(m.vals) == size {
-		m.clear()
-		return
+	if len(m.vals) < size {
+		m.keys = make([]uint32, size)
+		m.vals = make([]int32, size)
 	}
-	m.keys = arena.Uint32s(m.a, size)
-	m.vals = arena.Int32s(m.a, size)
-	for i := range m.vals {
-		m.vals[i] = -1
-	}
-	m.n = 0
+	m.clear()
 }
 
 func (m *rowMap) clear() {

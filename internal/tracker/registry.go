@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/plugin"
 	"autorfm/internal/rng"
 )
@@ -25,19 +24,14 @@ type Env struct {
 	// R is the bank's device-side PRNG. Trackers must draw all randomness
 	// from it — never from package state — to keep runs deterministic.
 	R *rng.Source
-	// Arena, when non-nil, is where the tracker should carve its tables
-	// (slot arrays, FIFOs, index maps) instead of the heap. sim.Machine
-	// supplies its own, so the device's tracker state is contiguous and
-	// warm-machine Resets re-carve instead of reallocating. Purely a
-	// placement hint: carved state behaves identically to heap state.
-	Arena *arena.Arena
 	// Prev, when non-nil, is the tracker this bank ran before the device
 	// Reset that is rebuilding it; nothing else references it any more. A
 	// factory may reinitialise it in place instead of allocating when it
-	// is of the factory's own type, provided the result has exactly the
-	// state and PRNG draws of a fresh build. Every built-in tracker does,
-	// so a warm sim.Machine rebuilds its registry-built pipelines without
-	// allocating; a factory that ignores Prev allocates as before.
+	// is of the factory's own type, keeping its arrays, provided the result
+	// has exactly the state and PRNG draws of a fresh build. Every built-in
+	// tracker does, tables included, so a warm sim.Machine rebuilds its
+	// registry-built pipelines without allocating; a factory that ignores
+	// Prev allocates as before.
 	Prev Tracker
 }
 
@@ -150,7 +144,7 @@ func init() {
 		if err := checkTable("fifo", fifo); err != nil {
 			return nil, err
 		}
-		return reusePrIDE(env.Prev, env.Arena, window, fifo, env.R), nil
+		return reusePrIDE(env.Prev, window, fifo, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -167,7 +161,7 @@ func init() {
 		if err := checkTable("buf", buf); err != nil {
 			return nil, err
 		}
-		return reusePARFM(env.Prev, env.Arena, buf, env.R), nil
+		return reusePARFM(env.Prev, buf, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -201,7 +195,7 @@ func init() {
 		if err := checkTable("entries", entries); err != nil {
 			return nil, err
 		}
-		return reuseMithril(env.Prev, env.Arena, entries), nil
+		return reuseMithril(env.Prev, entries), nil
 	})
 
 	Register(plugin.Info{
@@ -223,7 +217,7 @@ func init() {
 		if threshold < 1 {
 			return nil, fmt.Errorf("threshold %d < 1", threshold)
 		}
-		return reuseGraphene(env.Prev, env.Arena, entries, threshold), nil
+		return reuseGraphene(env.Prev, entries, threshold), nil
 	})
 
 	Register(plugin.Info{
@@ -240,6 +234,6 @@ func init() {
 		if threshold < 2 {
 			return nil, fmt.Errorf("threshold %d < 2", threshold)
 		}
-		return reuseTWiCe(env.Prev, env.Arena, threshold), nil
+		return reuseTWiCe(env.Prev, threshold), nil
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/rng"
 )
 
@@ -34,9 +33,9 @@ func exercise(tr Tracker, seed uint64, ops int) string {
 }
 
 // TestRegistryReuseMatchesFresh pins Env.Prev: every built-in factory
-// rebuilds a used tracker of its own type in place, after the arena it was
-// carved from is reset as a device Reset does, into exactly the state and
-// PRNG draws of a fresh build; a Prev of another type is left alone.
+// rebuilds a used tracker of its own type in place, keeping the tables it
+// grew, without allocating, into exactly the state and PRNG draws of a
+// fresh build; a Prev of another type is left alone.
 func TestRegistryReuseMatchesFresh(t *testing.T) {
 	specs := []string{"mint", "mint(recursive=true)", "pride", "parfm", "para",
 		"mithril(entries=8)", "graphene(entries=8, threshold=6)", "twice(threshold=40)"}
@@ -45,22 +44,26 @@ func TestRegistryReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := &arena.Arena{}
-		used, err := build(Env{TH: 4, R: rng.New(1), Arena: a})
+		used, err := build(Env{TH: 4, R: rng.New(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		exercise(used, 2, 4000)
-		a.Reset()
+		scratchR := rng.New(9)
+		if allocs := testing.AllocsPerRun(1, func() {
+			build(Env{TH: 4, R: scratchR, Prev: used})
+		}); allocs != 0 {
+			t.Errorf("%s: rebuilding Prev allocates %.0f objects, want 0", spec, allocs)
+		}
 		reusedR, freshR := rng.New(3), rng.New(3)
-		reused, err := build(Env{TH: 4, R: reusedR, Arena: a, Prev: used})
+		reused, err := build(Env{TH: 4, R: reusedR, Prev: used})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reused != used {
 			t.Errorf("%s: the factory allocated instead of rebuilding Prev", spec)
 		}
-		fresh, err := build(Env{TH: 4, R: freshR, Arena: &arena.Arena{}})
+		fresh, err := build(Env{TH: 4, R: freshR})
 		if err != nil {
 			t.Fatal(err)
 		}

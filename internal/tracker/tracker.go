@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/rng"
 )
 
@@ -72,24 +71,27 @@ func reuseMINT(prev Tracker, window int, recursive bool, r *rng.Source) *MINT {
 	if window < 1 {
 		panic(fmt.Sprintf("tracker: MINT window %d < 1", window))
 	}
-	m := reuse[MINT](prev)
+	m, _ := reuse[MINT](prev)
 	m.window, m.recursive, m.r = window, recursive, r
 	m.pickSlot()
 	return m
 }
 
 // reuse returns prev zeroed when it is a *T, so a factory can rebuild the
-// bank's previous tracker in place, and a new T otherwise.
+// bank's previous tracker in place, and a new T otherwise. The second
+// result is what prev held before the zeroing (the zero T when prev is not
+// a *T), from which a table tracker takes back its arrays.
 func reuse[T any, P interface {
 	*T
 	Tracker
-}](prev Tracker) P {
+}](prev Tracker) (P, T) {
+	var zero T
 	if p, ok := prev.(P); ok {
-		var zero T
+		old := *p
 		*p = zero
-		return p
+		return p, old
 	}
-	return new(T)
+	return new(T), zero
 }
 
 func (m *MINT) Name() string {
@@ -158,17 +160,19 @@ type PrIDE struct {
 // NewPrIDE returns a PrIDE tracker sampling with probability 1/window into a
 // FIFO of fifoSize entries (the paper uses 4).
 func NewPrIDE(window, fifoSize int, r *rng.Source) *PrIDE {
-	return reusePrIDE(nil, nil, window, fifoSize, r)
+	return reusePrIDE(nil, window, fifoSize, r)
 }
 
-// reusePrIDE is NewPrIDE with the FIFO carved from a (nil for the heap),
-// rebuilding prev in place when it is a *PrIDE.
-func reusePrIDE(prev Tracker, a *arena.Arena, window, fifoSize int, r *rng.Source) *PrIDE {
+// reusePrIDE is NewPrIDE rebuilding prev in place, FIFO array included,
+// when it is a *PrIDE.
+func reusePrIDE(prev Tracker, window, fifoSize int, r *rng.Source) *PrIDE {
 	if window < 1 || fifoSize < 1 {
 		panic("tracker: invalid PrIDE parameters")
 	}
-	p := reuse[PrIDE](prev)
-	p.window, p.fifoSize, p.r, p.fifo = window, fifoSize, r, arena.Uint32s(a, fifoSize)
+	p, old := reuse[PrIDE](prev)
+	// Appending a make allocates only when old.fifo's array is too small.
+	p.window, p.fifoSize, p.r = window, fifoSize, r
+	p.fifo = append(old.fifo[:0], make([]uint32, fifoSize)...)
 	return p
 }
 
@@ -222,17 +226,17 @@ type PARFM struct {
 // NewPARFM returns a PARFM tracker whose buffer covers a mitigation window
 // of bufSize activations.
 func NewPARFM(bufSize int, r *rng.Source) *PARFM {
-	return reusePARFM(nil, nil, bufSize, r)
+	return reusePARFM(nil, bufSize, r)
 }
 
-// reusePARFM is NewPARFM with the buffer carved from a (nil for the heap),
-// rebuilding prev in place when it is a *PARFM.
-func reusePARFM(prev Tracker, a *arena.Arena, bufSize int, r *rng.Source) *PARFM {
+// reusePARFM is NewPARFM rebuilding prev in place, buffer array included,
+// when it is a *PARFM.
+func reusePARFM(prev Tracker, bufSize int, r *rng.Source) *PARFM {
 	if bufSize < 1 {
 		panic("tracker: invalid PARFM buffer size")
 	}
-	p := reuse[PARFM](prev)
-	p.bufSize, p.r, p.buf = bufSize, r, arena.Uint32s(a, bufSize)[:0]
+	p, old := reuse[PARFM](prev)
+	p.bufSize, p.r, p.buf = bufSize, r, append(old.buf[:0], make([]uint32, bufSize)...)[:0]
 	return p
 }
 
@@ -291,7 +295,7 @@ func reusePARA(prev Tracker, p float64, r *rng.Source) *PARA {
 	if p <= 0 || p > 1 {
 		panic("tracker: PARA probability out of (0,1]")
 	}
-	t := reuse[PARA](prev)
+	t, _ := reuse[PARA](prev)
 	t.p, t.r = p, r
 	return t
 }
@@ -331,17 +335,17 @@ type Mithril struct {
 
 // NewMithril returns a Mithril tracker with the given entry budget.
 func NewMithril(entries int) *Mithril {
-	return reuseMithril(nil, nil, entries)
+	return reuseMithril(nil, entries)
 }
 
-// reuseMithril is NewMithril with the counter table carved from a (nil for
-// the heap), rebuilding prev in place when it is a *Mithril.
-func reuseMithril(prev Tracker, a *arena.Arena, entries int) *Mithril {
+// reuseMithril is NewMithril rebuilding prev in place, table arrays
+// included, when it is a *Mithril.
+func reuseMithril(prev Tracker, entries int) *Mithril {
 	if entries < 1 {
 		panic("tracker: invalid Mithril entry count")
 	}
-	m := reuse[Mithril](prev)
-	m.t.a = a
+	m, old := reuse[Mithril](prev)
+	m.t = old.t
 	m.t.init(entries)
 	return m
 }
