@@ -244,6 +244,7 @@ func main() {
 		for b := 0; b < nSeeds; b++ {
 			bcfg := scfg
 			bcfg.Mode = dram.ModeNone
+			bcfg.Telemetry = nil
 			bcfg.Seed = *seed + uint64(b)
 			todo = append(todo, bcfg)
 		}

@@ -91,3 +91,33 @@ func TestRejectsOutOfRangeCounts(t *testing.T) {
 		t.Errorf("rejected runs left files %v (%v)", entries, err)
 	}
 }
+
+// TestBaselineUnprobed: telemetry attaches to the mitigated run only. With
+// the no-mitigation baseline on, the metrics file holds one run's records
+// (one summary), and the command trace, which only the mitigated run
+// writes, comes out byte-identical from two runs.
+func TestBaselineUnprobed(t *testing.T) {
+	dir := t.TempDir()
+	var traces [2][]byte
+	for i := range traces {
+		metrics := filepath.Join(dir, "m.jsonl")
+		trace := filepath.Join(dir, "t.json")
+		if out, code := runSim(t, "-workload", "lbm", "-mech", "autorfm", "-th", "4", "-instr", "60000",
+			"-metrics", metrics, "-trace", trace); code != 0 {
+			t.Fatalf("exit %d:\n%s", code, out)
+		}
+		m, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(m), `"kind":"summary"`); n != 1 {
+			t.Fatalf("run %d: metrics file holds %d summary records, want 1 (the mitigated run's)", i, n)
+		}
+		if traces[i], err = os.ReadFile(trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(traces[0]) != string(traces[1]) {
+		t.Fatal("two runs of one command wrote different command traces")
+	}
+}

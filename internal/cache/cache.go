@@ -6,6 +6,7 @@ import (
 
 	"autorfm/internal/clk"
 	"autorfm/internal/event"
+	"autorfm/internal/hashtab"
 	"autorfm/internal/memctrl"
 )
 
@@ -223,13 +224,13 @@ type Cache struct {
 	setShift uint // log2 of the set count: line == tag<<setShift | set
 	mc       *memctrl.Controller
 	q        *event.Queue
-	out      mshrTable
+	out      hashtab.Map[uint64, *mshr] // line -> its outstanding fill
 	freeM    *mshr
 
 	// Stream-detector state: the set of recent demand-miss lines, bounded
 	// by a FIFO ring. A miss to L with L-1 or L-2 recently missed is
 	// treated as part of an ascending stream.
-	recent     lineSet
+	recent     hashtab.Map[uint64, struct{}]
 	recentRing [recentCap]uint64
 	recentHead int // oldest entry, valid when recentN > 0
 	recentN    int
@@ -257,6 +258,8 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 		mc:        mc,
 		q:         q,
 	}
+	c.out.Init(16)
+	c.recent.Init(recentCap)
 	c.wipeArrays()
 	return c
 }
@@ -326,12 +329,12 @@ func (c *Cache) putMSHR(m *mshr) {
 // the pre-ring slice semantics (append, then drop the front past cap) so
 // duplicate misses age out on their oldest entry.
 func (c *Cache) noteMiss(line uint64) bool {
-	a := c.recent.has(line - 1)
-	b := c.recent.has(line - 2)
-	c.recent.add(line)
+	a := c.recent.Has(line - 1)
+	b := c.recent.Has(line - 2)
+	c.recent.Put(line, struct{}{})
 	if c.recentN == recentCap {
 		old := c.recentRing[c.recentHead]
-		c.recent.del(old)
+		c.recent.Delete(old)
 		c.recentRing[c.recentHead] = line // the evicted slot becomes the newest
 		c.recentHead = (c.recentHead + 1) % recentCap
 	} else {
@@ -350,14 +353,14 @@ func (c *Cache) prefetch(line uint64) {
 		if pl/linesPerPage != page {
 			return // stream prefetchers stop at the page boundary
 		}
-		if c.out.get(pl) != nil {
+		if c.out.Has(pl) {
 			continue
 		}
 		if c.lookup(pl) {
 			continue
 		}
 		m := c.getMSHR(pl, false)
-		c.out.put(m)
+		c.out.Put(pl, m)
 		c.Stats.Prefetches++
 		c.mc.Submit(&m.req)
 	}
@@ -485,12 +488,12 @@ func (c *Cache) wipeArrays() {
 // stats.
 func (c *Cache) resetMeta(mc *memctrl.Controller) {
 	c.mc = mc
-	c.out.drain(func(m *mshr) {
+	c.out.Drain(func(_ uint64, m *mshr) {
 		m.waiters = m.waiters[:0]
 		m.dirty = false
 		c.putMSHR(m)
 	})
-	c.recent.clear()
+	c.recent.Clear()
 	c.recentHead, c.recentN = 0, 0
 	c.Stats = Stats{}
 }
@@ -530,7 +533,7 @@ func (c *Cache) Access(line uint64, write bool, done event.Handler) {
 	c.Stats.Misses++
 
 	// Merge with an outstanding fill for the same line.
-	if m := c.out.get(line); m != nil {
+	if m, ok := c.out.Get(line); ok {
 		c.Stats.Merged++
 		if write {
 			m.dirty = true
@@ -545,7 +548,7 @@ func (c *Cache) Access(line uint64, write bool, done event.Handler) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.out.put(m)
+	c.out.Put(line, m)
 	c.mc.Submit(&m.req)
 	if c.cfg.PrefetchDegree > 0 && c.noteMiss(line) {
 		c.prefetch(line)
@@ -556,7 +559,7 @@ func (c *Cache) Access(line uint64, write bool, done event.Handler) {
 // waking all merged waiters, then recycles the MSHR.
 func (c *Cache) fill(m *mshr, now clk.Tick) {
 	line := m.line
-	c.out.del(line)
+	c.out.Delete(line)
 
 	s := line & c.setMask
 	base := int(s) * c.ways

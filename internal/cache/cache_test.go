@@ -87,13 +87,13 @@ func TestMSHRReuseWakesOwnWaiters(t *testing.T) {
 	}
 	c.Access(100, false, waiter("a1"))
 	c.Access(100, false, waiter("a2"))
-	first := c.out.get(100)
+	first, _ := c.out.Get(100)
 	drain(q, mc)
 	if woke["a1"] != 1 || woke["a2"] != 1 || len(woke) != 2 {
 		t.Fatalf("after the first fill: woke %v", woke)
 	}
 	c.Access(300, false, waiter("b"))
-	if c.out.get(300) != first {
+	if m, _ := c.out.Get(300); m != first {
 		t.Fatal("the second miss did not reuse the first fill's MSHR; the test does not reach reuse")
 	}
 	drain(q, mc)
@@ -428,7 +428,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 				continue
 			}
 			m := c.getMSHR(line, false)
-			c.out.put(m)
+			c.out.Put(line, m)
 			c.fill(m, 0)
 		}
 	})

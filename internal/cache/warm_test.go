@@ -61,11 +61,16 @@ func coldWarm(c *Cache, mc *memctrl.Controller, lines []uint64, dirty []bool) {
 // TestResetMatchesFresh pins the machine-reuse contract for the cache: a
 // used-then-Reset cache behaves identically to a new one.
 func TestResetMatchesFresh(t *testing.T) {
-	used, mc, q := newRig(t, smallCfg())
+	cfg := smallCfg()
+	cfg.PrefetchDegree = 2 // so the stream detector has state to clear
+	used, mc, q := newRig(t, cfg)
 	for i := uint64(0); i < 3000; i++ {
 		used.Access(i%512, i%3 == 0, nil)
 	}
 	drain(q, mc)
+	if used.recent.Len() == 0 {
+		t.Fatal("the run left the stream detector empty; the test does not reach its clear")
+	}
 	used.Reset(mc)
 
 	fresh, _, _ := newRig(t, smallCfg())
@@ -77,12 +82,12 @@ func TestResetMatchesFresh(t *testing.T) {
 	if used.Stats != (Stats{}) {
 		t.Fatalf("Reset left stats %+v", used.Stats)
 	}
-	if used.out.n != 0 || used.recentN != 0 {
+	if used.out.Len() != 0 || used.recentN != 0 || used.recent.Len() != 0 {
 		t.Fatal("Reset left outstanding-fill or stream-detector state")
 	}
-	for _, v := range used.recent.slots {
-		if v != 0 {
-			t.Fatal("Reset left stream-detector set entries")
+	for line := uint64(0); line < 512; line++ {
+		if used.recent.Has(line) {
+			t.Fatalf("Reset left line %d in the stream-detector set", line)
 		}
 	}
 }

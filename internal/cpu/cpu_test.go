@@ -25,10 +25,10 @@ func (p *fixedPort) Access(line uint64, write bool, done event.Handler) {
 	if p.inFlight > p.maxInFlight {
 		p.maxInFlight = p.inFlight
 	}
-	p.q.After(p.latency, func(now clk.Tick) {
+	p.q.Schedule(p.q.Now()+p.latency, event.Func(func(now clk.Tick) {
 		p.inFlight--
 		done.OnEvent(now)
-	})
+	}))
 }
 
 // sliceStream replays a fixed set of records.
@@ -341,7 +341,7 @@ func (p *checkPort) Access(line uint64, write bool, done event.Handler) {
 		complete(p.q.Now())
 		return
 	}
-	p.q.After(p.latency, complete)
+	p.q.Schedule(p.q.Now()+p.latency, event.Func(complete))
 }
 
 // TestMemOpReuseIssuesBeforeCompleting guards the pooled memOp's two

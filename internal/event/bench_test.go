@@ -68,19 +68,19 @@ func BenchmarkEventDispatchContainerHeap(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkEventDispatchClosure is the same loop through the legacy
-// closure API, constructing a fresh capturing closure per arm — the
-// pre-rewrite call-site pattern. The gap between this and
-// BenchmarkEventDispatch is what pooling the call sites buys.
+// BenchmarkEventDispatchClosure is the same loop through Func closures,
+// constructing a fresh capturing closure per arm — the pre-rewrite
+// call-site pattern. The gap between this and BenchmarkEventDispatch is
+// what pooling the call sites buys.
 func BenchmarkEventDispatchClosure(b *testing.B) {
 	q := &Queue{}
 	const depth = 1024
 	var arm func(period clk.Tick) Func
 	arm = func(period clk.Tick) Func {
-		return func(now clk.Tick) { q.At(now+period, arm(period)) }
+		return func(now clk.Tick) { q.Schedule(now+period, arm(period)) }
 	}
 	for i := 0; i < depth; i++ {
-		q.At(clk.Tick(i%13), arm(clk.Tick(1+i%7)))
+		q.Schedule(clk.Tick(i%13), arm(clk.Tick(1+i%7)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -254,12 +254,6 @@ func (q *Queue) migrate() {
 	}
 }
 
-// At schedules fn to run at time t.
-func (q *Queue) At(t clk.Tick, fn Func) { q.Schedule(t, fn) }
-
-// After schedules fn to run d ticks from now.
-func (q *Queue) After(d clk.Tick, fn Func) { q.Schedule(q.now+d, fn) }
-
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.n + len(q.far) }
 

@@ -9,9 +9,9 @@ import (
 func TestOrdering(t *testing.T) {
 	var q Queue
 	var got []int
-	q.At(clk.NS(30), func(clk.Tick) { got = append(got, 3) })
-	q.At(clk.NS(10), func(clk.Tick) { got = append(got, 1) })
-	q.At(clk.NS(20), func(clk.Tick) { got = append(got, 2) })
+	q.Schedule(clk.NS(30), Func(func(clk.Tick) { got = append(got, 3) }))
+	q.Schedule(clk.NS(10), Func(func(clk.Tick) { got = append(got, 1) }))
+	q.Schedule(clk.NS(20), Func(func(clk.Tick) { got = append(got, 2) }))
 	for q.Step() {
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -27,7 +27,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.At(clk.NS(5), func(clk.Tick) { got = append(got, i) })
+		q.Schedule(clk.NS(5), Func(func(clk.Tick) { got = append(got, i) }))
 	}
 	for q.Step() {
 	}
@@ -45,10 +45,10 @@ func TestNestedScheduling(t *testing.T) {
 	tick = func(now clk.Tick) {
 		count++
 		if count < 100 {
-			q.At(now+clk.NS(1), tick)
+			q.Schedule(now+clk.NS(1), tick)
 		}
 	}
-	q.At(0, tick)
+	q.Schedule(0, tick)
 	for q.Step() {
 	}
 	if count != 100 {
@@ -61,27 +61,14 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	var q Queue
-	q.At(clk.NS(10), func(now clk.Tick) {
+	q.Schedule(clk.NS(10), Func(func(now clk.Tick) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		q.At(now-1, func(clk.Tick) {})
-	})
+		q.Schedule(now-1, Func(func(clk.Tick) {}))
+	}))
 	for q.Step() {
-	}
-}
-
-func TestAfter(t *testing.T) {
-	var q Queue
-	fired := clk.Tick(-1)
-	q.At(clk.NS(10), func(now clk.Tick) {
-		q.After(clk.NS(5), func(now clk.Tick) { fired = now })
-	})
-	for q.Step() {
-	}
-	if fired != clk.NS(15) {
-		t.Fatalf("After fired at %v, want 15ns", fired)
 	}
 }

@@ -71,7 +71,7 @@ type scheduler interface {
 
 type newSched struct{ q Queue }
 
-func (s *newSched) schedule(t clk.Tick, fn Func) { s.q.At(t, fn) }
+func (s *newSched) schedule(t clk.Tick, fn Func) { s.q.Schedule(t, fn) }
 func (s *newSched) now() clk.Tick                { return s.q.Now() }
 func (s *newSched) step() bool                   { return s.q.Step() }
 
@@ -249,7 +249,7 @@ func TestFuncPathZeroAllocs(t *testing.T) {
 	for q.Step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		q.At(q.Now(), fn)
+		q.Schedule(q.Now(), fn)
 		q.Step()
 	})
 	if allocs != 0 {
@@ -311,12 +311,12 @@ type liveSched struct {
 }
 
 func (s *liveSched) schedule(t clk.Tick, fn Func) {
-	s.q.At(t, func(now clk.Tick) {
+	s.q.Schedule(t, Func(func(now clk.Tick) {
 		fn(now)
 		if s.dispatched++; s.dispatched%3 == 0 {
 			s.live--
 		}
-	})
+	}))
 }
 
 // armFuzzed arms drive's first burst on s, each event re-arming

@@ -31,7 +31,7 @@ func (r *rig) script(seed uint64) []clk.Tick {
 		if i < n/6 {
 			span = clk.US(1)
 		}
-		r.q.At(clk.Tick(src.Int63n(int64(span))), func(now clk.Tick) {
+		r.q.Schedule(clk.Tick(src.Int63n(int64(span))), event.Func(func(now clk.Tick) {
 			submitted++
 			if write {
 				done[i] = -1
@@ -39,7 +39,7 @@ func (r *rig) script(seed uint64) []clk.Tick {
 				return
 			}
 			r.c.Submit(&Request{Line: line, Done: event.Func(func(now clk.Tick) { done[i] = now })})
-		})
+		}))
 	}
 	for submitted < n || r.c.Pending() > 0 {
 		if !r.q.Step() {

@@ -1,6 +1,10 @@
 package tracker
 
-import "fmt"
+import (
+	"fmt"
+
+	"autorfm/internal/hashtab"
+)
 
 // REFAware is implemented by trackers that need the periodic-refresh signal
 // (e.g. TWiCe prunes its table every refresh interval). The DRAM bank model
@@ -33,7 +37,7 @@ type Graphene struct {
 	threshold int64
 	t         mgTable
 	q         rowRing
-	inQ       rowMap
+	inQ       hashtab.Map[uint32, struct{}]
 }
 
 // NewGraphene returns a Graphene tracker with the given entry budget that
@@ -52,7 +56,7 @@ func reuseGraphene(prev Tracker, entries int, threshold int64) *Graphene {
 	g.threshold, g.t, g.q, g.inQ = threshold, old.t, old.q, old.inQ
 	g.t.init(entries)
 	g.q.reset()
-	g.inQ.init(16)
+	g.inQ.Init(16)
 	return g
 }
 
@@ -73,9 +77,9 @@ func (g *Graphene) OnActivation(row uint32) {
 			slot = g.t.insert(row, g.t.spill+1)
 		}
 	}
-	if slot >= 0 && g.t.counts[slot] >= g.threshold && g.inQ.get(row) < 0 {
+	if slot >= 0 && g.t.counts[slot] >= g.threshold && !g.inQ.Has(row) {
 		g.q.push(row)
-		g.inQ.put(row, 0)
+		g.inQ.Put(row, struct{}{})
 	}
 }
 
@@ -84,7 +88,7 @@ func (g *Graphene) SelectForMitigation() Selection {
 		return Selection{}
 	}
 	row := g.q.pop()
-	g.inQ.del(row)
+	g.inQ.Delete(row)
 	// The estimated count resets to the floor. If the row was evicted while
 	// it waited in the queue, it re-enters the table at the floor (dying at
 	// the next spill unless re-activated), exactly as the map model's
@@ -100,7 +104,7 @@ func (g *Graphene) SelectForMitigation() Selection {
 func (g *Graphene) Reset() {
 	g.t.init(g.t.budget)
 	g.q.reset()
-	g.inQ.clear()
+	g.inQ.Clear()
 }
 
 // Pending returns the number of rows waiting for mitigation time; exported
@@ -133,7 +137,7 @@ type TWiCe struct {
 	life   []int64
 	free   []int32
 	n      int
-	idx    rowMap
+	idx    hashtab.Map[uint32, int32] // row -> slot
 }
 
 // NewTWiCe returns a TWiCe tracker targeting the given Rowhammer threshold.
@@ -153,14 +157,14 @@ func reuseTWiCe(prev Tracker, threshold int64) *TWiCe {
 	t.lifeEpochs = 8192 // REF commands per tREFW in DDR5
 	t.rows, t.counts, t.life, t.free = old.rows[:0], old.counts[:0], old.life[:0], old.free[:0]
 	t.idx = old.idx
-	t.idx.init(16)
+	t.idx.Init(16)
 	return t
 }
 
 func (t *TWiCe) Name() string { return fmt.Sprintf("twice-%d", t.threshold) }
 
 func (t *TWiCe) OnActivation(row uint32) {
-	if slot := t.idx.get(row); slot >= 0 {
+	if slot, ok := t.idx.Get(row); ok {
 		t.counts[slot]++
 		return
 	}
@@ -177,12 +181,12 @@ func (t *TWiCe) OnActivation(row uint32) {
 	t.rows[slot] = row
 	t.counts[slot] = 1
 	t.life[slot] = 0
-	t.idx.put(row, slot)
+	t.idx.Put(row, slot)
 	t.n++
 }
 
 func (t *TWiCe) drop(slot int32) {
-	t.idx.del(t.rows[slot])
+	t.idx.Delete(t.rows[slot])
 	t.counts[slot] = 0
 	t.free = append(t.free, slot)
 	t.n--
@@ -238,7 +242,7 @@ func (t *TWiCe) Reset() {
 	t.life = t.life[:0]
 	t.free = t.free[:0]
 	t.n = 0
-	t.idx.clear()
+	t.idx.Clear()
 }
 
 // TableSize returns the current number of tracked candidates; exported so
@@ -246,7 +250,7 @@ func (t *TWiCe) Reset() {
 func (t *TWiCe) TableSize() int { return t.n }
 
 // Contains reports whether row is currently tracked, for tests.
-func (t *TWiCe) Contains(row uint32) bool { return t.idx.get(row) >= 0 }
+func (t *TWiCe) Contains(row uint32) bool { return t.idx.Has(row) }
 
 // TableStats reports table occupancy for telemetry. TWiCe's table is
 // unbounded (pruning keeps it small), so the budget is 0 and nothing spills.

@@ -3,15 +3,17 @@ package tracker
 import (
 	"math"
 	"math/bits"
+
+	"autorfm/internal/hashtab"
 )
 
-// This file holds the flat storage shared by the counter-based trackers:
-// an open-addressed row→slot index (rowMap), a growable FIFO of rows
-// (rowRing), and the Misra-Gries slot table (mgTable) behind Mithril and
-// Graphene. The hardware these trackers model is a fixed-size CAM+counter
-// SRAM array, so the software model mirrors that shape: parallel rows[] /
-// counts[] arrays addressed by slot, no per-entry heap objects, and no Go
-// map on the activation path.
+// This file holds the flat storage shared by the counter-based trackers: a
+// growable FIFO of rows (rowRing) and the Misra-Gries slot table (mgTable)
+// behind Mithril and Graphene. Their row indexes, and TWiCe's, are
+// hashtab.Maps. The hardware these trackers model is a fixed-size
+// CAM+counter SRAM array, so the software model mirrors that shape:
+// parallel rows[] / counts[] arrays addressed by slot, no per-entry heap
+// objects, and no Go map on the activation path.
 //
 // The delicate part is the Misra-Gries "decrement all counters" step, which
 // the map implementation realised by raising a spillover floor and sweeping
@@ -49,7 +51,7 @@ type mgTable struct {
 	free   []int32 // free-slot stack
 	n      int     // live entries
 
-	idx rowMap // row -> slot
+	idx hashtab.Map[uint32, int32] // row -> slot
 
 	ring      [mgRingSpan]int32       // heads per count & mgRingMask, 1 <= e <= span
 	ringN     [mgRingSpan]int32       // entries per ring bucket
@@ -74,7 +76,7 @@ func (t *mgTable) init(budget int) {
 	t.prev = t.prev[:0]
 	t.free = t.free[:0]
 	t.n = 0
-	t.idx.init(budget)
+	t.idx.Init(budget)
 	for i := range t.ring {
 		t.ring[i] = -1
 	}
@@ -88,7 +90,10 @@ func (t *mgTable) init(budget int) {
 
 // lookup returns the slot of row, or -1.
 func (t *mgTable) lookup(row uint32) int32 {
-	return t.idx.get(row)
+	if slot, ok := t.idx.Get(row); ok {
+		return slot
+	}
+	return -1
 }
 
 // link places slot on the list its effective count selects. The caller has
@@ -173,7 +178,7 @@ func (t *mgTable) insert(row uint32, count int64) int32 {
 	}
 	t.rows[slot] = row
 	t.counts[slot] = count
-	t.idx.put(row, slot)
+	t.idx.Put(row, slot)
 	t.link(slot)
 	t.n++
 	return slot
@@ -181,7 +186,7 @@ func (t *mgTable) insert(row uint32, count int64) int32 {
 
 // release evicts an already-unlinked slot.
 func (t *mgTable) release(slot int32) {
-	t.idx.del(t.rows[slot])
+	t.idx.Delete(t.rows[slot])
 	t.counts[slot] = -1
 	t.free = append(t.free, slot)
 	t.n--
@@ -361,128 +366,6 @@ func (t *mgTable) scanMax() (row uint32, count int64, slot int32) {
 		}
 	}
 	return row, count, slot
-}
-
-// rowMap is an open-addressed uint32→int32 hash table with linear probing
-// and backward-shift deletion, sized to stay under 50% load. It replaces
-// the Go maps on the tracker hot path: no hashing interface, no heap
-// objects, and clear() reuses the arrays.
-type rowMap struct {
-	keys []uint32
-	vals []int32 // -1 marks an empty cell
-	n    int
-}
-
-// init empties the map, sizing it for capHint entries. It keeps arrays of
-// at least that size, grown ones included: a lookup's result does not
-// depend on the table size, only its probe sequence does.
-func (m *rowMap) init(capHint int) {
-	size := 16
-	for size < 4*capHint {
-		size <<= 1
-	}
-	if len(m.vals) < size {
-		m.keys = make([]uint32, size)
-		m.vals = make([]int32, size)
-	}
-	m.clear()
-}
-
-func (m *rowMap) clear() {
-	for i := range m.vals {
-		m.vals[i] = -1
-	}
-	m.n = 0
-}
-
-// rowHash mixes row for index masking. The multiply alone is not enough:
-// the low k bits of row*2654435761 depend only on the low k bits of row,
-// so masking it directly would give rows differing only in high bits
-// identical probe sequences. The xor-shift folds the well-mixed high half
-// into the bits the mask keeps.
-func rowHash(row uint32) uint32 {
-	x := row * 2654435761
-	return x ^ x>>16
-}
-
-// get returns the value stored for row, or -1.
-func (m *rowMap) get(row uint32) int32 {
-	mask := uint32(len(m.vals) - 1)
-	for i := rowHash(row) & mask; ; i = (i + 1) & mask {
-		if m.vals[i] < 0 {
-			return -1
-		}
-		if m.keys[i] == row {
-			return m.vals[i]
-		}
-	}
-}
-
-// put inserts or updates row's value (which must be >= 0).
-func (m *rowMap) put(row uint32, v int32) {
-	if 2*(m.n+1) > len(m.vals) {
-		m.grow()
-	}
-	mask := uint32(len(m.vals) - 1)
-	i := rowHash(row) & mask
-	for m.vals[i] >= 0 {
-		if m.keys[i] == row {
-			m.vals[i] = v
-			return
-		}
-		i = (i + 1) & mask
-	}
-	m.keys[i] = row
-	m.vals[i] = v
-	m.n++
-}
-
-// del removes row if present, back-shifting the probe chain so lookups
-// never need tombstones.
-func (m *rowMap) del(row uint32) {
-	mask := uint32(len(m.vals) - 1)
-	i := rowHash(row) & mask
-	for {
-		if m.vals[i] < 0 {
-			return
-		}
-		if m.keys[i] == row {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if m.vals[j] < 0 {
-			break
-		}
-		// Move j's entry into the hole unless its home position lies
-		// inside the open interval (i, j], in which case the hole does not
-		// break its probe chain.
-		if k := rowHash(m.keys[j]) & mask; (j-k)&mask >= (j-i)&mask {
-			m.keys[i] = m.keys[j]
-			m.vals[i] = m.vals[j]
-			i = j
-		}
-	}
-	m.vals[i] = -1
-	m.n--
-}
-
-func (m *rowMap) grow() {
-	oldKeys, oldVals := m.keys, m.vals
-	m.keys = make([]uint32, 2*len(oldVals))
-	m.vals = make([]int32, 2*len(oldVals))
-	for i := range m.vals {
-		m.vals[i] = -1
-	}
-	m.n = 0
-	for i, v := range oldVals {
-		if v >= 0 {
-			m.put(oldKeys[i], v)
-		}
-	}
 }
 
 // rowRing is a growable FIFO of row indices (Graphene's pending-mitigation
